@@ -100,6 +100,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise DomainError(f"--samples must be >= 1, got {args.samples}")
     table = load_table(args.table)
     epsilon = parse_fraction(args.epsilon)
     workers = _worker_count()

@@ -9,9 +9,10 @@ every norm over the same base group shares the identical table skeleton.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Optional
 
 from .errors import DomainError, ShapeError
@@ -92,9 +93,21 @@ class AnchorTable:
     def depth(self) -> int:
         return len(self.anchors)
 
-    @property
+    @cached_property
     def powers(self) -> tuple[int, ...]:
         return tuple(a.power for a in self.anchors)
+
+    @cached_property
+    def power_floors(self) -> tuple[int, ...]:
+        """Suffix minima of the powers: entry i (from 0) is min(K[i+1], ..., K[N]).
+
+        Non-decreasing for every table, so it can be bisected even when a
+        tampered table's powers are not; on a built table it equals ``powers``.
+        """
+        floors = list(self.powers)
+        for i in range(len(floors) - 2, -1, -1):
+            floors[i] = min(floors[i], floors[i + 1])
+        return tuple(floors)
 
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:
@@ -144,24 +157,22 @@ def partial_norm_lookup(table: AnchorTable, x: ExtElement) -> Optional[Fraction]
     """Value of the partial norm at x, or None when x is outside its domain.
 
     The domain is the base group (where the partial norm restricts to the base
-    norm) together with the anchor elements and their inverses.
+    norm) together with the anchor elements and their inverses.  The anchor is
+    found by bisecting the increasing powers of a built table.
     """
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
     if x.k == 0:
         return base_norm(table.spec, x.h)
-    anchor = _anchors_by_power(table).get(abs(x.k))
-    if anchor is None:
+    powers = table.powers
+    i = bisect_left(powers, abs(x.k))
+    if i == len(powers) or powers[i] != abs(x.k):
         return None
+    anchor = table.anchors[i]
     expected = -anchor.target if x.k > 0 else anchor.target
     if x.h == expected:
         return anchor.value
     return None
-
-
-@lru_cache(maxsize=None)
-def _anchors_by_power(table: AnchorTable) -> dict[int, Anchor]:
-    return {a.power: a for a in table.anchors}
 
 
 def check_table_consistency(table: AnchorTable) -> list[str]:

@@ -19,14 +19,24 @@ Hence every decomposition that reaches past the level where K[n-1] >=
 globally exact.  For x with zero c-power every anchor-using decomposition
 costs more than 1, which certifies that the extension restricts to the base
 norm on the base group.
+
+The search itself runs on integers.  Every anchor value 1/j and the budget
+have denominators dividing L = lcm(budget denominator, j of each anchor in
+the search), so running anchor costs are exact integers over L.  Each prune
+is an inequality between rationals cross-multiplied by positive integers, so
+it decides exactly as the rational comparison would, and the witness does not
+depend on the scaling.  Exact rationals appear only at leaves, where the
+residual's base norm (whose denominator need not divide L) joins the cost.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
+from math import lcm
 from typing import Optional, Union
 
 from .construction import AnchorTable, build_anchor_table, k_sequence, unpair_index
@@ -112,6 +122,10 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     costs more than ``budget``.  For k == 0 anchors are excluded entirely
     (any anchor-using decomposition costs more than 1), so the index is 0.
 
+    The test runs on integers: with budget = num/den, an integer power K
+    satisfies K < |k|*den/(den - num) exactly when K < ceil(|k|*den/(den - num)),
+    and the largest such index is found by bisecting ``table.power_floors``.
+
     Raises :class:`ExtendTableError` when the table cannot exhibit the level,
     i.e. when even its deepest power is below |k|/(1 - budget).
     """
@@ -119,31 +133,16 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
         raise DomainError("budget must lie strictly between 0 and 1")
     if k == 0:
         return 0
-    bound = Fraction(abs(k)) / (ONE - budget)
-    powers = table.powers
-    if powers[-1] < bound:
+    num, den = budget.numerator, budget.denominator
+    bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
+    floors = table.power_floors
+    if floors[-1] < bound:
         required = table.depth + 1
-        while True:
-            extended, _ = k_sequence(required)
-            if extended[-1] >= bound:
-                break
+        while k_sequence(required)[0][-1] < bound:
             required += 1
         raise ExtendTableError(required)
-    level = 1
-    for n in range(2, table.depth + 1):
-        if powers[n - 2] < bound:
-            level = n
-    return level
-
-
-def _per_anchor_caps(table: AnchorTable, budget: Fraction, level: int) -> list[int]:
-    # |m_n| <= floor(budget * precision_n) exactly: each unit of anchor n
-    # costs 1/precision_n, so anything larger busts the budget on its own.
-    caps = []
-    for n in range(1, level + 1):
-        j = table.anchor(n).precision_index
-        caps.append((budget.numerator * j) // budget.denominator)
-    return caps
+    # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
+    return bisect_left(floors, bound, 0, table.depth - 1) + 1
 
 
 def best_decomposition(
@@ -162,63 +161,79 @@ def best_decomposition(
     in ascending order, so the first minimum found is the lexicographically
     smallest coefficient vector read from the deepest anchor down; later ties
     never replace it.
+
+    Costs run as integers over L = lcm(budget denominator, j_1..j_index_cap):
+    a unit of anchor n costs L // j_n and the budget is budget * L.  Every
+    prune is the same inequality as in exact rationals, cross-multiplied by
+    positive integers, so the nodes visited and the witness returned do not
+    depend on the scaling.  A ``Fraction`` is built only at a leaf, where the
+    residual's base norm (whose denominator need not divide L) is added.
     """
-    if index_cap > table.depth:
-        raise DomainError("index cap exceeds table depth")
+    if not 0 <= index_cap <= table.depth:
+        raise DomainError("index cap outside table depth")
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
-    anchors = [table.anchor(n) for n in range(1, index_cap + 1)]
-    caps = _per_anchor_caps(table, budget, index_cap)
+    anchors = table.anchors[:index_cap]
+    num, den = budget.numerator, budget.denominator
+    scale = lcm(den, *(a.precision_index for a in anchors))
+    budget_scaled = num * (scale // den)
+    units = [scale // a.precision_index for a in anchors]
+    # |m_n| <= floor(budget * j_n): each unit of anchor n costs 1/j_n, so
+    # anything larger busts the budget on its own.
+    caps = [num * a.precision_index // den for a in anchors]
     # reach[n] = max |sum of c-powers| attainable by anchors 1..n under caps.
-    reach = [0]
-    for anchor, cap in zip(anchors, caps):
-        reach.append(reach[-1] + cap * anchor.power)
-    # cheapest[n] = min cost per unit of c-power over anchors 1..n.
-    cheapest: list[Optional[Fraction]] = [None]
-    for anchor in anchors:
-        unit = Fraction(1, anchor.precision_index * anchor.power)
-        prev = cheapest[-1]
-        cheapest.append(unit if prev is None else min(prev, unit))
+    reach = [0, *accumulate(cap * a.power for a, cap in zip(anchors, caps))]
+    # widest[n] = max j*k over anchors 1..n: covering r units of c-power with
+    # them costs at least r / widest[n] (0 when n == 0: nothing can cover).
+    widest = [0, *accumulate((a.precision_index * a.power for a in anchors), max)]
 
     spec = table.spec
     best: Optional[Decomposition] = None
+    # The incumbent cost p/q as p*L and q: cost/L >= p/q iff cost*q >= p*L.
+    best_num = best_den = 0
 
-    def descend(n: int, target: int, shift: HElement, running: Fraction,
+    def descend(n: int, target: int, shift: HElement, running: int,
                 coeffs: list[tuple[int, int]]) -> None:
-        nonlocal best
+        nonlocal best, best_num, best_den
         if n == 0:
             if target != 0:
                 return
             residual = x.h + shift
-            total = running + base_norm(spec, residual)
+            total = Fraction(running, scale) + base_norm(spec, residual)
             if total > budget:
                 return
             if best is None or total < best.cost:
                 best = Decomposition(tuple(reversed(coeffs)), residual, total)
+                best_num = total.numerator * scale
+                best_den = total.denominator
             return
         anchor = anchors[n - 1]
+        unit = units[n - 1]
         cap = caps[n - 1]
         below = reach[n - 1]
+        width = widest[n - 1]
+        budget_wide = budget_scaled * width
         power = anchor.power
         lo = -((below - target) // power)   # ceil((target - below) / power)
         hi = (target + below) // power
         lo = max(lo, -cap)
         hi = min(hi, cap)
         for mult in range(lo, hi + 1):
-            cost = running + abs(mult) * anchor.value
-            if cost > budget:
+            cost = running + abs(mult) * unit
+            if cost > budget_scaled:
                 continue
-            if best is not None and cost >= best.cost:
+            if best is not None and cost * best_den >= best_num:
                 continue
             rest = target - mult * power
             if rest != 0:
-                lower_bound = cheapest[n - 1]
-                if lower_bound is None:
+                if width == 0:
                     continue
-                if cost + abs(rest) * lower_bound > budget:
+                # (cost/L + |rest|/width) * L * width, against budget and incumbent.
+                lower = cost * width + abs(rest) * scale
+                if lower > budget_wide:
                     continue
-                if best is not None and cost + abs(rest) * lower_bound >= best.cost:
+                if best is not None and lower * best_den >= best_num * width:
                     continue
             if mult != 0:
                 coeffs.append((anchor.index, mult))
@@ -227,7 +242,7 @@ def best_decomposition(
             else:
                 descend(n - 1, rest, shift, cost, coeffs)
 
-    descend(index_cap, x.k, x.descriptor.zero(), ZERO, [])
+    descend(index_cap, x.k, x.descriptor.zero(), 0, [])
     return best
 
 

@@ -84,8 +84,17 @@ def h_element_to_json(h: HElement) -> list[int]:
     return list(h.coords())
 
 
+def _json_int(label: str, value: Any) -> int:
+    # json.loads gives floats for 0.5 and bools for true; int() would coerce both.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TableFormatError(f"{label} must be a JSON integer, got {value!r}")
+    return value
+
+
 def h_element_from_json(descriptor: GroupDescriptor, payload: list) -> HElement:
-    return descriptor.element([int(c) for c in payload])
+    if not isinstance(payload, list):
+        raise TableFormatError("base element must be a JSON array of integers")
+    return descriptor.element([_json_int("coordinate", c) for c in payload])
 
 
 def ext_element_to_json(x: ExtElement) -> dict:
@@ -93,7 +102,11 @@ def ext_element_to_json(x: ExtElement) -> dict:
 
 
 def ext_element_from_json(descriptor: GroupDescriptor, payload: dict) -> ExtElement:
-    return ExtElement(h_element_from_json(descriptor, payload["h"]), int(payload["k"]))
+    if not isinstance(payload, dict) or "h" not in payload or "k" not in payload:
+        raise TableFormatError('element must be a JSON object with keys "h" and "k"')
+    return ExtElement(
+        h_element_from_json(descriptor, payload["h"]), _json_int("k", payload["k"])
+    )
 
 
 # --- evaluation results ------------------------------------------------------

@@ -82,6 +82,22 @@ class TestEval:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_non_object_element_exits_two(self, table_path, capsys):
+        code = main(["eval", "--table", str(table_path), "--element", "[1,2]"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_fractional_coordinate_rejected(self, table_path, capsys):
+        # int() would silently read 0.5 as 0 and evaluate a different element.
+        code = main(["eval", "--table", str(table_path),
+                     "--element", '{"h":[0.5],"k":2}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "integer" in captured.err
+
 
 class TestDensity:
     def test_certified(self, table_path, capsys):
@@ -114,6 +130,14 @@ class TestVerify:
             "extension", "axioms", "density", "truncation",
         ]
         assert all(r["passed"] for r in reports)
+
+    def test_negative_samples_exit_two(self, table_path, capsys):
+        code = main(["verify", "--table", str(table_path), "--suite", "extension",
+                     "--samples", "-3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--samples" in captured.err
 
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())

@@ -1,6 +1,7 @@
 """Certified evaluation: truncation, search, oracle agreement, density, families."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from monothetic import (
     CappedLInf,
     CappedWeightedL1,
+    CyclicScaled,
     DomainError,
     ExactResult,
     ExtElement,
@@ -25,10 +27,12 @@ from monothetic import (
     evaluate,
     evaluate_truncated,
     extend_family,
+    k_sequence,
     truncation_index,
 )
 
 Z = GroupDescriptor(free_rank=1)
+Z5_9_7 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
 ONE = Fraction(1)
 
 
@@ -90,6 +94,55 @@ class TestTruncationIndex:
         with pytest.raises(DomainError):
             truncation_index(unit_table, 2, ONE)
 
+    def test_bound_equal_to_a_power(self, unit_table):
+        # |k|/(1 - b) = 2 = K_2 exactly: K_2 < 2 fails, so the level stops at 2.
+        for k in (1, -1):
+            assert truncation_index(unit_table, k, Fraction(1, 2)) == 2
+        # Budget 2/3 puts the bound at 3, just past K_2 = 2.
+        assert truncation_index(unit_table, 1, Fraction(2, 3)) == 3
+
+    def test_required_depth_when_bound_equals_a_power(self, unit_table):
+        # Budget 1 - 1/K_13 puts the bound for k = +-1 at K_13 exactly: the
+        # depth-12 table falls short, and depth 13 is the first to reach it.
+        k13 = k_sequence(13)[0][-1]
+        budget = ONE - Fraction(1, k13)
+        for k in (1, -1):
+            with pytest.raises(ExtendTableError) as err:
+                truncation_index(unit_table, k, budget)
+            assert err.value.required_depth == 13
+        deeper = build_anchor_table(Z, unit_table.spec, 13)
+        assert truncation_index(deeper, 1, budget) == 13
+
+    def test_matches_fraction_formula(self, unit_table, quarter_table):
+        # Reference: the largest n with n == 1 or K[n-1] < |k|/(1 - b), by a
+        # linear scan in exact rationals.
+        def reference(table, k, budget):
+            bound = Fraction(abs(k)) / (ONE - budget)
+            level = 1
+            for n in range(2, table.depth + 1):
+                if table.anchor(n - 1).power < bound:
+                    level = n
+            return level
+
+        rng = random.Random(20161213)
+        for table in (unit_table, quarter_table):
+            powers = [a.power for a in table.anchors]
+            for _ in range(2000):
+                budget = Fraction(rng.randint(1, 2047), 2048)
+                pick = rng.random()
+                if pick < 0.4:
+                    # Land the bound on, just below or just above a power.
+                    k = rng.choice(powers[:-1]) * (1 - budget)
+                    k = max(1, int(k) + rng.choice((-1, 0, 1)))
+                elif pick < 0.8:
+                    k = rng.randint(1, 200)
+                else:
+                    k = rng.randint(1, powers[-1] // 4096)
+                k *= rng.choice((1, -1))
+                if Fraction(abs(k)) / (ONE - budget) > powers[-1]:
+                    continue
+                assert truncation_index(table, k, budget) == reference(table, k, budget)
+
     def test_exclusion_guarantee(self, unit_table):
         # Every decomposition using an anchor past the level costs more than
         # the budget: check by unpruned enumeration one level deeper.
@@ -149,6 +202,50 @@ class TestBestDecomposition:
             )
             assert witness_vector == vector
             assert found.check_against(quarter_table, x)
+
+    @pytest.mark.parametrize(
+        "budget",
+        [Fraction(1, 2), Fraction(5, 7), Fraction(1023, 1024), ONE],
+        ids=str,
+    )
+    @pytest.mark.parametrize("torsion", [False, True], ids=["quarter", "z5z9z7"])
+    def test_integer_kernel_matches_unpruned_enumeration(
+        self, quarter_table, budget, torsion
+    ):
+        # Running costs are integers over L = lcm(budget denominator, j_1..j_n);
+        # the cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
+        # need not contain.  Budget 1 is the one evaluate_truncated searches.
+        if torsion:
+            table = build_anchor_table(Z5_9_7, CyclicScaled(), 20)
+            offsets = [enumerate_h(Z5_9_7, i) for i in (1, 2, 7, 40)]
+        else:
+            table = quarter_table
+            offsets = [Z.element((v,)) for v in (-1, 0, 2)]
+        elements = [ExtElement(h, k) for h in offsets for k in range(-5, 6)]
+        elements += [
+            table.anchor_element(a) + table.anchor_element(b).scale(sign)
+            + ExtElement(h, 0)
+            for a, b, sign in ((2, 4, 1), (2, 5, -1), (4, 7, 1), (7, 7, 1), (7, 8, -1))
+            for h in offsets[:2]
+        ]
+        for x in elements:
+            # Caps keep the unpruned enumeration small: it grows like prod(2j+1).
+            if x.k == 0:
+                level = 0
+            elif budget == ONE:
+                level = 5
+            else:
+                level = min(8, truncation_index(table, x.k, budget))
+            found = best_decomposition(table, x, budget, level)
+            oracle = exhaustive_min_decomposition(table, x, budget, level)
+            if oracle is None:
+                assert found is None
+                continue
+            cost, vector = oracle
+            assert found is not None
+            assert found.cost == cost
+            assert tuple(found.coefficient(n) for n in range(level, 0, -1)) == vector
+            assert found.check_against(table, x)
 
 
 class TestEvaluate:
