@@ -34,10 +34,10 @@ from .serialize import (
     ext_element_from_json,
     load_table,
     norm_spec_from_json,
+    norm_spec_to_json,
     save_table,
     scan_summary_to_json,
     suite_report_to_json,
-    table_to_json,
 )
 from .verification import (
     ALL_SUITES,
@@ -157,7 +157,7 @@ def _cmd_family(args) -> int:
     ]
     print(dumps_stable({
         "depth": args.depth,
-        "members": [table_to_json(t)["spec"] for t in tables],
+        "members": [norm_spec_to_json(t.spec) for t in tables],
         "shared_anchors": shared,
     }))
     return EXIT_OK

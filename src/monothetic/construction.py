@@ -129,12 +129,19 @@ def _target_element(descriptor: GroupDescriptor, target_index: int) -> HElement:
     return enumerate_h(descriptor, target_index)
 
 
+# The powers grow super-exponentially (k_2500 has 4080 decimal digits), so a
+# depth read from a table file or the command line is capped before any work.
+MAX_TABLE_DEPTH = 10_000
+
+
 def build_anchor_table(
     descriptor: GroupDescriptor, spec: NormSpec, depth: int
 ) -> AnchorTable:
     """Deterministically build the first ``depth`` anchors for (descriptor, spec)."""
     if depth < 1:
         raise DomainError("table depth must be >= 1")
+    if depth > MAX_TABLE_DEPTH:
+        raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
     spec.validate(descriptor)
     powers, deltas = k_sequence(depth)
     anchors = []

@@ -1,14 +1,18 @@
 """JSON wire formats and table persistence.
 
-All rationals cross the wire as ``"p/q"`` strings; powers and coordinates are
-integers.  Loading a table re-derives the whole construction from the
-recurrence and cross-checks the file against it, so edited files are rejected
-rather than silently trusted.
+All rationals cross the wire as ``"p/q"`` strings; coordinates are integers.
+A table file holds only what the loader cannot re-derive: the descriptor, the
+norm spec, the depth and a SHA-256 digest of the table it was written from.
+Loading rebuilds the construction from the recurrence and compares digests, so
+edited files are rejected rather than silently trusted.  No power is ever
+written as text: the deepest ones run to thousands of decimal digits.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
 from pathlib import Path
 from typing import Any
 
@@ -17,7 +21,6 @@ from .counterexample import ContradictionReport, ScanSummary
 from .errors import CorruptedTableError, TableFormatError
 from .evaluator import Decomposition, DensityWitness, EvalResult, ExactResult
 from .groups import (
-    AxiomReport,
     CappedLInf,
     CappedWeightedL1,
     CyclicScaled,
@@ -29,7 +32,9 @@ from .groups import (
 )
 from .rat import format_fraction, parse_fraction
 
-TABLE_VERSION = 1
+TABLE_VERSION = 2
+# Version-1 files list every anchor; they are still read, never written.
+_V1 = 1
 
 
 def dumps_stable(payload: Any) -> str:
@@ -47,9 +52,14 @@ def descriptor_to_json(descriptor: GroupDescriptor) -> dict:
 
 
 def descriptor_from_json(payload: dict) -> GroupDescriptor:
+    if not isinstance(payload, dict):
+        raise TableFormatError("group descriptor must be a JSON object")
+    moduli = payload.get("torsion_moduli", [])
+    if not isinstance(moduli, list):
+        raise TableFormatError("torsion_moduli must be a JSON array of integers")
     return GroupDescriptor(
-        free_rank=int(payload.get("free_rank", 0)),
-        torsion_moduli=tuple(int(q) for q in payload.get("torsion_moduli", [])),
+        free_rank=_json_int("free_rank", payload.get("free_rank", 0)),
+        torsion_moduli=tuple(_json_int("torsion modulus", q) for q in moduli),
     )
 
 
@@ -66,15 +76,23 @@ def norm_spec_to_json(spec: NormSpec) -> dict:
 
 
 def norm_spec_from_json(payload: dict) -> NormSpec:
+    if not isinstance(payload, dict):
+        raise TableFormatError("norm spec must be a JSON object")
     kind = payload.get("type")
-    if kind == "capped_l1":
-        return CappedWeightedL1(tuple(parse_fraction(w) for w in payload["weights"]))
-    if kind == "capped_linf":
-        return CappedLInf(parse_fraction(payload["scale"]))
-    if kind == "cyclic_scaled":
-        return CyclicScaled()
-    if kind == "rational_rotation":
-        return RationalRotation(parse_fraction(payload["alpha"]))
+    try:
+        if kind == "capped_l1":
+            weights = payload["weights"]
+            if not isinstance(weights, list):
+                raise TableFormatError("capped_l1 weights must be a JSON array")
+            return CappedWeightedL1(tuple(parse_fraction(w) for w in weights))
+        if kind == "capped_linf":
+            return CappedLInf(parse_fraction(payload["scale"]))
+        if kind == "cyclic_scaled":
+            return CyclicScaled()
+        if kind == "rational_rotation":
+            return RationalRotation(parse_fraction(payload["alpha"]))
+    except KeyError as exc:
+        raise TableFormatError(f"norm spec {kind!r} is missing key {exc}") from exc
     raise TableFormatError(f"unknown norm type {kind!r}")
 
 
@@ -170,20 +188,6 @@ def suite_report_to_json(report, include_timing: bool = False) -> dict:
     return payload
 
 
-def axiom_report_to_json(report: AxiomReport) -> dict:
-    return {
-        "spec": report.spec_kind,
-        "samples": report.samples,
-        "passed": report.passed,
-        "flagged_pseudonorm": report.flagged_pseudonorm,
-        "pseudonorm_witnesses": [list(h.coords()) for h in report.pseudonorm_witnesses],
-        "violations": [
-            {"check": v.check, "inputs": v.inputs, "expected": v.expected, "got": v.got}
-            for v in report.violations
-        ],
-    }
-
-
 def contradiction_to_json(report: ContradictionReport) -> dict:
     return {
         "n": report.n,
@@ -210,29 +214,49 @@ def scan_summary_to_json(summary: ScanSummary) -> dict:
 
 # --- table persistence --------------------------------------------------------
 
+def _table_digest(table: AnchorTable) -> str:
+    """SHA-256 over the canonical header JSON, then each anchor's n, m, j and k.
+
+    Each power goes in as big-endian two's-complement bytes after a length
+    prefix.  Turning it into decimal text would cost time quadratic in its
+    length, and CPython refuses powers past 4300 digits.
+    """
+    header = {
+        "descriptor": descriptor_to_json(table.descriptor),
+        "spec": norm_spec_to_json(table.spec),
+    }
+    digest = hashlib.sha256(dumps_stable(header).encode())
+    pack = struct.Struct(">4Q").pack
+    for a in table.anchors:
+        power = a.power.to_bytes((a.power.bit_length() + 8) // 8, "big", signed=True)
+        digest.update(pack(a.index, a.target_index, a.precision_index, len(power)))
+        digest.update(power)
+    return digest.hexdigest()
+
+
 def table_to_json(table: AnchorTable) -> dict:
     return {
         "version": TABLE_VERSION,
         "descriptor": descriptor_to_json(table.descriptor),
         "spec": norm_spec_to_json(table.spec),
         "N": table.depth,
-        "anchors": [
-            {"n": a.index, "m": a.target_index, "j": a.precision_index, "k": a.power}
-            for a in table.anchors
-        ],
+        "sha256": _table_digest(table),
     }
 
 
 def save_table(table: AnchorTable, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(table_to_json(table), sort_keys=True, indent=2) + "\n")
+    Path(path).write_text(dumps_stable(table_to_json(table)) + "\n")
 
 
 def load_table(path: str | Path) -> AnchorTable:
-    """Load a table, re-deriving and cross-checking the construction data.
+    """Load a table file by rebuilding the table its header describes.
 
-    The powers, thresholds, pairing, and targets are rebuilt from the
-    recurrence; any disagreement with the file is a corruption, not a value
-    to be trusted.
+    The descriptor, spec and depth N are read (N at most
+    ``MAX_TABLE_DEPTH``), the anchors are rebuilt from the recurrence, and the
+    rebuilt table's digest must equal the stored one; any disagreement is a
+    corruption, not a value to be trusted.  Version-1 files, which list every
+    anchor instead of a digest, are still read: each listed anchor must equal
+    the rebuilt one.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -243,21 +267,37 @@ def load_table(path: str | Path) -> AnchorTable:
 
     if not isinstance(raw, dict):
         raise TableFormatError("parse error: table file must hold a JSON object")
-    if raw.get("version") != TABLE_VERSION:
+    version = raw.get("version")
+    if type(version) is not int or version not in (_V1, TABLE_VERSION):
         raise TableFormatError(
-            f"version mismatch: expected {TABLE_VERSION}, found {raw.get('version')!r}"
+            f"version mismatch: expected {_V1} or {TABLE_VERSION}, found {version!r}"
         )
     try:
         descriptor = descriptor_from_json(raw["descriptor"])
         spec = norm_spec_from_json(raw["spec"])
-        depth = int(raw["N"])
-        entries = raw["anchors"]
+        depth = _json_int("N", raw["N"])
+        stored = raw["anchors"] if version == _V1 else raw["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"parse error: {exc}") from exc
 
-    rebuilt = build_anchor_table(descriptor, spec, depth)
+    if version == _V1:
+        return _load_v1_anchors(descriptor, spec, depth, stored)
+    table = build_anchor_table(descriptor, spec, depth)
+    if _table_digest(table) != stored:
+        raise CorruptedTableError(
+            "corrupted table: digest does not match the rebuilt construction"
+        )
+    return table
+
+
+def _load_v1_anchors(
+    descriptor: GroupDescriptor, spec: NormSpec, depth: int, entries: Any
+) -> AnchorTable:
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise TableFormatError("parse error: anchors must be a JSON array of objects")
     if len(entries) != depth:
         raise CorruptedTableError("corrupted table: anchor count does not match depth")
+    rebuilt = build_anchor_table(descriptor, spec, depth)
     for entry, anchor in zip(entries, rebuilt.anchors):
         stored = (entry.get("n"), entry.get("m"), entry.get("j"), entry.get("k"))
         derived = (anchor.index, anchor.target_index, anchor.precision_index, anchor.power)

@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, JSON schemas, persistence round-trips."""
 
 import json
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,12 +15,24 @@ from monothetic import (
     k_sequence,
 )
 from monothetic.cli import main
+from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.serialize import load_table, save_table
 
 Z = GroupDescriptor(free_rank=1)
 
 GROUP = '{"free_rank":1}'
 NORM = '{"type":"capped_l1","weights":["1/1"]}'
+
+# Written by the version-1 writer: build --group GROUP --norm NORM --depth 12.
+V1_TABLE = Path(__file__).parent / "data" / "table_v1_depth12.json"
+
+
+def edited_copy(source, target, **changes):
+    """Copy a table file to ``target`` with top-level keys replaced."""
+    raw = json.loads(Path(source).read_text())
+    raw.update(changes)
+    target.write_text(json.dumps(raw))
+    return target
 
 
 @pytest.fixture()
@@ -141,6 +155,13 @@ class TestVerify:
 
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())
+        raw["N"] = 11
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(raw))
+        assert main(["verify", "--table", str(tampered), "--suite", "axioms"]) == 2
+
+    def test_tampered_v1_table_rejected(self, tmp_path):
+        raw = json.loads(V1_TABLE.read_text())
         raw["anchors"][2]["k"] = 3
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(raw))
@@ -205,17 +226,38 @@ class TestPersistence:
         path = tmp_path / "t.json"
         save_table(table, path)
         raw = json.loads(path.read_text())
-        raw["anchors"][2]["k"] = 4
+        digest = raw["sha256"]
+        raw["sha256"] = ("1" if digest[0] == "0" else "0") + digest[1:]
         path.write_text(json.dumps(raw))
         with pytest.raises(TableFormatError, match="corrupted table"):
             load_table(path)
+
+    def test_edited_v1_power_rejected(self, tmp_path):
+        raw = json.loads(V1_TABLE.read_text())
+        raw["anchors"][2]["k"] = 4
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(TableFormatError, match="corrupted table"):
+            load_table(path)
+
+    def test_v1_file_loads_as_built(self):
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 12)
+        assert load_table(V1_TABLE) == table
+
+    def test_round_trip_past_digit_limit(self, tmp_path):
+        # k_3000 has about 5000 decimal digits, past CPython's 4300-digit
+        # int-to-text limit; the file must not need it as text.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 3000)
+        path = tmp_path / "deep.json"
+        save_table(table, path)
+        assert load_table(path) == table
 
     def test_version_mismatch(self, tmp_path):
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 5)
         path = tmp_path / "t.json"
         save_table(table, path)
         raw = json.loads(path.read_text())
-        raw["version"] = 2
+        raw["version"] = 3
         path.write_text(json.dumps(raw))
         with pytest.raises(TableFormatError, match="version"):
             load_table(path)
@@ -225,3 +267,69 @@ class TestPersistence:
         path.write_text("{not json")
         with pytest.raises(TableFormatError, match="parse error"):
             load_table(path)
+
+
+class TestHostileInput:
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    @pytest.mark.parametrize(
+        "changes",
+        # Both tables have depth 12; int() would read 12.0 and "12" as 12.
+        [{"descriptor": 5}, {"spec": [1]}, {"N": 12.0}, {"N": "12"}],
+        ids=["descriptor-int", "spec-array", "depth-float", "depth-string"],
+    )
+    def test_bad_header_exits_two(self, table_path, tmp_path, capsys, version, changes):
+        source = V1_TABLE if version == "v1" else table_path
+        path = edited_copy(source, tmp_path / "bad.json", **changes)
+        capsys.readouterr()
+        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("anchors", [[1, 1, 1], None], ids=["ints", "null"])
+    def test_bad_v1_anchors_exit_two(self, tmp_path, capsys, anchors):
+        path = edited_copy(V1_TABLE, tmp_path / "bad.json", anchors=anchors)
+        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "anchors" in captured.err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--group", "5"),
+        ("--group", "[1]"),
+        ("--group", '{"free_rank":null}'),
+        ("--group", '{"torsion_moduli":5}'),
+        ("--norm", "5"),
+        ("--norm", "[1]"),
+        ("--norm", '{"type":"capped_l1"}'),
+        ("--norm", '{"type":"capped_l1","weights":"1"}'),
+    ])
+    def test_build_malformed_object_exits_two(self, tmp_path, capsys, flag, value):
+        argv = {"--group": GROUP, "--norm": NORM}
+        argv[flag] = value
+        code = main(["build", "--group", argv["--group"], "--norm", argv["--norm"],
+                     "--out", str(tmp_path / "t.json")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+
+    def test_huge_depth_in_file_rejected_quickly(self, table_path, tmp_path, capsys):
+        path = edited_copy(table_path, tmp_path / "huge.json", N=10 ** 7)
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["build", "family"])
+    def test_depth_past_cap_exits_two(self, tmp_path, capsys, command):
+        argv = ["build", "--group", GROUP, "--norm", NORM, "--out", str(tmp_path / "t.json")]
+        if command == "family":
+            argv = ["family", "--group", GROUP, "--norms", f"[{NORM}]"]
+        code = main(argv + ["--depth", str(MAX_TABLE_DEPTH + 1)])
+        assert code == 2
+        assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err

@@ -247,6 +247,21 @@ class TestBestDecomposition:
             assert tuple(found.coefficient(n) for n in range(level, 0, -1)) == vector
             assert found.check_against(table, x)
 
+    def test_incumbent_prune_is_exact(self):
+        # At budget 2 over anchors 1..3, c^-3 is a2 - a3 with residual -target_3
+        # (cost 3/2 + 1/7), found first, or -a1 - a2 with residual 0 (cost 3/2).
+        # L = 2, and the second branch's running cost 3/L lies less than 1/L
+        # below that incumbent: an incumbent test off by one unit of 1/L would
+        # prune the true minimum.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 7),)), 8)
+        x = ExtElement(Z.zero(), -3)
+        budget = Fraction(2)
+        found = best_decomposition(table, x, budget, 3)
+        cost, vector = exhaustive_min_decomposition(table, x, budget, 3)
+        assert found.cost == cost == Fraction(3, 2)
+        assert found.coefficients == ((1, -1), (2, -1))
+        assert tuple(found.coefficient(n) for n in (3, 2, 1)) == vector
+
 
 class TestEvaluate:
     def test_zero(self, unit_table):
