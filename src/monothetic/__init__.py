@@ -14,7 +14,6 @@ from .construction import (
     check_table_consistency,
     k_sequence,
     pair_index,
-    partial_norm_lookup,
     unpair_index,
 )
 from .counterexample import (
@@ -47,7 +46,6 @@ from .evaluator import (
     truncation_index,
 )
 from .groups import (
-    AxiomReport,
     CappedLInf,
     CappedWeightedL1,
     CyclicScaled,
@@ -57,10 +55,7 @@ from .groups import (
     NormSpec,
     RationalRotation,
     base_norm,
-    elem_combine,
     enumerate_h,
-    enumeration_index,
-    validate_norm_spec,
 )
 from .serialize import load_table, save_table
 from .verification import (

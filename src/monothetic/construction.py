@@ -9,19 +9,16 @@ every norm over the same base group shares the identical table skeleton.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .groups import (
     ExtElement,
     GroupDescriptor,
     HElement,
     NormSpec,
-    base_norm,
     enumerate_h,
 )
 from .rat import ONE
@@ -158,28 +155,6 @@ def build_anchor_table(
             )
         )
     return AnchorTable(descriptor, spec, tuple(anchors), deltas)
-
-
-def partial_norm_lookup(table: AnchorTable, x: ExtElement) -> Optional[Fraction]:
-    """Value of the partial norm at x, or None when x is outside its domain.
-
-    The domain is the base group (where the partial norm restricts to the base
-    norm) together with the anchor elements and their inverses.  The anchor is
-    found by bisecting the increasing powers of a built table.
-    """
-    if x.descriptor != table.descriptor:
-        raise ShapeError("element does not conform to the table's descriptor")
-    if x.k == 0:
-        return base_norm(table.spec, x.h)
-    powers = table.powers
-    i = bisect_left(powers, abs(x.k))
-    if i == len(powers) or powers[i] != abs(x.k):
-        return None
-    anchor = table.anchors[i]
-    expected = -anchor.target if x.k > 0 else anchor.target
-    if x.h == expected:
-        return anchor.value
-    return None
 
 
 def check_table_consistency(table: AnchorTable) -> list[str]:

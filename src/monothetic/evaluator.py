@@ -66,12 +66,6 @@ class Decomposition:
     residual: HElement
     cost: Fraction
 
-    def coefficient(self, n: int) -> int:
-        for index, mult in self.coefficients:
-            if index == n:
-                return mult
-        return 0
-
     def check_against(self, table: AnchorTable, x: ExtElement) -> bool:
         """Recompute the defining identities; True when internally consistent."""
         power_sum = 0
@@ -127,7 +121,8 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     and the largest such index is found by bisecting ``table.power_floors``.
 
     Raises :class:`ExtendTableError` when the table cannot exhibit the level,
-    i.e. when even its deepest power is below |k|/(1 - budget).
+    i.e. when even its deepest power is below |k|/(1 - budget).  It names the
+    first depth N past the table's with K[N] >= |k|/(1 - budget).
     """
     if not ZERO < budget < ONE:
         raise DomainError("budget must lie strictly between 0 and 1")
@@ -137,10 +132,11 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
     floors = table.power_floors
     if floors[-1] < bound:
-        required = table.depth + 1
-        while k_sequence(required)[0][-1] < bound:
-            required += 1
-        raise ExtendTableError(required)
+        # Doubling then one bisect: O(log) k_sequence calls, not one per depth.
+        length = table.depth + 1
+        while (powers := k_sequence(length)[0])[-1] < bound:
+            length *= 2
+        raise ExtendTableError(bisect_left(powers, bound, table.depth) + 1)
     # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
     return bisect_left(floors, bound, 0, table.depth - 1) + 1
 

@@ -139,15 +139,6 @@ class ExtElement:
         return self.k == 0 and self.h.is_zero
 
 
-def elem_combine(a: ExtElement, b: ExtElement, sign: int) -> ExtElement:
-    """Componentwise a + sign*b with torsion reduction; sign is +1 or -1."""
-    if sign not in (1, -1):
-        raise DomainError("sign must be +1 or -1")
-    if a.descriptor != b.descriptor:
-        raise ShapeError("elements belong to different groups")
-    return a + b if sign == 1 else a - b
-
-
 # ---------------------------------------------------------------------------
 # Enumeration of H.
 #
@@ -156,10 +147,6 @@ def elem_combine(a: ExtElement, b: ExtElement, sign: int) -> ExtElement:
 # enumerated in graded-lexicographic order (by coordinate sum, ties broken
 # lexicographically), 1-based, so index 1 is the zero element.
 # ---------------------------------------------------------------------------
-
-def zigzag_encode(v: int) -> int:
-    return 2 * v - 1 if v > 0 else -2 * v
-
 
 def zigzag_decode(u: int) -> int:
     if u < 0:
@@ -268,20 +255,6 @@ def enumerate_h(descriptor: GroupDescriptor, n: int) -> HElement:
     return _decode_tuple(descriptor, tuple(encoded))
 
 
-def enumeration_index(h: HElement) -> int:
-    """Inverse of :func:`enumerate_h`: the 1-based index of ``h``."""
-    descriptor = h.descriptor
-    encoded = tuple(zigzag_encode(v) for v in h.free) + h.torsion
-    grade = sum(encoded)
-    rank = _cums_to_length(descriptor, grade)[grade - 1] if grade else 0
-    left = grade
-    for i, u in enumerate(encoded[:-1]):
-        rank += sum(_suffix_count(descriptor, i + 1, left - v) for v in range(u))
-        left -= u
-    # The last coordinate is forced to the leftover grade: no rank shift.
-    return rank + 1
-
-
 def grade_cumulative_count(descriptor: GroupDescriptor, grade: int) -> int:
     """How many elements have encoded coordinate sum <= grade."""
     return _cums_to_length(descriptor, grade + 1)[grade]
@@ -298,7 +271,6 @@ class CappedWeightedL1:
 
     weights: tuple[Fraction, ...]
     kind = "capped_l1"
-    is_pseudonorm = False
 
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.torsion_moduli:
@@ -323,7 +295,6 @@ class CappedLInf:
 
     scale: Fraction
     kind = "capped_linf"
-    is_pseudonorm = False
 
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.torsion_moduli:
@@ -345,7 +316,6 @@ class CyclicScaled:
     """d(t) = min(1, sum_i min(t_i, q_i - t_i) * 2/q_i) on a finite group."""
 
     kind = "cyclic_scaled"
-    is_pseudonorm = False
 
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.free_rank != 0 or not descriptor.torsion_moduli:
@@ -371,7 +341,6 @@ class RationalRotation:
 
     alpha: Fraction
     kind = "rational_rotation"
-    is_pseudonorm = True
 
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.free_rank != 1 or descriptor.torsion_moduli:
@@ -396,102 +365,3 @@ def base_norm(spec: NormSpec, h: HElement) -> Fraction:
     spec.check_shape(h.descriptor)
     return min(ONE, spec.raw_value(h))
 
-
-# ---------------------------------------------------------------------------
-# Sampled verification of the norm axioms.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AxiomViolation:
-    check: str
-    inputs: str
-    expected: str
-    got: str
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    spec_kind: str
-    samples: int
-    violations: tuple[AxiomViolation, ...]
-    pseudonorm_witnesses: tuple[HElement, ...]
-    flagged_pseudonorm: bool
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _sample_indices(descriptor: GroupDescriptor, count: int, seed: int) -> list[int]:
-    # Documented linear scheme: a stride-1 scan of 1..pool offset by the seed.
-    # For finite H the pool is the whole group, so count >= |H| covers every
-    # torsion coset representative.
-    order = descriptor.order
-    pool = order if order is not None else 2 * count + 1
-    return [1 + (seed + i) % pool for i in range(count)]
-
-
-def validate_norm_spec(
-    descriptor: GroupDescriptor,
-    spec: NormSpec,
-    sample_count: int,
-    seed: int,
-) -> AxiomReport:
-    """Seeded sampled check of symmetry, subadditivity, range, and d(0) = 0.
-
-    Pseudonorm variants are flagged (not failed) when a nonzero element of
-    norm zero turns up; for norm variants that is a positivity violation.
-    """
-    if sample_count < 1:
-        raise DomainError("sample_count must be >= 1")
-    spec.check_shape(descriptor)
-
-    violations: list[AxiomViolation] = []
-    witnesses: list[HElement] = []
-
-    zero = descriptor.zero()
-    d_zero = base_norm(spec, zero)
-    if d_zero != ZERO:
-        violations.append(AxiomViolation("identity", "0", "0/1", str(d_zero)))
-
-    indices = _sample_indices(descriptor, sample_count, seed)
-    pool = max(indices)
-    for i, n in enumerate(indices):
-        h = enumerate_h(descriptor, n)
-        value = base_norm(spec, h)
-        if not (ZERO <= value <= ONE):
-            violations.append(
-                AxiomViolation("range", f"h_{n}={h.coords()}", "0 <= d <= 1", str(value))
-            )
-        if base_norm(spec, -h) != value:
-            violations.append(
-                AxiomViolation("symmetry", f"h_{n}={h.coords()}", str(value), str(base_norm(spec, -h)))
-            )
-        if value == ZERO and not h.is_zero:
-            if spec.is_pseudonorm:
-                witnesses.append(h)
-            else:
-                violations.append(
-                    AxiomViolation("positivity", f"h_{n}={h.coords()}", "> 0", "0/1")
-                )
-        # Subadditivity partner: a second linear scan shifted by the seed.
-        partner = enumerate_h(descriptor, 1 + (seed + 3 * i + 1) % pool)
-        lhs = base_norm(spec, h + partner)
-        rhs = base_norm(spec, h) + base_norm(spec, partner)
-        if lhs > rhs:
-            violations.append(
-                AxiomViolation(
-                    "subadditivity",
-                    f"{h.coords()} + {partner.coords()}",
-                    f"<= {rhs}",
-                    str(lhs),
-                )
-            )
-
-    return AxiomReport(
-        spec_kind=spec.kind,
-        samples=sample_count,
-        violations=tuple(violations),
-        pseudonorm_witnesses=tuple(witnesses),
-        flagged_pseudonorm=bool(witnesses),
-    )

@@ -115,10 +115,6 @@ def h_element_from_json(descriptor: GroupDescriptor, payload: list) -> HElement:
     return descriptor.element([_json_int("coordinate", c) for c in payload])
 
 
-def ext_element_to_json(x: ExtElement) -> dict:
-    return {"h": h_element_to_json(x.h), "k": x.k}
-
-
 def ext_element_from_json(descriptor: GroupDescriptor, payload: dict) -> ExtElement:
     if not isinstance(payload, dict) or "h" not in payload or "k" not in payload:
         raise TableFormatError('element must be a JSON object with keys "h" and "k"')

@@ -3,6 +3,10 @@
 Each suite is deterministic given (table, seed): sampling is an affine scan
 over a small documented grid, so two runs (or two shards of one run) always
 see the same inputs.  Reports carry every violation with exact rationals.
+
+Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
+enumerated base elements, and the truncation suite probes levels up to the
+certified level + TRUNCATION_PROBE_EXTRA = 2.
 """
 
 from __future__ import annotations
@@ -62,7 +66,11 @@ class SuiteReport:
 # covers every torsion coset representative.
 # ---------------------------------------------------------------------------
 
-def _index_pool(descriptor: GroupDescriptor, requested: int) -> int:
+PAIR_INDEX_POOL = 4
+TRUNCATION_PROBE_EXTRA = 2
+
+
+def _clamped_pool(descriptor: GroupDescriptor, requested: int) -> int:
     order = descriptor.order
     if order is not None:
         return min(order, requested)
@@ -74,10 +82,9 @@ def sample_elements(
     count: int,
     seed: int,
     k_range: int = 5,
-    index_pool: Optional[int] = None,
 ) -> list[ExtElement]:
     """The documented single-element sample stream."""
-    pool = _index_pool(descriptor, index_pool or count // 2 + 1)
+    pool = _clamped_pool(descriptor, count // 2 + 1)
     kspan = 2 * k_range + 1
     grid = pool * kspan
     out = []
@@ -93,10 +100,9 @@ def sample_pairs(
     count: int,
     seed: int,
     k_range: int = 5,
-    index_pool: int = 4,
 ) -> list[tuple[ExtElement, ExtElement]]:
     """The documented pair sample stream (powers slowest, indices fastest)."""
-    pool = _index_pool(descriptor, index_pool)
+    pool = _clamped_pool(descriptor, PAIR_INDEX_POOL)
     kspan = 2 * k_range + 1
     grid = kspan * kspan * pool * pool
     out = []
@@ -229,7 +235,6 @@ def verify_norm_axioms(
     seed: int,
     epsilon: Fraction = DEFAULT_EPSILON,
     k_range: int = 5,
-    index_pool: int = 4,
     workers: int = 1,
 ) -> SuiteReport:
     """Sampled symmetry, triangle casework, cap, and zero checks.
@@ -248,7 +253,7 @@ def verify_norm_axioms(
     if not (isinstance(rzero, ExactResult) and rzero.value == ZERO):
         violations.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
 
-    pairs = list(enumerate(sample_pairs(table.descriptor, sample_count, seed, k_range, index_pool)))
+    pairs = list(enumerate(sample_pairs(table.descriptor, sample_count, seed, k_range)))
     shards = _shard(pairs, workers)
     results = _run_sharded(_axiom_shard, [(table, epsilon, s) for s in shards], workers)
     skipped = sum(part[1] for part in results)
@@ -301,7 +306,7 @@ def verify_density(
 # --- truncation suite ------------------------------------------------------
 
 def _truncation_shard(payload) -> list[Violation]:
-    table, samples, probe_extra = payload
+    table, samples = payload
     violations = []
     for i, x in samples:
         result = evaluate(table, x)
@@ -309,7 +314,8 @@ def _truncation_shard(payload) -> list[Violation]:
             level = result.truncation_level
         else:
             level = truncation_index(table, x.k, result.lower)
-        probes = sorted(set(range(0, min(table.depth, level + probe_extra) + 1)) | {table.depth})
+        top = min(table.depth, level + TRUNCATION_PROBE_EXTRA)
+        probes = sorted(set(range(0, top + 1)) | {table.depth})
         values = [evaluate_truncated(table, x, n) for n in probes]
         for (na, va), (nb, vb) in zip(zip(probes, values), zip(probes[1:], values[1:])):
             if vb > va:
@@ -342,22 +348,19 @@ def verify_truncation(
     sample_count: int,
     seed: int,
     workers: int = 1,
-    probe_extra: int = 2,
 ) -> SuiteReport:
     """Truncated values decrease with depth and stabilize at the certified level.
 
-    Levels are probed on 0..level+probe_extra plus the table depth.  Together
-    with monotonicity and the certified lower bound this pins every deeper
-    level as well: a non-increasing sequence that already equals the certified
-    value cannot move again.
+    Levels are probed on 0..level+TRUNCATION_PROBE_EXTRA plus the table
+    depth.  Together with monotonicity and the certified lower bound this pins
+    every deeper level as well: a non-increasing sequence that already equals
+    the certified value cannot move again.
     """
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed)
     samples = list(enumerate(elements))
     shards = _shard(samples, workers)
-    results = _run_sharded(
-        _truncation_shard, [(table, s, probe_extra) for s in shards], workers
-    )
+    results = _run_sharded(_truncation_shard, [(table, s) for s in shards], workers)
     violations = [v for part in results for v in part]
     violations.sort(key=lambda v: v.sample_index)
     return SuiteReport(

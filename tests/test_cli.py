@@ -112,6 +112,17 @@ class TestEval:
         assert captured.out == ""
         assert "integer" in captured.err
 
+    def test_huge_power_names_required_depth_quickly(self, table_path, capsys):
+        # The time bound fails a search that rebuilds the power sequence
+        # for each candidate depth: that is quadratic in the depth.
+        element = '{"h":[0],"k":%s}' % ("9" * 4000)
+        start = time.perf_counter()
+        code = main(["eval", "--table", str(table_path), "--element", element])
+        assert time.perf_counter() - start < 2
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "extend table", "required_depth": 2459}
+
 
 class TestDensity:
     def test_certified(self, table_path, capsys):

@@ -9,13 +9,11 @@ from monothetic import (
     CappedLInf,
     CappedWeightedL1,
     DomainError,
-    ExtElement,
     GroupDescriptor,
     build_anchor_table,
     check_table_consistency,
     k_sequence,
     pair_index,
-    partial_norm_lookup,
     unpair_index,
 )
 
@@ -139,25 +137,6 @@ class TestBuildTable:
         # Target demands beyond the group order wrap back onto it.
         assert {a.target.torsion[0] for a in table.anchors} <= {0, 1, 2}
         assert table.anchor(4).target == table.anchor(1).target
-
-
-class TestPartialNormLookup:
-    def test_base_group_restriction(self, unit_table):
-        x = ExtElement(Z.element((3,)), 0)
-        assert partial_norm_lookup(unit_table, x) == Fraction(1)
-
-    def test_anchor_hit(self, unit_table):
-        assert partial_norm_lookup(unit_table, ExtElement(Z.zero(), 2)) == Fraction(1, 2)
-
-    def test_miss(self, unit_table):
-        assert partial_norm_lookup(unit_table, ExtElement(Z.zero(), 3)) is None
-        # Right power, wrong base-group part.
-        assert partial_norm_lookup(unit_table, ExtElement(Z.element((1,)), 2)) is None
-
-    def test_symmetry(self, unit_table):
-        for n in range(1, unit_table.depth + 1):
-            x = unit_table.anchor_element(n)
-            assert partial_norm_lookup(unit_table, x) == partial_norm_lookup(unit_table, -x)
 
 
 class TestConsistencyCheck:

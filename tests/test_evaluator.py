@@ -113,6 +113,18 @@ class TestTruncationIndex:
         deeper = build_anchor_table(Z, unit_table.spec, 13)
         assert truncation_index(deeper, 1, budget) == 13
 
+    def test_required_depth_past_the_next_anchor(self, unit_table):
+        # A bound of exactly K_N needs depth N; one more needs depth N + 1.
+        powers = k_sequence(61)[0]
+        for n in (13, 14, 25, 26, 27, 40, 60):
+            kn = powers[n - 1]
+            for bound, expected in ((kn, n), (kn + 1, n + 1)):
+                for k in (1, -7):
+                    budget = ONE - Fraction(abs(k), bound)
+                    with pytest.raises(ExtendTableError) as err:
+                        truncation_index(unit_table, k, budget)
+                    assert err.value.required_depth == expected
+
     def test_matches_fraction_formula(self, unit_table, quarter_table):
         # Reference: the largest n with n == 1 or K[n-1] < |k|/(1 - b), by a
         # linear scan in exact rationals.
@@ -198,7 +210,7 @@ class TestBestDecomposition:
             # Tie-break agreement: the witness is the lex-smallest vector
             # read from the deepest anchor down.
             witness_vector = tuple(
-                found.coefficient(n) for n in range(level, 0, -1)
+                dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)
             )
             assert witness_vector == vector
             assert found.check_against(quarter_table, x)
@@ -244,7 +256,7 @@ class TestBestDecomposition:
             cost, vector = oracle
             assert found is not None
             assert found.cost == cost
-            assert tuple(found.coefficient(n) for n in range(level, 0, -1)) == vector
+            assert tuple(dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)) == vector
             assert found.check_against(table, x)
 
     def test_incumbent_prune_is_exact(self):
@@ -260,7 +272,7 @@ class TestBestDecomposition:
         cost, vector = exhaustive_min_decomposition(table, x, budget, 3)
         assert found.cost == cost == Fraction(3, 2)
         assert found.coefficients == ((1, -1), (2, -1))
-        assert tuple(found.coefficient(n) for n in (3, 2, 1)) == vector
+        assert tuple(dict(found.coefficients).get(n, 0) for n in (3, 2, 1)) == vector
 
 
 class TestEvaluate:
@@ -491,7 +503,6 @@ class TestExtendFamily:
             10,
         )
         assert tables[0].powers == tables[1].powers
-        assert tables[1].spec.is_pseudonorm
 
     def test_same_truncation_indices_across_members(self):
         tables = extend_family(

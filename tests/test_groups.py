@@ -16,12 +16,9 @@ from monothetic import (
     RationalRotation,
     ShapeError,
     base_norm,
-    elem_combine,
     enumerate_h,
-    enumeration_index,
-    validate_norm_spec,
 )
-from monothetic.groups import grade_cumulative_count, zigzag_decode, zigzag_encode
+from monothetic.groups import grade_cumulative_count, zigzag_decode
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -48,11 +45,11 @@ class TestElements:
     def test_inverse(self):
         a = ExtElement(Z.element((1,)), 2)
         b = ExtElement(Z.element((-1,)), -2)
-        assert elem_combine(a, b, 1) == ExtElement(Z.zero(), 0)
+        assert a + b == ExtElement(Z.zero(), 0)
 
     def test_identity(self):
         x = ExtElement(Z.element((7,)), 3)
-        assert elem_combine(x, ExtElement(Z.zero(), 0), 1) == x
+        assert x + ExtElement(Z.zero(), 0) == x
 
     def test_torsion_reduction(self):
         a = Z5.element((3,))
@@ -61,12 +58,7 @@ class TestElements:
 
     def test_descriptor_mismatch(self):
         with pytest.raises(ShapeError):
-            elem_combine(ExtElement(Z.zero(), 0), ExtElement(Z2.zero(), 0), 1)
-
-    def test_bad_sign(self):
-        x = ExtElement(Z.zero(), 0)
-        with pytest.raises(DomainError):
-            elem_combine(x, x, 2)
+            ExtElement(Z.zero(), 0) + ExtElement(Z2.zero(), 0)
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
@@ -76,14 +68,10 @@ class TestElements:
         z = ExtElement(Z.element((c,)), kc)
         assert x + y == y + x
         assert (x + y) + z == x + (y + z)
-        assert elem_combine(x, x, -1) == ExtElement(Z.zero(), 0)
+        assert x - x == ExtElement(Z.zero(), 0)
 
 
 class TestZigzag:
-    @given(st.integers(-10**6, 10**6))
-    def test_roundtrip(self, v):
-        assert zigzag_decode(zigzag_encode(v)) == v
-
     def test_order(self):
         assert [zigzag_decode(u) for u in range(5)] == [0, 1, -1, 2, -2]
 
@@ -128,10 +116,6 @@ class TestEnumeration:
         seen = {enumerate_h(Z2, n) for n in range(1, 10001)}
         assert len(seen) == 10000
 
-    def test_index_roundtrip(self):
-        for n in range(1, 2000):
-            assert enumeration_index(enumerate_h(Z2, n)) == n
-
     def test_ball_coverage(self):
         # Every element of the radius-3 box appears within the first
         # C * |ball| indices, where C comes from the grading: the box's
@@ -140,8 +124,6 @@ class TestEnumeration:
         horizon = grade_cumulative_count(Z2, 12)
         prefix = {enumerate_h(Z2, n) for n in range(1, horizon + 1)}
         assert set(ball) <= prefix
-        constant = -(-horizon // len(ball))
-        assert max(enumeration_index(h) for h in ball) <= constant * len(ball)
 
 
 class TestBaseNorm:
@@ -204,35 +186,6 @@ class TestBaseNorm:
             assert base_norm(spec, -h) == dh
             assert 0 <= dh <= 1
             assert base_norm(spec, h + g) <= dh + base_norm(spec, g)
+            if not h.is_zero and not isinstance(spec, RationalRotation):
+                assert dh > 0
 
-
-class TestValidateNormSpec:
-    def test_clean_spec_passes(self):
-        spec = CappedWeightedL1(weights=(Fraction(1), Fraction(1)))
-        report = validate_norm_spec(Z2, spec, 500, seed=7)
-        assert report.passed
-        assert not report.flagged_pseudonorm
-
-    def test_rotation_flagged(self):
-        report = validate_norm_spec(Z, RationalRotation(alpha=Fraction(1, 3)), 50, seed=0)
-        assert report.passed
-        assert report.flagged_pseudonorm
-        assert any(h.free == (3,) for h in report.pseudonorm_witnesses)
-        assert all(h.free[0] % 3 == 0 for h in report.pseudonorm_witnesses)
-
-    def test_corrupted_spec_reported(self):
-        # Negative weight sneaks past shape checks; the sampler must notice.
-        bad = CappedWeightedL1(weights=(Fraction(-1),))
-        report = validate_norm_spec(Z, bad, 200, seed=7)
-        assert not report.passed
-        assert {v.check for v in report.violations} & {"range", "subadditivity", "positivity"}
-
-    def test_torsion_coverage(self):
-        report = validate_norm_spec(Z5, CyclicScaled(), 5, seed=3)
-        assert report.samples == 5
-        assert report.passed
-
-    def test_sample_count_domain(self):
-        spec = CappedWeightedL1(weights=(Fraction(1),))
-        with pytest.raises(DomainError):
-            validate_norm_spec(Z, spec, 0, seed=1)
