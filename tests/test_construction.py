@@ -130,6 +130,20 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 0)
 
+    def test_anchor_index_domain(self, unit_table):
+        for n in (0, unit_table.depth + 1):
+            with pytest.raises(DomainError):
+                unit_table.anchor(n)
+            with pytest.raises(DomainError):
+                unit_table.anchor_element(n)
+
+    def test_anchor_element_carries_power_and_target(self, unit_table):
+        for n in range(1, unit_table.depth + 1):
+            anchor = unit_table.anchor(n)
+            x = unit_table.anchor_element(n)
+            assert x.k == anchor.power
+            assert x.h == -anchor.target
+
     def test_finite_group_targets_wrap(self):
         from monothetic import CyclicScaled
 

@@ -361,6 +361,25 @@ class TestEvaluate:
             else:
                 assert anchor.value == 1
 
+    def test_anchor_symmetry(self, unit_table):
+        for n in range(1, 8):
+            x = unit_table.anchor_element(n)
+            a, b = evaluate(unit_table, x), evaluate(unit_table, -x)
+            assert type(a) is type(b)
+            if isinstance(a, ExactResult):
+                assert a.value == b.value
+            else:
+                assert (a.lower, a.upper) == (b.lower, b.upper)
+
+    def test_restricts_to_base_norm(self, lattice_table):
+        # On the base group (power 0) the extended norm is the base norm.
+        Z2 = lattice_table.descriptor
+        for n in range(1, 60):
+            h = enumerate_h(Z2, n)
+            result = evaluate(lattice_table, ExtElement(h, 0))
+            assert isinstance(result, ExactResult)
+            assert result.value == base_norm(lattice_table.spec, h)
+
     def test_pseudonorm_mode(self):
         table = build_anchor_table(Z, RationalRotation(alpha=Fraction(1, 3)), 10)
         result = evaluate(table, ExtElement(Z.element((3,)), 0))

@@ -70,8 +70,29 @@ class TestElements:
         assert (x + y) + z == x + (y + z)
         assert x - x == ExtElement(Z.zero(), 0)
 
+    @given(st.integers(-50, 50), st.integers(-5, 5), st.integers(-50, 50),
+           st.integers(-5, 5), st.integers(-4, 4))
+    def test_subtraction_and_scaling(self, a, ka, b, kb, factor):
+        x = ExtElement(MIXED.element((a, a)), ka)
+        y = ExtElement(MIXED.element((b, b)), kb)
+        assert x - y == x + (-y)
+        assert x.scale(-1) == -x
+        multiple = ExtElement(MIXED.zero(), 0)
+        for _ in range(abs(factor)):
+            multiple = multiple + (x if factor > 0 else -x)
+        assert x.scale(factor) == multiple
+
 
 class TestZigzag:
+    @given(st.integers(-10**6, 10**6))
+    def test_roundtrip(self, v):
+        # The code of v is 2v - 1 for positive v and -2v otherwise.
+        assert zigzag_decode(2 * v - 1 if v > 0 else -2 * v) == v
+
+    def test_rejects_negative_code(self):
+        with pytest.raises(DomainError):
+            zigzag_decode(-1)
+
     def test_order(self):
         assert [zigzag_decode(u) for u in range(5)] == [0, 1, -1, 2, -2]
 
@@ -111,6 +132,17 @@ class TestEnumeration:
         for n, (free, torsion) in enumerate(oracle, start=1):
             h = enumerate_h(descriptor, n)
             assert (h.free, h.torsion) == (free, torsion), f"index {n}"
+
+    @pytest.mark.parametrize("descriptor", [Z, Z2, Z5, MIXED])
+    def test_grade_counts_match_oracle(self, descriptor):
+        oracle = brute_enumeration(descriptor, 6)
+        grades = [sum(zigzag_code) for zigzag_code in (
+            tuple(2 * v - 1 if v > 0 else -2 * v for v in free) + torsion
+            for free, torsion in oracle
+        )]
+        for grade in range(7):
+            expected = sum(1 for g in grades if g <= grade)
+            assert grade_cumulative_count(descriptor, grade) == expected
 
     def test_injective_prefix(self):
         seen = {enumerate_h(Z2, n) for n in range(1, 10001)}

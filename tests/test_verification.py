@@ -7,20 +7,24 @@ import pytest
 
 from monothetic import (
     AnchorTable,
+    CappedWeightedL1,
     CyclicScaled,
     ExtendTableError,
     GroupDescriptor,
     RationalRotation,
     build_anchor_table,
+    enumerate_h,
     verify_density,
     verify_extension,
     verify_norm_axioms,
     verify_truncation,
 )
 from monothetic.serialize import suite_report_to_json
-from monothetic.verification import sample_elements, sample_pairs
+from monothetic.verification import PAIR_INDEX_POOL, sample_elements, sample_pairs
 
 Z = GroupDescriptor(free_rank=1)
+Z2 = GroupDescriptor(free_rank=2)
+Z5 = GroupDescriptor(free_rank=0, torsion_moduli=(5,))
 Z6 = GroupDescriptor(free_rank=0, torsion_moduli=(6,))
 
 
@@ -47,6 +51,17 @@ class TestSamplers:
         pairs = sample_pairs(Z, 500, seed=42, k_range=3)
         combos = {(x.k, y.k) for x, y in pairs}
         assert len(combos) == 49
+
+    def test_pairs_draw_from_the_fixed_pool(self):
+        pairs = sample_pairs(Z2, 1000, seed=7)
+        drawn = {z.h for pair in pairs for z in pair}
+        assert drawn == {enumerate_h(Z2, n) for n in range(1, PAIR_INDEX_POOL + 1)}
+
+    def test_pair_pool_clamped_to_group_order(self):
+        # Z/2 has fewer elements than the pool; enumerate_h(Z/2, 3) would raise.
+        z2 = GroupDescriptor(free_rank=0, torsion_moduli=(2,))
+        pairs = sample_pairs(z2, 500, seed=3, k_range=1)
+        assert {z.h for pair in pairs for z in pair} == {z2.element((0,)), z2.element((1,))}
 
     def test_finite_group_covers_all_representatives(self):
         seen = {x.h for x in sample_elements(Z6, 100, seed=5)}
@@ -104,6 +119,29 @@ class TestAxiomSuite:
         report = verify_norm_axioms(bad, 500, seed=42, k_range=3)
         indices = [v.sample_index for v in report.violations]
         assert indices == sorted(indices)
+
+    def test_passes_on_rank_two(self, lattice_table):
+        report = verify_norm_axioms(lattice_table, 300, seed=7, k_range=3)
+        assert report.passed, report.violations[:3]
+
+    def test_passes_on_weighted_rank_two(self):
+        spec = CappedWeightedL1(weights=(Fraction(1, 2), Fraction(1, 3)))
+        table = build_anchor_table(Z2, spec, 30)
+        report = verify_norm_axioms(table, 200, seed=11, k_range=2)
+        assert report.passed, report.violations[:3]
+
+    def test_pseudonorm_table_passes(self):
+        # The rotation vanishes on multiples of 3; no check may demand
+        # positivity off zero.
+        table = build_anchor_table(Z, RationalRotation(alpha=Fraction(1, 3)), 30)
+        report = verify_norm_axioms(table, 200, seed=0, k_range=3)
+        assert report.passed, report.violations[:3]
+
+    def test_torsion_table(self):
+        table = build_anchor_table(Z5, CyclicScaled(), 30)
+        report = verify_norm_axioms(table, 200, seed=3, k_range=3)
+        assert report.samples == 200
+        assert report.passed, report.violations[:3]
 
     def test_zero_checked(self, quarter_table):
         report = verify_norm_axioms(quarter_table, 10, seed=0)
