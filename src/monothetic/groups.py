@@ -103,10 +103,6 @@ class HElement:
             tuple(factor * a for a in self.torsion),
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.free) and not any(self.torsion)
-
     def coords(self) -> tuple[int, ...]:
         return self.free + self.torsion
 
@@ -134,10 +130,6 @@ class ExtElement:
     def scale(self, factor: int) -> "ExtElement":
         return ExtElement(self.h.scale(factor), factor * self.k)
 
-    @property
-    def is_zero(self) -> bool:
-        return self.k == 0 and self.h.is_zero
-
 
 # ---------------------------------------------------------------------------
 # Enumeration of H.
@@ -162,19 +154,29 @@ def _coord_bounds(descriptor: GroupDescriptor) -> tuple[Optional[int], ...]:
     )
 
 
-_count_rows: dict[GroupDescriptor, list[list[int]]] = {}
+@lru_cache(maxsize=64)
+def _count_table(descriptor: GroupDescriptor) -> tuple[list[list[int]], list[int]]:
+    """One descriptor's count rows and cumulative counts; _counts grows them."""
+    return [], []
 
 
-def _counts_up_to(descriptor: GroupDescriptor, grade: int) -> list[list[int]]:
-    # rows[s][i] = number of encoded tuples over coordinates i.. summing to s.
-    # Built iteratively from the prefix identity
-    #   count(i, s) = count(i, s-1) + count(i+1, s) - count(i+1, s-1-bound),
-    # the last term dropping the value that would overflow a bounded
-    # coordinate; this keeps the table O(grade * coords) to fill.
-    rows = _count_rows.setdefault(descriptor, [])
+def _counts(
+    descriptor: GroupDescriptor, grade: int, elements: int = 0
+) -> tuple[list[list[int]], list[int]]:
+    """Count rows and cumulative counts, grown past ``grade`` and ``elements``.
+
+    rows[s][i] = number of encoded tuples over coordinates i.. summing to s;
+    cums[s] = number of elements with grade <= s.  Rows follow the identity
+      count(i, s) = count(i, s-1) + count(i+1, s) - count(i+1, s-1-bound),
+    the last term dropping the value that would overflow a bounded
+    coordinate, so each row costs O(coords).  The cache holds at most 64
+    descriptors, but each one's table still grows to the largest grade asked
+    for.  Callers guarantee ``elements`` is attainable, so this stops.
+    """
+    rows, cums = _count_table(descriptor)
     bounds = _coord_bounds(descriptor)
     width = len(bounds)
-    while len(rows) <= grade:
+    while len(rows) <= grade or cums[-1] < elements:
         s = len(rows)
         row = [0] * (width + 1)
         row[width] = 1 if s == 0 else 0
@@ -187,44 +189,13 @@ def _counts_up_to(descriptor: GroupDescriptor, grade: int) -> list[list[int]]:
                 total -= rows[s - 1 - bound][i + 1]
             row[i] = total
         rows.append(row)
-    return rows
+        cums.append((cums[-1] if cums else 0) + row[0])
+    return rows, cums
 
 
-def _suffix_count(descriptor: GroupDescriptor, start: int, total: int) -> int:
-    """Number of encoded tuples over coordinates start.. summing to total."""
-    if total < 0:
-        return 0
-    return _counts_up_to(descriptor, total)[total][start]
-
-
-_cum_counts: dict[GroupDescriptor, list[int]] = {}
-
-
-def _cums_to_length(descriptor: GroupDescriptor, length: int) -> list[int]:
-    # cums[s] = number of elements with grade <= s.
-    cums = _cum_counts.setdefault(descriptor, [])
-    while len(cums) < length:
-        s = len(cums)
-        cums.append((cums[-1] if cums else 0) + _suffix_count(descriptor, 0, s))
-    return cums
-
-
-def _cumulative_counts(descriptor: GroupDescriptor, up_to_rank: int) -> list[int]:
-    # Extended until the total passes up_to_rank.  Callers guarantee the rank
-    # is attainable (finite groups are range-checked first), so this stops.
-    cums = _cums_to_length(descriptor, 1)
-    while cums[-1] <= up_to_rank:
-        _cums_to_length(descriptor, len(cums) + 1)
-    return cums
-
-
-def _decode_tuple(descriptor: GroupDescriptor, encoded: tuple[int, ...]) -> HElement:
-    r = descriptor.free_rank
-    free = tuple(zigzag_decode(u) for u in encoded[:r])
-    return HElement(descriptor, free, encoded[r:])
-
-
-@lru_cache(maxsize=None)
+# sample_elements scans indices 1..count//2 + 1 twice in order, and an LRU
+# bound below that pool would miss on every lookup.
+@lru_cache(maxsize=1 << 14)
 def enumerate_h(descriptor: GroupDescriptor, n: int) -> HElement:
     """Return the n-th element (1-based) of the fixed graded-lex enumeration."""
     if n < 1:
@@ -232,32 +203,29 @@ def enumerate_h(descriptor: GroupDescriptor, n: int) -> HElement:
     order = descriptor.order
     if order is not None and n > order:
         raise DomainError(f"group has only {order} elements, index {n} out of range")
-    cums = _cumulative_counts(descriptor, n - 1)
+    rows, cums = _counts(descriptor, 0, n)
     grade = bisect.bisect_right(cums, n - 1)
     remaining = n - 1 - (cums[grade - 1] if grade else 0)
-    bounds = _coord_bounds(descriptor)
     encoded = []
     left = grade
-    for i, bound in enumerate(bounds):
-        if i == len(bounds) - 1:
-            # The last coordinate absorbs the remaining grade outright.
-            encoded.append(left)
-            left = 0
-            break
+    for i, bound in enumerate(_coord_bounds(descriptor)[:-1]):
         top = left if bound is None else min(left, bound)
         for v in range(top + 1):
-            below = _suffix_count(descriptor, i + 1, left - v)
+            below = rows[left - v][i + 1]
             if remaining < below:
                 encoded.append(v)
                 left -= v
                 break
             remaining -= below
-    return _decode_tuple(descriptor, tuple(encoded))
+    # The last coordinate absorbs the remaining grade outright.
+    encoded.append(left)
+    r = descriptor.free_rank
+    return HElement(descriptor, tuple(zigzag_decode(u) for u in encoded[:r]), tuple(encoded[r:]))
 
 
 def grade_cumulative_count(descriptor: GroupDescriptor, grade: int) -> int:
     """How many elements have encoded coordinate sum <= grade."""
-    return _cums_to_length(descriptor, grade + 1)[grade]
+    return _counts(descriptor, grade)[1][grade]
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +316,8 @@ class RationalRotation:
 
     def validate(self, descriptor: GroupDescriptor) -> None:
         self.check_shape(descriptor)
-        if self.alpha.denominator < 1:
-            raise ShapeError("alpha must be a rational p/q with q >= 1")
+        if self.alpha.denominator < 2:
+            raise ShapeError("alpha must be a non-integer rational p/q with q >= 2")
 
     def raw_value(self, h: HElement) -> Fraction:
         q = self.alpha.denominator

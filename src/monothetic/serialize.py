@@ -10,6 +10,7 @@ written as text: the deepest ones run to thousands of decimal digits.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -168,16 +169,7 @@ def suite_report_to_json(report, include_timing: bool = False) -> dict:
         "samples": report.samples,
         "skipped": report.skipped,
         "passed": report.passed,
-        "violations": [
-            {
-                "sample_index": v.sample_index,
-                "check": v.check,
-                "inputs": v.inputs,
-                "expected": v.expected,
-                "got": v.got,
-            }
-            for v in report.violations
-        ],
+        "violations": [dataclasses.asdict(v) for v in report.violations],
     }
     if include_timing:
         payload["wall_time_ms"] = report.wall_time_ms

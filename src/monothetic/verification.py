@@ -11,6 +11,7 @@ certified level + TRUNCATION_PROBE_EXTRA = 2.
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing
 import time
 from dataclasses import dataclass
@@ -18,7 +19,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .construction import AnchorTable, check_table_consistency, unpair_index
-from .errors import ExtendTableError
+from .errors import DomainError, ExtendTableError
 from .evaluator import (
     DEFAULT_EPSILON,
     EvalResult,
@@ -117,24 +118,31 @@ def sample_pairs(
     return out
 
 
-def _shard(items: list, workers: int) -> list[list]:
+def _run_suite(suite: str, worker: Callable, table: AnchorTable, samples: list,
+               workers: int, *extra, start: float, found=()) -> SuiteReport:
+    """Run ``worker`` on ``(table, shard, *extra)`` for contiguous shards of the
+    indexed samples, inline or in a pool of ``workers`` processes.  Each shard
+    returns ``(violations, skipped)``; merging in shard order keeps the
+    violations sorted by sample index, after the suite-level ``found`` ones.
+    ``start`` is when the suite began, so the wall time covers all of it.
+    """
+    if not samples:
+        raise DomainError(f"the {suite} suite needs at least one sample")
+    size = -(-len(samples) // max(workers, 1))
+    payloads = [(table, samples[i: i + size], *extra) for i in range(0, len(samples), size)]
     if workers <= 1:
-        return [items]
-    size = (len(items) + workers - 1) // workers
-    return [items[i: i + size] for i in range(0, len(items), size)]
-
-
-def _run_sharded(worker: Callable, payloads: list, workers: int) -> list:
-    """Map ``worker`` over per-shard payloads; merge preserves shard order."""
-    if workers <= 1:
-        return [worker(p) for p in payloads]
-    with multiprocessing.Pool(workers) as pool:
-        return pool.map(worker, payloads)
+        parts = [worker(p) for p in payloads]
+    else:
+        with multiprocessing.Pool(workers) as pool:
+            parts = pool.map(worker, payloads)
+    violations = (*found, *(v for part, _ in parts for v in part))
+    return SuiteReport(suite, len(samples), violations, sum(skipped for _, skipped in parts),
+                       (time.perf_counter() - start) * 1000.0)
 
 
 # --- extension suite -------------------------------------------------------
 
-def _extension_shard(payload) -> list[Violation]:
+def _extension_shard(payload) -> tuple[list[Violation], int]:
     table, samples = payload
     violations = []
     for i, x in samples:
@@ -148,7 +156,7 @@ def _extension_shard(payload) -> list[Violation]:
             violations.append(
                 Violation(i, "extension-value", f"h={x.h.coords()}", str(expected), str(result.value))
             )
-    return violations
+    return violations, 0
 
 
 def verify_extension(
@@ -157,14 +165,8 @@ def verify_extension(
     """The extended norm restricted to the base group equals the base norm."""
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
-    samples = list(enumerate(elements))
-    shards = _shard(samples, workers)
-    results = _run_sharded(_extension_shard, [(table, s) for s in shards], workers)
-    violations = [v for part in results for v in part]
-    violations.sort(key=lambda v: v.sample_index)
-    return SuiteReport(
-        "extension", sample_count, tuple(violations), 0,
-        (time.perf_counter() - start) * 1000.0,
+    return _run_suite(
+        "extension", _extension_shard, table, list(enumerate(elements)), workers, start=start
     )
 
 
@@ -175,7 +177,7 @@ def _certified_value(result: EvalResult) -> Optional[Fraction]:
 
 
 def _axiom_shard(payload) -> tuple[list[Violation], int]:
-    table, epsilon, pairs = payload
+    table, pairs, epsilon = payload
     budget = ONE - epsilon
     violations: list[Violation] = []
     skipped = 0
@@ -244,24 +246,19 @@ def verify_norm_axioms(
     a violation rather than silently trusted.
     """
     start = time.perf_counter()
-    violations: list[Violation] = []
-    for problem in check_table_consistency(table):
-        violations.append(Violation(-1, "table-invariant", problem, "recurrence holds", "mismatch"))
-
+    found = [
+        Violation(-1, "table-invariant", problem, "recurrence holds", "mismatch")
+        for problem in check_table_consistency(table)
+    ]
     zero = ExtElement(table.descriptor.zero(), 0)
     rzero = evaluate(table, zero, epsilon)
     if not (isinstance(rzero, ExactResult) and rzero.value == ZERO):
-        violations.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
+        found.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
 
-    pairs = list(enumerate(sample_pairs(table.descriptor, sample_count, seed, k_range)))
-    shards = _shard(pairs, workers)
-    results = _run_sharded(_axiom_shard, [(table, epsilon, s) for s in shards], workers)
-    skipped = sum(part[1] for part in results)
-    violations.extend(v for part in results for v in part[0])
-    violations.sort(key=lambda v: v.sample_index)
-    return SuiteReport(
-        "axioms", sample_count, tuple(violations), skipped,
-        (time.perf_counter() - start) * 1000.0,
+    pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
+    return _run_suite(
+        "axioms", _axiom_shard, table, list(enumerate(pairs)), workers, epsilon,
+        start=start, found=found,
     )
 
 
@@ -272,6 +269,17 @@ def _describe(result: EvalResult) -> str:
 
 
 # --- density suite ---------------------------------------------------------
+
+def _density_shard(payload) -> tuple[list[Violation], int]:
+    table, demands, epsilon = payload
+    violations = []
+    for i, (m, j) in demands:
+        witness = density_witness(table, m, j, epsilon)
+        if not witness.certified:
+            violations.append(Violation(i, "density", f"target={m} precision={j}",
+                                        f"<= 1/{j}", _describe(witness.certificate)))
+    return violations, 0
+
 
 def verify_density(
     table: AnchorTable,
@@ -284,28 +292,16 @@ def verify_density(
     needed = unpair_index(max_target, max_precision)
     if needed > table.depth:
         raise ExtendTableError(needed)
-    violations = []
-    count = 0
-    for m in range(1, max_target + 1):
-        for j in range(1, max_precision + 1):
-            count += 1
-            witness = density_witness(table, m, j, epsilon)
-            if not witness.certified:
-                violations.append(
-                    Violation(
-                        count, "density", f"target={m} precision={j}",
-                        f"<= 1/{j}", _describe(witness.certificate),
-                    )
-                )
-    return SuiteReport(
-        "density", count, tuple(violations), 0,
-        (time.perf_counter() - start) * 1000.0,
+    demands = itertools.product(range(1, max_target + 1), range(1, max_precision + 1))
+    return _run_suite(
+        "density", _density_shard, table, list(enumerate(demands, start=1)), 1, epsilon,
+        start=start,
     )
 
 
 # --- truncation suite ------------------------------------------------------
 
-def _truncation_shard(payload) -> list[Violation]:
+def _truncation_shard(payload) -> tuple[list[Violation], int]:
     table, samples = payload
     violations = []
     for i, x in samples:
@@ -340,7 +336,7 @@ def _truncation_shard(payload) -> list[Violation]:
                                   f"x=({x.h.coords()},{x.k}) N={n}",
                                   f"> {result.lower}", str(v))
                     )
-    return violations
+    return violations, 0
 
 
 def verify_truncation(
@@ -358,14 +354,8 @@ def verify_truncation(
     """
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed)
-    samples = list(enumerate(elements))
-    shards = _shard(samples, workers)
-    results = _run_sharded(_truncation_shard, [(table, s) for s in shards], workers)
-    violations = [v for part in results for v in part]
-    violations.sort(key=lambda v: v.sample_index)
-    return SuiteReport(
-        "truncation", sample_count, tuple(violations), 0,
-        (time.perf_counter() - start) * 1000.0,
+    return _run_suite(
+        "truncation", _truncation_shard, table, list(enumerate(elements)), workers, start=start
     )
 
 

@@ -44,7 +44,7 @@ def _pass(number, detail, elapsed, budget):
 
 def _witness_fits(table, witness, max_summands, radius):
     units = sum(abs(m) for _, m in witness.coefficients)
-    if not witness.residual.is_zero:
+    if witness.residual != table.descriptor.zero():
         units += 1
     if units > max_summands:
         return False

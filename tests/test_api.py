@@ -1,4 +1,5 @@
-"""Every public name has a caller inside the package itself."""
+"""Every public name has a caller inside the package itself, and no cache
+grows without bound."""
 
 import ast
 from pathlib import Path
@@ -37,3 +38,47 @@ def used_names():
 def test_every_export_has_a_caller_in_the_package():
     unused = exported_names() - used_names()
     assert unused == TEST_ONLY, f"exported but never used in src/monothetic: {sorted(unused)}"
+
+
+def _unbounded_cache(decorator):
+    # functools.cache, or lru_cache with maxsize None; a bare @lru_cache
+    # keeps its default bound of 128.
+    call = decorator if isinstance(decorator, ast.Call) else None
+    name = ast.unparse(call.func if call else decorator).rsplit(".", 1)[-1]
+    if name == "cache":
+        return True
+    if name != "lru_cache" or call is None:
+        return False
+    sizes = call.args[:1] + [k.value for k in call.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in sizes)
+
+
+def _empty_container(value):
+    return (
+        isinstance(value, ast.Dict) and not value.keys
+        or isinstance(value, ast.List) and not value.elts
+        or isinstance(value, ast.Call) and ast.unparse(value) in ("dict()", "list()")
+    )
+
+
+def unbounded_caches():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                map(_unbounded_cache, node.decorator_list)
+            ):
+                found.append(node.name)
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _empty_container(node.value):
+                found.extend(ast.unparse(t) for t in node.targets)
+            elif isinstance(node, ast.AnnAssign) and _empty_container(node.value):
+                found.append(ast.unparse(node.target))
+    return found
+
+
+def test_no_unbounded_cache():
+    # A module-level dict or list that code fills is a cache with no bound.
+    found = unbounded_caches()
+    assert not found, f"unbounded caches in src/monothetic: {found}"

@@ -316,6 +316,7 @@ class TestHostileInput:
         ("--norm", "[1]"),
         ("--norm", '{"type":"capped_l1"}'),
         ("--norm", '{"type":"capped_l1","weights":"1"}'),
+        ("--norm", '{"type":"rational_rotation","alpha":"3/1"}'),
     ])
     def test_build_malformed_object_exits_two(self, tmp_path, capsys, flag, value):
         argv = {"--group": GROUP, "--norm": NORM}

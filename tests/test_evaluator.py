@@ -344,7 +344,7 @@ class TestEvaluate:
                 result = evaluate(quarter_table, x)
                 if isinstance(result, ExactResult):
                     assert result.value <= 1
-                    if not x.is_zero:
+                    if x != ExtElement(Z.zero(), 0):
                         assert result.value > 0
                 else:
                     assert result.upper == 1

@@ -144,6 +144,19 @@ class TestEnumeration:
             expected = sum(1 for g in grades if g <= grade)
             assert grade_cumulative_count(descriptor, grade) == expected
 
+    def test_answers_survive_count_cache_eviction(self):
+        # More descriptors than the count cache holds; the element cache is
+        # bypassed so every answer goes through the count tables.
+        descriptors = [GroupDescriptor(free_rank=1, torsion_moduli=(q,)) for q in range(2, 72)]
+        enumerate_uncached = enumerate_h.__wrapped__
+
+        def answers(descriptor):
+            elements = [enumerate_uncached(descriptor, n) for n in range(1, 40)]
+            return elements, [grade_cumulative_count(descriptor, g) for g in range(12)]
+
+        first = [answers(d) for d in descriptors]
+        assert answers(descriptors[0]) == first[0]
+
     def test_injective_prefix(self):
         seen = {enumerate_h(Z2, n) for n in range(1, 10001)}
         assert len(seen) == 10000
@@ -218,6 +231,6 @@ class TestBaseNorm:
             assert base_norm(spec, -h) == dh
             assert 0 <= dh <= 1
             assert base_norm(spec, h + g) <= dh + base_norm(spec, g)
-            if not h.is_zero and not isinstance(spec, RationalRotation):
+            if h != descriptor.zero() and not isinstance(spec, RationalRotation):
                 assert dh > 0
 

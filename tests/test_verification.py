@@ -9,6 +9,7 @@ from monothetic import (
     AnchorTable,
     CappedWeightedL1,
     CyclicScaled,
+    DomainError,
     ExtendTableError,
     GroupDescriptor,
     RationalRotation,
@@ -84,10 +85,27 @@ class TestExtensionSuite:
         b = verify_extension(quarter_table, 50, seed=1)
         assert suite_report_to_json(a) == suite_report_to_json(b)
 
-    def test_sharded_run_matches_inline(self, quarter_table):
-        inline = verify_extension(quarter_table, 60, seed=4, workers=1)
-        sharded = verify_extension(quarter_table, 60, seed=4, workers=3)
+
+SHARDED_SUITES = pytest.mark.parametrize(
+    "suite", [verify_extension, verify_norm_axioms, verify_truncation],
+    ids=["extension", "axioms", "truncation"],
+)
+
+
+class TestSharding:
+    @SHARDED_SUITES
+    def test_sharded_run_matches_inline(self, quarter_table, suite):
+        inline = suite(quarter_table, 60, seed=4, workers=1)
+        sharded = suite(quarter_table, 60, seed=4, workers=3)
         assert suite_report_to_json(inline) == suite_report_to_json(sharded)
+
+    @SHARDED_SUITES
+    @pytest.mark.parametrize("count", [0, -3])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_samples_rejected(self, unit_table, suite, count, workers):
+        # A suite that checked nothing must not report a pass.
+        with pytest.raises(DomainError):
+            suite(unit_table, count, seed=0, workers=workers)
 
 
 class TestAxiomSuite:
@@ -166,6 +184,18 @@ class TestDensitySuite:
         with pytest.raises(ExtendTableError) as err:
             verify_density(unit_table, 5, 5)
         assert err.value.required_depth == 41
+
+    def test_demands_numbered_from_one_target_major(self):
+        # Anchor 5 serves (target 2, precision 2), the fifth demand of the
+        # 3 x 3 box; declaring it at precision 1 breaks exactly that demand.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 20)
+        anchors = list(table.anchors)
+        anchors[4] = replace(anchors[4], precision_index=1)
+        bad = AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+        report = verify_density(bad, 3, 3)
+        assert [(v.sample_index, v.inputs) for v in report.violations] == [
+            (5, "target=2 precision=2")
+        ]
 
 
 class TestTruncationSuite:
