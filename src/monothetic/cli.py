@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .construction import build_anchor_table
@@ -53,6 +54,11 @@ EXIT_USAGE = 2
 EXIT_EXTEND = 3
 
 
+# MONO_THREADS comes from outside; the suites never start more processes
+# than they have shards or the machine has CPUs, and no more than this.
+MAX_WORKERS = 64
+
+
 def _worker_count() -> int:
     raw = os.environ.get("MONO_THREADS", "1")
     try:
@@ -61,6 +67,8 @@ def _worker_count() -> int:
         raise DomainError(f"MONO_THREADS must be an integer, got {raw!r}") from exc
     if workers < 1:
         raise DomainError("MONO_THREADS must be >= 1")
+    if workers > MAX_WORKERS:
+        raise DomainError(f"MONO_THREADS must be <= {MAX_WORKERS}, got {workers}")
     return workers
 
 
@@ -79,7 +87,7 @@ def _cmd_build(args) -> int:
     print(dumps_stable({
         "table": str(args.out),
         "depth": table.depth,
-        "k_last": table.powers[-1],
+        "k_last": Decimal(table.powers[-1]),
     }))
     return EXIT_OK
 
@@ -152,7 +160,7 @@ def _cmd_family(args) -> int:
         for i, table in enumerate(tables):
             save_table(table, out_dir / f"family_{i}.json")
     shared = [
-        {"n": a.index, "m": a.target_index, "j": a.precision_index, "k": a.power}
+        {"n": a.index, "m": a.target_index, "j": a.precision_index, "k": Decimal(a.power)}
         for a in tables[0].anchors
     ]
     print(dumps_stable({

@@ -106,6 +106,18 @@ class AnchorTable:
             floors[i] = min(floors[i], floors[i + 1])
         return tuple(floors)
 
+    @cached_property
+    def search_frames(self) -> dict:
+        """The evaluator's search set-up per budget, which it keeps bounded."""
+        return {}
+
+    def __getstate__(self) -> dict:
+        # Pool workers receive the table pickled; they rebuild the frames
+        # rather than receive set-up that can run to megabytes.
+        state = self.__dict__.copy()
+        state.pop("search_frames", None)
+        return state
+
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:
             raise DomainError(f"anchor index {n} outside table of depth {self.depth}")

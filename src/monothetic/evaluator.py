@@ -21,21 +21,22 @@ costs more than 1, which certifies that the extension restricts to the base
 norm on the base group.
 
 The search itself runs on integers.  Every anchor value 1/j and the budget
-have denominators dividing L = lcm(budget denominator, j of each anchor in
-the search), so running anchor costs are exact integers over L.  Each prune
-is an inequality between rationals cross-multiplied by positive integers, so
-it decides exactly as the rational comparison would, and the witness does not
-depend on the scaling.  Exact rationals appear only at leaves, where the
-residual's base norm (whose denominator need not divide L) joins the cost.
+have denominators dividing L = lcm(budget denominator, j of every anchor in
+the table), so running anchor costs are exact integers over L; every base
+norm value has a denominator dividing the spec's D, so a leaf's total cost is
+an exact integer over L*D.  Each prune is an inequality between rationals
+cross-multiplied by positive integers, so it decides exactly as the rational
+comparison would, and the witness does not depend on the scaling.  A
+``Fraction`` is built once, for the witness returned.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement
+from itertools import combinations_with_replacement
 from math import lcm
 from typing import Optional, Union
 
@@ -141,6 +142,73 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     return bisect_left(floors, bound, 0, table.depth - 1) + 1
 
 
+# Frames kept per table; the axioms and density suites bring a fresh budget
+# on every call, and each frame holds powers thousands of digits long.
+FRAMES_PER_TABLE = 16
+
+
+class _SearchFrame:
+    """Integer set-up of the budget-limited search on one table.
+
+    Built once per (table, budget) and grown to the deepest index cap asked
+    so far, never past it: each reach entry multiplies out a power that can
+    run to thousands of digits.  The lists are indexed by level n, entry 0
+    standing for "no anchors":
+
+    - units[n]: L // j_n, the cost over L of one unit of anchor n;
+    - caps[n]: floor(budget * j_n), since a larger |m_n| busts the budget on
+      its own;
+    - reach[n]: the largest |sum of c-powers| anchors 1..n reach under caps;
+    - widest[n]: max j*k over anchors 1..n, so covering r units of c-power
+      with them costs at least r / widest[n] (nothing can when it is 0);
+    - floors[n]: the minimum of gap[n..] with gap[m] = K_m - reach[m-1].
+      A target with |target| < gap[m] forces multiplicity 0 at anchor m, and
+      the floors are non-decreasing even on a tampered table, so they can be
+      bisected for the next level that allows a nonzero multiplicity.
+    """
+
+    def __init__(self, table: AnchorTable, budget: Fraction):
+        self.num, self.den = budget.numerator, budget.denominator
+        self.scale = lcm(self.den, *{a.precision_index for a in table.anchors})
+        self.budget_scaled = self.num * (self.scale // self.den)
+        table.spec.check_shape(table.descriptor)
+        self.denominator = table.spec.denominator(table.descriptor)
+        self.units = [0]
+        self.caps = [0]
+        self.reach = [0]
+        self.widest = [0]
+        self.floors = [0]
+
+    def grow(self, anchors, size: int) -> None:
+        start = len(self.units)
+        for a in anchors[start - 1: size]:
+            j, k = a.precision_index, a.power
+            cap = self.num * j // self.den
+            self.units.append(self.scale // j)
+            self.caps.append(cap)
+            self.floors.append(k - self.reach[-1])
+            self.reach.append(self.reach[-1] + cap * k)
+            self.widest.append(max(self.widest[-1], j * k))
+        floors = self.floors
+        for i in range(len(floors) - 2, 0, -1):
+            if floors[i] > floors[i + 1]:
+                floors[i] = floors[i + 1]
+            elif i < start:
+                break   # the older entries are suffix minima already
+
+
+def _search_frame(table: AnchorTable, budget: Fraction, index_cap: int) -> _SearchFrame:
+    frames = table.search_frames
+    key = (budget.numerator, budget.denominator)   # cheaper to hash than a Fraction
+    frame = frames.get(key)
+    if frame is None:
+        if len(frames) >= FRAMES_PER_TABLE:
+            del frames[next(iter(frames))]
+        frame = frames[key] = _SearchFrame(table, budget)
+    frame.grow(table.anchors, index_cap)
+    return frame
+
+
 def best_decomposition(
     table: AnchorTable,
     x: ExtElement,
@@ -156,57 +224,60 @@ def best_decomposition(
     target, and the incumbent best cost.  Branches enumerate multiplicities
     in ascending order, so the first minimum found is the lexicographically
     smallest coefficient vector read from the deepest anchor down; later ties
-    never replace it.
+    never replace it.  Levels whose only multiplicity is 0 are skipped in one
+    bisection, and the strongest of their lower-bound tests is applied once.
 
-    Costs run as integers over L = lcm(budget denominator, j_1..j_index_cap):
-    a unit of anchor n costs L // j_n and the budget is budget * L.  Every
-    prune is the same inequality as in exact rationals, cross-multiplied by
-    positive integers, so the nodes visited and the witness returned do not
-    depend on the scaling.  A ``Fraction`` is built only at a leaf, where the
-    residual's base norm (whose denominator need not divide L) is added.
+    Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
+    and leaf totals over L*D, D being the spec's denominator.  Every prune is
+    the same inequality as in exact rationals, cross-multiplied by positive
+    integers, so the nodes visited and the witness returned do not depend on
+    the scaling.  The shift is carried as raw coordinates; the residual and
+    the ``Fraction`` cost are built once, for the witness returned.
     """
     if not 0 <= index_cap <= table.depth:
         raise DomainError("index cap outside table depth")
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
-    anchors = table.anchors[:index_cap]
-    num, den = budget.numerator, budget.denominator
-    scale = lcm(den, *(a.precision_index for a in anchors))
-    budget_scaled = num * (scale // den)
-    units = [scale // a.precision_index for a in anchors]
-    # |m_n| <= floor(budget * j_n): each unit of anchor n costs 1/j_n, so
-    # anything larger busts the budget on its own.
-    caps = [num * a.precision_index // den for a in anchors]
-    # reach[n] = max |sum of c-powers| attainable by anchors 1..n under caps.
-    reach = [0, *accumulate(cap * a.power for a, cap in zip(anchors, caps))]
-    # widest[n] = max j*k over anchors 1..n: covering r units of c-power with
-    # them costs at least r / widest[n] (0 when n == 0: nothing can cover).
-    widest = [0, *accumulate((a.precision_index * a.power for a in anchors), max)]
+    frame = _search_frame(table, budget, index_cap)
+    scale, budget_scaled, d = frame.scale, frame.budget_scaled, frame.denominator
+    anchors = table.anchors
+    units, caps, reach, widest, floors = (
+        frame.units, frame.caps, frame.reach, frame.widest, frame.floors)
+    descriptor = x.descriptor
+    scaled_value = table.spec.scaled_value
+    leaf_limit = budget_scaled * d
+    best: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = None
+    best_total = 0   # the incumbent's cost, over L*D
 
-    spec = table.spec
-    best: Optional[Decomposition] = None
-    # The incumbent cost p/q as p*L and q: cost/L >= p/q iff cost*q >= p*L.
-    best_num = best_den = 0
-
-    def descend(n: int, target: int, shift: HElement, running: int,
+    def descend(n: int, target: int, shift: tuple[int, ...], running: int,
                 coeffs: list[tuple[int, int]]) -> None:
-        nonlocal best, best_num, best_den
+        nonlocal best, best_total
+        size = abs(target)
+        land = bisect_right(floors, size, 1, n + 1) - 1
+        if land < n and target:
+            # The tests the skipped 0-multiplicity steps would make, of which
+            # the one with the narrowest anchors left is the strongest.
+            width = widest[land]
+            if width == 0:
+                return
+            lower = running * width + size * scale
+            if lower > budget_scaled * width:
+                return
+            if best is not None and lower * d >= best_total * width:
+                return
+        n = land
         if n == 0:
-            if target != 0:
+            if target:
                 return
-            residual = x.h + shift
-            total = Fraction(running, scale) + base_norm(spec, residual)
-            if total > budget:
-                return
-            if best is None or total < best.cost:
-                best = Decomposition(tuple(reversed(coeffs)), residual, total)
-                best_num = total.numerator * scale
-                best_den = total.denominator
+            total = running * d + min(scaled_value(shift, descriptor), d) * scale
+            if total <= leaf_limit and (best is None or total < best_total):
+                best = (tuple(reversed(coeffs)), shift)
+                best_total = total
             return
         anchor = anchors[n - 1]
-        unit = units[n - 1]
-        cap = caps[n - 1]
+        unit = units[n]
+        cap = caps[n]
         below = reach[n - 1]
         width = widest[n - 1]
         budget_wide = budget_scaled * width
@@ -219,7 +290,7 @@ def best_decomposition(
             cost = running + abs(mult) * unit
             if cost > budget_scaled:
                 continue
-            if best is not None and cost * best_den >= best_num:
+            if best is not None and cost * d >= best_total:
                 continue
             rest = target - mult * power
             if rest != 0:
@@ -229,17 +300,21 @@ def best_decomposition(
                 lower = cost * width + abs(rest) * scale
                 if lower > budget_wide:
                     continue
-                if best is not None and lower * best_den >= best_num * width:
+                if best is not None and lower * d >= best_total * width:
                     continue
             if mult != 0:
                 coeffs.append((anchor.index, mult))
-                descend(n - 1, rest, shift + anchor.target.scale(mult), cost, coeffs)
+                moved = tuple(s + mult * t for s, t in zip(shift, anchor.target.coords()))
+                descend(n - 1, rest, moved, cost, coeffs)
                 coeffs.pop()
             else:
                 descend(n - 1, rest, shift, cost, coeffs)
 
-    descend(index_cap, x.k, x.descriptor.zero(), 0, [])
-    return best
+    descend(index_cap, x.k, x.h.coords(), 0, [])
+    if best is None:
+        return None
+    coefficients, shift = best
+    return Decomposition(coefficients, descriptor.element(shift), Fraction(best_total, scale * d))
 
 
 def evaluate(

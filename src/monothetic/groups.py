@@ -15,11 +15,10 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Optional, Union
+from functools import cached_property, lru_cache
+from typing import Optional, Sequence, Union
 
 from .errors import DomainError, ShapeError
-from .rat import ONE, ZERO
 
 
 @dataclass(frozen=True)
@@ -230,7 +229,10 @@ def grade_cumulative_count(descriptor: GroupDescriptor, grade: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Bounded invariant (pseudo)norms.  Each variant pins the descriptor shape it
-# applies to; the cap min(1, .) is applied after the raw formula.
+# applies to and states a denominator D that all its raw values divide:
+# ``scaled_value`` is the raw formula times D, an integer, and the cap
+# min(1, .) is applied after it.  Both read flat coordinates (free part then
+# torsion part) whose torsion entries need not be reduced.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -253,8 +255,18 @@ class CappedWeightedL1:
         if any(w <= 0 for w in self.weights):
             raise ShapeError("capped_l1 weights must be positive")
 
-    def raw_value(self, h: HElement) -> Fraction:
-        return sum((w * abs(v) for w, v in zip(self.weights, h.free)), ZERO)
+    # Cached on the instance: a cache keyed by the weights would hash every
+    # Fraction on every call and cost more than the scaling saves.
+    @cached_property
+    def _scaled_weights(self) -> tuple[int, tuple[int, ...]]:
+        d = math.lcm(*(w.denominator for w in self.weights))
+        return d, tuple(w.numerator * (d // w.denominator) for w in self.weights)
+
+    def denominator(self, descriptor: GroupDescriptor) -> int:
+        return self._scaled_weights[0]
+
+    def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
+        return sum(w * abs(v) for w, v in zip(self._scaled_weights[1], coords))
 
 
 @dataclass(frozen=True)
@@ -275,8 +287,17 @@ class CappedLInf:
         if self.scale <= 0:
             raise ShapeError("capped_linf scale must be positive")
 
-    def raw_value(self, h: HElement) -> Fraction:
-        return self.scale * max(abs(v) for v in h.free)
+    def denominator(self, descriptor: GroupDescriptor) -> int:
+        return self.scale.denominator
+
+    def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
+        return self.scale.numerator * max(abs(v) for v in coords)
+
+
+@lru_cache(maxsize=64)
+def _cyclic_weights(moduli: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    d = math.lcm(*moduli)
+    return d, tuple(2 * (d // q) for q in moduli)
 
 
 @dataclass(frozen=True)
@@ -292,10 +313,15 @@ class CyclicScaled:
     def validate(self, descriptor: GroupDescriptor) -> None:
         self.check_shape(descriptor)
 
-    def raw_value(self, h: HElement) -> Fraction:
-        total = ZERO
-        for t, q in zip(h.torsion, h.descriptor.torsion_moduli):
-            total += Fraction(2 * min(t, q - t), q)
+    def denominator(self, descriptor: GroupDescriptor) -> int:
+        return _cyclic_weights(descriptor.torsion_moduli)[0]
+
+    def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
+        moduli = descriptor.torsion_moduli
+        total = 0
+        for t, q, w in zip(coords, moduli, _cyclic_weights(moduli)[1]):
+            t %= q
+            total += w * min(t, q - t)
         return total
 
 
@@ -319,10 +345,13 @@ class RationalRotation:
         if self.alpha.denominator < 2:
             raise ShapeError("alpha must be a non-integer rational p/q with q >= 2")
 
-    def raw_value(self, h: HElement) -> Fraction:
+    def denominator(self, descriptor: GroupDescriptor) -> int:
+        return self.alpha.denominator
+
+    def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
         q = self.alpha.denominator
-        r = (h.free[0] * self.alpha.numerator) % q
-        return Fraction(min(r, q - r), q)
+        r = (coords[0] * self.alpha.numerator) % q
+        return min(r, q - r)
 
 
 NormSpec = Union[CappedWeightedL1, CappedLInf, CyclicScaled, RationalRotation]
@@ -330,6 +359,7 @@ NormSpec = Union[CappedWeightedL1, CappedLInf, CyclicScaled, RationalRotation]
 
 def base_norm(spec: NormSpec, h: HElement) -> Fraction:
     """Exact value of the base (pseudo)norm, capped at 1."""
-    spec.check_shape(h.descriptor)
-    return min(ONE, spec.raw_value(h))
-
+    descriptor = h.descriptor
+    spec.check_shape(descriptor)
+    d = spec.denominator(descriptor)
+    return Fraction(min(spec.scaled_value(h.coords(), descriptor), d), d)

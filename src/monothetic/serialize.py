@@ -11,6 +11,7 @@ written as text: the deepest ones run to thousands of decimal digits.
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import hashlib
 import json
 import struct
@@ -38,9 +39,34 @@ TABLE_VERSION = 2
 _V1 = 1
 
 
+# What json.dumps writes for the string dumps_stable puts in place of a raw
+# number; no path and no string the program makes holds a NUL.
+_SPLICE = json.dumps("\0")
+
+
 def dumps_stable(payload: Any) -> str:
-    """Canonical JSON rendering: sorted keys, fixed separators."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON rendering: sorted keys, fixed separators.
+
+    A ``decimal.Decimal`` is written as a bare JSON number.  Powers go in as
+    ``Decimal(k)``: ``json.dumps`` renders an int with ``int.__repr__``, which
+    CPython refuses past 4300 digits, while ``str(Decimal(k))`` has no such
+    limit, runs in subquadratic time and gives the same digits.
+    """
+    numbers: list[str] = []
+
+    def splice(value: Any) -> str:
+        if not isinstance(value, decimal.Decimal):
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        numbers.append(str(value))
+        return "\0"
+
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=splice)
+    if not numbers:
+        return text
+    parts = text.split(_SPLICE)
+    if len(parts) != len(numbers) + 1:
+        raise ValueError("a string in the payload is the raw-number marker")
+    return "".join(part + number for part, number in zip(parts, numbers)) + parts[-1]
 
 
 # --- descriptors and norms -------------------------------------------------
@@ -154,7 +180,7 @@ def density_witness_to_json(witness: DensityWitness) -> dict:
         "target_index": witness.target_index,
         "precision_index": witness.precision_index,
         "anchor_index": witness.anchor_index,
-        "power": witness.power,
+        "power": decimal.Decimal(witness.power),
         "bound": format_fraction(witness.bound),
         "certified": witness.certified,
         "certificate": eval_result_to_json(witness.certificate),

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,20 +121,22 @@ def sample_pairs(
 
 def _run_suite(suite: str, worker: Callable, table: AnchorTable, samples: list,
                workers: int, *extra, start: float, found=()) -> SuiteReport:
-    """Run ``worker`` on ``(table, shard, *extra)`` for contiguous shards of the
-    indexed samples, inline or in a pool of ``workers`` processes.  Each shard
-    returns ``(violations, skipped)``; merging in shard order keeps the
-    violations sorted by sample index, after the suite-level ``found`` ones.
-    ``start`` is when the suite began, so the wall time covers all of it.
+    """Run ``worker`` on ``(table, shard, *extra)`` for up to ``workers``
+    contiguous shards of the indexed samples, inline or in a pool of at most
+    one process per shard and per CPU.  Each shard returns ``(violations, skipped)``;
+    merging in shard order keeps the violations sorted by sample index, after
+    the suite-level ``found`` ones.  ``start`` is when the suite began, so the
+    wall time covers all of it.
     """
     if not samples:
         raise DomainError(f"the {suite} suite needs at least one sample")
     size = -(-len(samples) // max(workers, 1))
     payloads = [(table, samples[i: i + size], *extra) for i in range(0, len(samples), size)]
-    if workers <= 1:
+    processes = min(workers, len(payloads), os.cpu_count() or 1)
+    if processes <= 1:
         parts = [worker(p) for p in payloads]
     else:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(processes) as pool:
             parts = pool.map(worker, payloads)
     violations = (*found, *(v for part, _ in parts for v in part))
     return SuiteReport(suite, len(samples), violations, sum(skipped for _, skipped in parts),

@@ -2,6 +2,7 @@
 
 import json
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from monothetic import (
     build_anchor_table,
     k_sequence,
 )
-from monothetic.cli import main
+from monothetic.cli import MAX_WORKERS, main
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.serialize import load_table, save_table
 
@@ -54,6 +55,16 @@ class TestBuild:
         assert payload["depth"] == 50
         assert payload["k_last"] == k_sequence(50)[0][-1]
         assert out.exists()
+
+    def test_power_past_the_digit_limit(self, tmp_path, capsys):
+        # k_3000 has 5015 digits, past CPython's 4300-digit int-to-string limit.
+        out = tmp_path / "t.json"
+        code = main(["build", "--group", GROUP, "--norm", NORM, "--depth", "3000",
+                     "--out", str(out)])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
+        assert payload["k_last"] == Decimal(k_sequence(3000)[0][-1])
+        assert load_table(out).depth == 3000
 
     def test_bad_norm_json(self, tmp_path):
         code = main(["build", "--group", GROUP, "--norm", "{nope",
@@ -164,6 +175,19 @@ class TestVerify:
         assert captured.out == ""
         assert "--samples" in captured.err
 
+    @pytest.mark.parametrize("value", ["0", "65", "100000000000000"])
+    def test_worker_count_outside_the_cap_exits_two(self, table_path, capsys,
+                                                    monkeypatch, value):
+        monkeypatch.setenv("MONO_THREADS", value)
+        code = main(["verify", "--table", str(table_path), "--suite", "extension",
+                     "--samples", "4"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "MONO_THREADS" in captured.err
+        if value != "0":
+            assert str(MAX_WORKERS) in captured.err
+
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())
         raw["N"] = 11
@@ -223,6 +247,15 @@ class TestFamily:
         assert len(payload["shared_anchors"]) == 10
         tables = [load_table(out_dir / f"family_{i}.json") for i in range(3)]
         assert tables[0].powers == tables[1].powers == tables[2].powers
+
+
+    def test_powers_past_the_digit_limit(self, capsys):
+        code = main(["family", "--group", GROUP, "--norms", f"[{NORM}]", "--depth", "2700"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
+        powers = k_sequence(2700)[0]
+        assert [a["k"] for a in payload["shared_anchors"][-2:]] == [
+            Decimal(k) for k in powers[-2:]]
 
 
 class TestPersistence:

@@ -1,12 +1,15 @@
 """Certified evaluation: truncation, search, oracle agreement, density, families."""
 
 import itertools
+import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from monothetic import (
+    AnchorTable,
     CappedLInf,
     CappedWeightedL1,
     CyclicScaled,
@@ -29,7 +32,10 @@ from monothetic import (
     extend_family,
     k_sequence,
     truncation_index,
+    verify_truncation,
 )
+from monothetic.evaluator import FRAMES_PER_TABLE
+from monothetic.serialize import suite_report_to_json
 
 Z = GroupDescriptor(free_rank=1)
 Z5_9_7 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
@@ -396,6 +402,65 @@ class TestEvaluate:
     def test_deterministic(self, quarter_table):
         x = ExtElement(Z.element((2,)), 2)
         assert evaluate(quarter_table, x) == evaluate(quarter_table, x)
+
+
+def with_powers(table, replacements):
+    """A copy of ``table`` with some anchor powers rewritten."""
+    anchors = list(table.anchors)
+    for index, power in replacements.items():
+        anchors[index - 1] = replace(anchors[index - 1], power=power)
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+
+
+def near_anchor_elements(table, top):
+    return [
+        table.anchor_element(a) + table.anchor_element(b).scale(sign)
+        + ExtElement(enumerate_h(table.descriptor, h), 0)
+        for a in range(1, top, 3) for b in (1, a + 1) for sign in (1, -1) for h in (1, 2)
+    ]
+
+
+class TestSearchFrames:
+    """Set-up cached on a table must never change what a search returns."""
+
+    def test_bounded_per_table_and_equal_to_cold(self):
+        def build():
+            return build_anchor_table(Z5_9_7, CyclicScaled(), 30)
+
+        table = build()
+        elements = near_anchor_elements(table, 20)
+        epsilons = [Fraction(1, 2 + i) for i in range(40)]
+        # Two passes: the second rebuilds the frames the first evicted.
+        warm = [[evaluate(table, x, e) for x in elements] for e in epsilons + epsilons]
+        assert len(table.search_frames) <= FRAMES_PER_TABLE
+        for e, results in zip(epsilons + epsilons, warm):
+            cold = build()
+            assert [evaluate(cold, x, e) for x in elements] == results
+
+    def test_tampered_copy_equals_its_cold_evaluation(self, quarter_table):
+        elements = near_anchor_elements(quarter_table, 16)
+        epsilons = (Fraction(1, 2), Fraction(1, 1024))
+        for replacements in ({4: 1, 5: 1}, {6: 3 * quarter_table.anchor(6).power}):
+            for e in epsilons:
+                for x in elements:
+                    evaluate(quarter_table, x, e)
+            copy = with_powers(quarter_table, replacements)
+            warm = [evaluate(copy, x, e) for e in epsilons for x in elements]
+            cold = with_powers(quarter_table, replacements)
+            assert warm == [evaluate(cold, x, e) for e in epsilons for x in elements]
+            # Witnesses must add up under the copy's own powers.
+            for x, result in zip(elements * len(epsilons), warm):
+                assert not result.is_exact or result.witness.check_against(copy, x)
+
+    def test_frames_stay_out_of_pickles(self):
+        table = build_anchor_table(Z5_9_7, CyclicScaled(), 60)
+        evaluate(table, table.anchor_element(3))
+        assert table.search_frames
+        copy = pickle.loads(pickle.dumps(table))
+        assert copy == table and not copy.search_frames
+        # The suites send the table to their pool workers pickled.
+        assert suite_report_to_json(verify_truncation(table, 40, 0, workers=2)) == (
+            suite_report_to_json(verify_truncation(table, 40, 0, workers=1)))
 
 
 class TestEvaluateTruncated:

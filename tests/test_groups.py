@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from monothetic import (
     CappedLInf,
@@ -234,3 +234,53 @@ class TestBaseNorm:
             if h != descriptor.zero() and not isinstance(spec, RationalRotation):
                 assert dh > 0
 
+
+Z579 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
+COORD = st.integers(-10 ** 6, 10 ** 6)
+
+
+def written_out(spec, h):
+    """The raw formula in Fractions, capped at 1, as each class documents it."""
+    if isinstance(spec, CappedWeightedL1):
+        raw = sum((w * abs(v) for w, v in zip(spec.weights, h.free)), Fraction(0))
+    elif isinstance(spec, CappedLInf):
+        raw = spec.scale * max(abs(v) for v in h.free)
+    elif isinstance(spec, CyclicScaled):
+        raw = sum(Fraction(2 * min(t, q - t), q)
+                  for t, q in zip(h.torsion, h.descriptor.torsion_moduli))
+    else:
+        q = spec.alpha.denominator
+        r = (h.free[0] * spec.alpha.numerator) % q
+        raw = Fraction(min(r, q - r), q)
+    return min(Fraction(1), raw)
+
+
+class TestIntegerBaseNorm:
+    # Small coordinates land under the cap, large ones over it.
+    @given(st.lists(st.one_of(st.integers(-3, 3), COORD), min_size=3, max_size=3))
+    @example([1, -1, 0]).via("uncapped")
+    @example([0, 0, -10 ** 6]).via("capped")
+    def test_capped_l1_mixed_denominators(self, coords):
+        spec = CappedWeightedL1(weights=(Fraction(1, 3), Fraction(2, 5), Fraction(7, 4)))
+        h = GroupDescriptor(free_rank=3).element(coords)
+        assert base_norm(spec, h) == written_out(spec, h)
+
+    @given(st.lists(st.one_of(st.integers(-3, 3), COORD), min_size=2, max_size=2))
+    @example([-2, 1]).via("uncapped")
+    @example([3, 0]).via("capped")
+    def test_capped_linf(self, coords):
+        spec = CappedLInf(scale=Fraction(3, 7))
+        h = Z2.element(coords)
+        assert base_norm(spec, h) == written_out(spec, h)
+
+    @given(st.lists(COORD, min_size=3, max_size=3))
+    @example([1, 0, -7]).via("uncapped")
+    @example([-10 ** 6, 4, 3]).via("capped")
+    def test_cyclic_scaled(self, coords):
+        h = Z579.element(coords)
+        assert base_norm(CyclicScaled(), h) == written_out(CyclicScaled(), h)
+
+    @given(st.sampled_from([Fraction(3, 7), Fraction(5, 12)]), COORD)
+    def test_rational_rotation(self, alpha, v):
+        spec = RationalRotation(alpha=alpha)
+        assert base_norm(spec, Z.element((v,))) == written_out(spec, Z.element((v,)))

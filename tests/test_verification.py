@@ -20,6 +20,7 @@ from monothetic import (
     verify_norm_axioms,
     verify_truncation,
 )
+from monothetic import verification
 from monothetic.serialize import suite_report_to_json
 from monothetic.verification import PAIR_INDEX_POOL, sample_elements, sample_pairs
 
@@ -98,6 +99,35 @@ class TestSharding:
         inline = suite(quarter_table, 60, seed=4, workers=1)
         sharded = suite(quarter_table, 60, seed=4, workers=3)
         assert suite_report_to_json(inline) == suite_report_to_json(sharded)
+
+    @pytest.mark.parametrize(
+        "workers,samples,cpus,expected",
+        [(8, 2, 16, 2), (8, 40, 3, 3), (2, 40, 16, 2), (4, 40, 1, None), (5, 1, 16, None)],
+    )
+    def test_pool_size(self, monkeypatch, unit_table, workers, samples, cpus, expected):
+        # One process per shard and per CPU at most, none when one would do;
+        # the fake pool starts nothing and maps inline.
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, payloads):
+                return [worker(p) for p in payloads]
+
+        monkeypatch.setattr(verification.multiprocessing, "Pool", FakePool)
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: cpus)
+        report = verify_extension(unit_table, samples, seed=0, workers=workers)
+        assert started == ([] if expected is None else [expected])
+        assert report == replace(verify_extension(unit_table, samples, seed=0),
+                                 wall_time_ms=report.wall_time_ms)
 
     @SHARDED_SUITES
     @pytest.mark.parametrize("count", [0, -3])

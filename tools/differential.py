@@ -1,0 +1,139 @@
+"""Print the evaluator's outputs on a fixed case set, one line per case.
+
+    python3 tools/differential.py SRC > outputs.txt
+
+SRC is the ``src`` directory of the checkout to import ``monothetic`` from.
+Run it on two checkouts and compare the files with ``cmp``: a change that
+must not alter any output passes when they are byte-identical.  The last
+line is the SHA-256 of all the case lines.
+
+Tables: Z^2 capped_l1 1,1; Z capped_l1 1/4; Z5xZ9xZ7 cyclic_scaled; Z
+rational_rotation 3/7, each at depths 70 and 410, plus three tampered copies
+of each depth-70 table (collapsed powers, a raised power, edited
+precisions).  Elements: +-anchor, anchor plus a small base element, sums of
+two anchors, and random base elements with |k| up to 10^30.  Each case runs
+``evaluate`` at four epsilons, ``evaluate_truncated`` at a random level up to
+64, and ``best_decomposition`` at budgets 1 (random cap up to 64), 5/7 and
+1023/1024 (cap at the truncation level).
+"""
+
+import hashlib
+import random
+import sys
+from dataclasses import replace
+from fractions import Fraction
+from pathlib import Path
+
+sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+
+from monothetic import (  # noqa: E402
+    AnchorTable,
+    CappedWeightedL1,
+    CyclicScaled,
+    ExtElement,
+    ExtendTableError,
+    GroupDescriptor,
+    RationalRotation,
+    best_decomposition,
+    build_anchor_table,
+    enumerate_h,
+    evaluate,
+    evaluate_truncated,
+    truncation_index,
+)
+from monothetic.serialize import dumps_stable, eval_result_to_json  # noqa: E402
+
+SPECS = (
+    (GroupDescriptor(2), CappedWeightedL1((Fraction(1), Fraction(1)))),
+    (GroupDescriptor(1), CappedWeightedL1((Fraction(1, 4),))),
+    (GroupDescriptor(0, (5, 9, 7)), CyclicScaled()),
+    (GroupDescriptor(1), RationalRotation(Fraction(3, 7))),
+)
+EPSILONS = (Fraction(1, 2), Fraction(1, 8), Fraction(1, 1024), Fraction(1, 2 ** 30))
+BUDGETS = (Fraction(1), Fraction(5, 7), Fraction(1023, 1024))
+CASES_PER_TABLE = 160
+
+
+def tampered(table, powers=(), precisions=()):
+    anchors = list(table.anchors)
+    for n, k in powers:
+        anchors[n - 1] = replace(anchors[n - 1], power=k)
+    for n, j in precisions:
+        anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+
+
+def tables():
+    for descriptor, spec in SPECS:
+        for depth in (70, 410):
+            yield f"{spec.kind}-{depth}", build_anchor_table(descriptor, spec, depth)
+        base = build_anchor_table(descriptor, spec, 70)
+        yield f"{spec.kind}-collapsed", tampered(base, powers=((4, 1), (5, 1)))
+        yield f"{spec.kind}-raised", tampered(base, powers=((6, 3 * base.anchor(6).power),))
+        yield f"{spec.kind}-precisions", tampered(base, precisions=((5, 1), (7, 9), (12, 2)))
+
+
+def element(table, rng):
+    anchors = min(table.depth, 60)
+    roll = rng.random()
+    if roll < 0.6:
+        x = table.anchor_element(rng.randint(1, anchors))
+        x = -x if rng.random() < 0.5 else x
+        if roll < 0.3:
+            return x + ExtElement(enumerate_h(table.descriptor, rng.randint(2, 9)), 0)
+        y = table.anchor_element(rng.randint(1, anchors))
+        return x + (-y if rng.random() < 0.5 else y) if roll < 0.45 else x
+    if roll < 0.7:
+        x = table.anchor_element(rng.randint(1, table.depth))
+        return -x if rng.random() < 0.5 else x
+    h = enumerate_h(table.descriptor, rng.randint(1, 64))
+    digits = rng.randint(1, 30)
+    return ExtElement(h, rng.randint(0, 10 ** digits) * rng.choice((1, -1)))
+
+
+def attempt(call):
+    try:
+        return call()
+    except ExtendTableError as exc:
+        return f"ExtendTableError({exc.required_depth})"
+
+
+def decomposition(found):
+    if found is None:
+        return "None"
+    return f"{found.coefficients} {found.residual.coords()} {found.cost}"
+
+
+def case(table, x, rng):
+    out = [f"{x.h.coords()} {x.k}"]
+    for epsilon in EPSILONS:
+        out.append(attempt(lambda: dumps_stable(eval_result_to_json(evaluate(table, x, epsilon)))))
+    level = rng.randint(0, min(64, table.depth))
+    out.append(f"N={level} {evaluate_truncated(table, x, level)}")
+    for budget in BUDGETS:
+        if budget == 1:
+            cap = rng.randint(0, min(64, table.depth))
+        elif x.k == 0:
+            cap = 0
+        else:
+            cap = attempt(lambda: truncation_index(table, x.k, budget))
+            cap = table.depth if isinstance(cap, str) else cap
+        out.append(f"{budget}@{cap} {decomposition(best_decomposition(table, x, budget, cap))}")
+    return " | ".join(out)
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for name, table in tables():
+        rng = random.Random(f"differential/{name}")
+        for _ in range(CASES_PER_TABLE):
+            line = f"{name} {case(table, element(table, rng), rng)}"
+            digest.update(line.encode() + b"\n")
+            print(line)
+            count += 1
+    print(f"{count} cases sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
