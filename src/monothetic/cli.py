@@ -103,7 +103,9 @@ def _cmd_eval(args) -> int:
 def _cmd_density(args) -> int:
     table = load_table(args.table)
     witness = density_witness(table, args.m, args.j, parse_fraction(args.epsilon))
-    print(dumps_stable(density_witness_to_json(witness)))
+    payload = density_witness_to_json(witness)
+    payload["power"] = Decimal(payload["power"])
+    print(dumps_stable(payload))
     return EXIT_OK if witness.certified else EXIT_VIOLATION
 
 

@@ -79,7 +79,11 @@ class Anchor:
 
 @dataclass(frozen=True)
 class AnchorTable:
-    """Immutable construction state shared by every evaluation query."""
+    """Construction state shared by every evaluation query.
+
+    The fields are immutable; ``search_frames`` is the evaluator's cache,
+    which grows in place, so evaluate on one table from one thread at a time.
+    """
 
     descriptor: GroupDescriptor
     spec: NormSpec

@@ -142,9 +142,11 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     return bisect_left(floors, bound, 0, table.depth - 1) + 1
 
 
-# Frames kept per table; the axioms and density suites bring a fresh budget
-# on every call, and each frame holds powers thousands of digits long.
-FRAMES_PER_TABLE = 16
+# Frames kept per table.  A frame lives as long as its table and can hold
+# megabytes of multi-kilodigit products, so a library caller that cycles
+# through many budgets on one long-lived table must not pile them up.  No
+# benchmark workload uses more than 2 budgets on one table.
+FRAMES_PER_TABLE = 4
 
 
 class _SearchFrame:

@@ -180,7 +180,7 @@ def density_witness_to_json(witness: DensityWitness) -> dict:
         "target_index": witness.target_index,
         "precision_index": witness.precision_index,
         "anchor_index": witness.anchor_index,
-        "power": decimal.Decimal(witness.power),
+        "power": witness.power,
         "bound": format_fraction(witness.bound),
         "certified": witness.certified,
         "certificate": eval_result_to_json(witness.certificate),

@@ -17,7 +17,8 @@ from monothetic import (
 )
 from monothetic.cli import MAX_WORKERS, main
 from monothetic.construction import MAX_TABLE_DEPTH
-from monothetic.serialize import load_table, save_table
+from monothetic.evaluator import density_witness
+from monothetic.serialize import density_witness_to_json, load_table, save_table
 
 Z = GroupDescriptor(free_rank=1)
 
@@ -143,6 +144,21 @@ class TestDensity:
         assert payload["power"] == 2
         assert payload["bound"] == "1/2"
         assert payload["certified"] is True
+
+    def test_power_past_the_digit_limit(self, tmp_path, capsys):
+        # (m, j) = (1, 73) is anchor 2629, whose power has 4319 digits.
+        path = tmp_path / "t.json"
+        save_table(build_anchor_table(Z, CappedWeightedL1((Fraction(1),)), 2640), path)
+        code = main(["density", "--table", str(path), "--m", "1", "--j", "73"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
+        assert payload["anchor_index"] == 2629
+        assert payload["power"] == Decimal(k_sequence(2629)[0][-1])
+
+    def test_witness_json_holds_plain_ints(self, table_path):
+        # The *_to_json dicts stay stdlib-serialisable; only the CLI splices.
+        witness = density_witness(load_table(table_path), 1, 2)
+        assert json.loads(json.dumps(density_witness_to_json(witness)))["power"] == 2
 
     def test_too_shallow_exits_three(self, table_path, capsys):
         code = main(["density", "--table", str(table_path), "--m", "5", "--j", "5"])

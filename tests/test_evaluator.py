@@ -34,6 +34,7 @@ from monothetic import (
     truncation_index,
     verify_truncation,
 )
+from monothetic import verification
 from monothetic.evaluator import FRAMES_PER_TABLE
 from monothetic.serialize import suite_report_to_json
 
@@ -452,7 +453,9 @@ class TestSearchFrames:
             for x, result in zip(elements * len(epsilons), warm):
                 assert not result.is_exact or result.witness.check_against(copy, x)
 
-    def test_frames_stay_out_of_pickles(self):
+    def test_frames_stay_out_of_pickles(self, monkeypatch):
+        # Two CPUs whatever the host, so the workers=2 run starts a real pool.
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
         table = build_anchor_table(Z5_9_7, CyclicScaled(), 60)
         evaluate(table, table.anchor_element(3))
         assert table.search_frames

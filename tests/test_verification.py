@@ -95,7 +95,9 @@ SHARDED_SUITES = pytest.mark.parametrize(
 
 class TestSharding:
     @SHARDED_SUITES
-    def test_sharded_run_matches_inline(self, quarter_table, suite):
+    def test_sharded_run_matches_inline(self, monkeypatch, quarter_table, suite):
+        # Two CPUs whatever the host, so the sharded run starts a real pool.
+        monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
         inline = suite(quarter_table, 60, seed=4, workers=1)
         sharded = suite(quarter_table, 60, seed=4, workers=3)
         assert suite_report_to_json(inline) == suite_report_to_json(sharded)
