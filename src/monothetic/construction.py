@@ -82,7 +82,8 @@ class AnchorTable:
     """Construction state shared by every evaluation query.
 
     The fields are immutable; ``search_frames`` is the evaluator's cache,
-    which grows in place, so evaluate on one table from one thread at a time.
+    which grows in place and is pickled with the table, so evaluate on one
+    table from one thread at a time.
     """
 
     descriptor: GroupDescriptor
@@ -114,13 +115,6 @@ class AnchorTable:
     def search_frames(self) -> dict:
         """The evaluator's search set-up per budget, which it keeps bounded."""
         return {}
-
-    def __getstate__(self) -> dict:
-        # Pool workers receive the table pickled; they rebuild the frames
-        # rather than receive set-up that can run to megabytes.
-        state = self.__dict__.copy()
-        state.pop("search_frames", None)
-        return state
 
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:

@@ -27,6 +27,10 @@ from .groups import ExtElement, GroupDescriptor
 _LATTICE = GroupDescriptor(free_rank=2)
 _HALF = Fraction(1, 2)
 
+# A scan builds limit^2 certificates (20 s and 126 MB at this limit), so a
+# larger grid is refused before any work starts.
+MAX_GRID = 500
+
 
 @dataclass(frozen=True)
 class ContradictionReport:
@@ -103,6 +107,8 @@ def counterexample_scan(limit: int) -> ScanSummary:
     """
     if limit < 1:
         raise DomainError("scan limit must be >= 1")
+    if limit > MAX_GRID:
+        raise DomainError(f"scan limit must be <= {MAX_GRID}, got {limit}")
     v = _HALF - Fraction(1, max(limit, 2) ** 2)
     certificates = []
     for n in range(1, limit + 1):

@@ -35,8 +35,6 @@ from .groups import (
 from .rat import format_fraction, parse_fraction
 
 TABLE_VERSION = 2
-# Version-1 files list every anchor; they are still read, never written.
-_V1 = 1
 
 
 # What json.dumps writes for the string dumps_stable puts in place of a raw
@@ -268,9 +266,7 @@ def load_table(path: str | Path) -> AnchorTable:
     The descriptor, spec and depth N are read (N at most
     ``MAX_TABLE_DEPTH``), the anchors are rebuilt from the recurrence, and the
     rebuilt table's digest must equal the stored one; any disagreement is a
-    corruption, not a value to be trusted.  Version-1 files, which list every
-    anchor instead of a digest, are still read: each listed anchor must equal
-    the rebuilt one.
+    corruption, not a value to be trusted.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -282,41 +278,22 @@ def load_table(path: str | Path) -> AnchorTable:
     if not isinstance(raw, dict):
         raise TableFormatError("parse error: table file must hold a JSON object")
     version = raw.get("version")
-    if type(version) is not int or version not in (_V1, TABLE_VERSION):
+    if type(version) is not int or version != TABLE_VERSION:
         raise TableFormatError(
-            f"version mismatch: expected {_V1} or {TABLE_VERSION}, found {version!r}"
+            f"version mismatch: expected {TABLE_VERSION}, found {version!r}; "
+            "rebuild the table with 'monothetic build'"
         )
     try:
         descriptor = descriptor_from_json(raw["descriptor"])
         spec = norm_spec_from_json(raw["spec"])
         depth = _json_int("N", raw["N"])
-        stored = raw["anchors"] if version == _V1 else raw["sha256"]
+        stored = raw["sha256"]
     except (KeyError, TypeError, ValueError) as exc:
         raise TableFormatError(f"parse error: {exc}") from exc
 
-    if version == _V1:
-        return _load_v1_anchors(descriptor, spec, depth, stored)
     table = build_anchor_table(descriptor, spec, depth)
     if _table_digest(table) != stored:
         raise CorruptedTableError(
             "corrupted table: digest does not match the rebuilt construction"
         )
     return table
-
-
-def _load_v1_anchors(
-    descriptor: GroupDescriptor, spec: NormSpec, depth: int, entries: Any
-) -> AnchorTable:
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise TableFormatError("parse error: anchors must be a JSON array of objects")
-    if len(entries) != depth:
-        raise CorruptedTableError("corrupted table: anchor count does not match depth")
-    rebuilt = build_anchor_table(descriptor, spec, depth)
-    for entry, anchor in zip(entries, rebuilt.anchors):
-        stored = (entry.get("n"), entry.get("m"), entry.get("j"), entry.get("k"))
-        derived = (anchor.index, anchor.target_index, anchor.precision_index, anchor.power)
-        if stored != derived:
-            raise CorruptedTableError(
-                f"corrupted table: anchor {entry.get('n')} fails the recurrence cross-check"
-            )
-    return rebuilt

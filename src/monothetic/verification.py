@@ -1,8 +1,8 @@
 """Packaged, seeded property suites over the construction and the evaluator.
 
 Each suite is deterministic given (table, seed): sampling is an affine scan
-over a small documented grid, so two runs (or two shards of one run) always
-see the same inputs.  Reports carry every violation with exact rationals.
+over a small documented grid, so two runs always see the same inputs.
+Reports carry every violation with exact rationals.
 
 Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
 enumerated base elements, and the truncation suite probes levels up to the
@@ -12,8 +12,6 @@ certified level + TRUNCATION_PROBE_EXTRA = 2.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,34 +117,24 @@ def sample_pairs(
     return out
 
 
-def _run_suite(suite: str, worker: Callable, table: AnchorTable, samples: list,
-               workers: int, *extra, start: float, found=()) -> SuiteReport:
-    """Run ``worker`` on ``(table, shard, *extra)`` for up to ``workers``
-    contiguous shards of the indexed samples, inline or in a pool of at most
-    one process per shard and per CPU.  Each shard returns ``(violations, skipped)``;
-    merging in shard order keeps the violations sorted by sample index, after
-    the suite-level ``found`` ones.  ``start`` is when the suite began, so the
+def _run_suite(suite: str, check: Callable, table: AnchorTable, samples: list,
+               *extra, start: float, found=()) -> SuiteReport:
+    """Run ``check(table, samples, *extra)`` on the indexed samples.
+
+    ``check`` returns ``(violations, skipped)``; its violations follow the
+    suite-level ``found`` ones.  ``start`` is when the suite began, so the
     wall time covers all of it.
     """
     if not samples:
         raise DomainError(f"the {suite} suite needs at least one sample")
-    size = -(-len(samples) // max(workers, 1))
-    payloads = [(table, samples[i: i + size], *extra) for i in range(0, len(samples), size)]
-    processes = min(workers, len(payloads), os.cpu_count() or 1)
-    if processes <= 1:
-        parts = [worker(p) for p in payloads]
-    else:
-        with multiprocessing.Pool(processes) as pool:
-            parts = pool.map(worker, payloads)
-    violations = (*found, *(v for part, _ in parts for v in part))
-    return SuiteReport(suite, len(samples), violations, sum(skipped for _, skipped in parts),
+    violations, skipped = check(table, samples, *extra)
+    return SuiteReport(suite, len(samples), (*found, *violations), skipped,
                        (time.perf_counter() - start) * 1000.0)
 
 
 # --- extension suite -------------------------------------------------------
 
-def _extension_shard(payload) -> tuple[list[Violation], int]:
-    table, samples = payload
+def _check_extension(table: AnchorTable, samples: list) -> tuple[list[Violation], int]:
     violations = []
     for i, x in samples:
         expected = base_norm(table.spec, x.h)
@@ -162,15 +150,12 @@ def _extension_shard(payload) -> tuple[list[Violation], int]:
     return violations, 0
 
 
-def verify_extension(
-    table: AnchorTable, sample_count: int, seed: int, workers: int = 1
-) -> SuiteReport:
+def verify_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
     """The extended norm restricted to the base group equals the base norm."""
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
-    return _run_suite(
-        "extension", _extension_shard, table, list(enumerate(elements)), workers, start=start
-    )
+    return _run_suite("extension", _check_extension, table, list(enumerate(elements)),
+                      start=start)
 
 
 # --- norm axiom suite ------------------------------------------------------
@@ -179,8 +164,9 @@ def _certified_value(result: EvalResult) -> Optional[Fraction]:
     return result.value if isinstance(result, ExactResult) else None
 
 
-def _axiom_shard(payload) -> tuple[list[Violation], int]:
-    table, pairs, epsilon = payload
+def _check_axioms(
+    table: AnchorTable, pairs: list, epsilon: Fraction
+) -> tuple[list[Violation], int]:
     budget = ONE - epsilon
     violations: list[Violation] = []
     skipped = 0
@@ -240,7 +226,6 @@ def verify_norm_axioms(
     seed: int,
     epsilon: Fraction = DEFAULT_EPSILON,
     k_range: int = 5,
-    workers: int = 1,
 ) -> SuiteReport:
     """Sampled symmetry, triangle casework, cap, and zero checks.
 
@@ -259,10 +244,8 @@ def verify_norm_axioms(
         found.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
 
     pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
-    return _run_suite(
-        "axioms", _axiom_shard, table, list(enumerate(pairs)), workers, epsilon,
-        start=start, found=found,
-    )
+    return _run_suite("axioms", _check_axioms, table, list(enumerate(pairs)), epsilon,
+                      start=start, found=found)
 
 
 def _describe(result: EvalResult) -> str:
@@ -273,8 +256,9 @@ def _describe(result: EvalResult) -> str:
 
 # --- density suite ---------------------------------------------------------
 
-def _density_shard(payload) -> tuple[list[Violation], int]:
-    table, demands, epsilon = payload
+def _check_density(
+    table: AnchorTable, demands: list, epsilon: Fraction
+) -> tuple[list[Violation], int]:
     violations = []
     for i, (m, j) in demands:
         witness = density_witness(table, m, j, epsilon)
@@ -296,16 +280,13 @@ def verify_density(
     if needed > table.depth:
         raise ExtendTableError(needed)
     demands = itertools.product(range(1, max_target + 1), range(1, max_precision + 1))
-    return _run_suite(
-        "density", _density_shard, table, list(enumerate(demands, start=1)), 1, epsilon,
-        start=start,
-    )
+    return _run_suite("density", _check_density, table, list(enumerate(demands, start=1)),
+                      epsilon, start=start)
 
 
 # --- truncation suite ------------------------------------------------------
 
-def _truncation_shard(payload) -> tuple[list[Violation], int]:
-    table, samples = payload
+def _check_truncation(table: AnchorTable, samples: list) -> tuple[list[Violation], int]:
     violations = []
     for i, x in samples:
         result = evaluate(table, x)
@@ -342,12 +323,7 @@ def _truncation_shard(payload) -> tuple[list[Violation], int]:
     return violations, 0
 
 
-def verify_truncation(
-    table: AnchorTable,
-    sample_count: int,
-    seed: int,
-    workers: int = 1,
-) -> SuiteReport:
+def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
     """Truncated values decrease with depth and stabilize at the certified level.
 
     Levels are probed on 0..level+TRUNCATION_PROBE_EXTRA plus the table
@@ -357,9 +333,8 @@ def verify_truncation(
     """
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed)
-    return _run_suite(
-        "truncation", _truncation_shard, table, list(enumerate(elements)), workers, start=start
-    )
+    return _run_suite("truncation", _check_truncation, table, list(enumerate(elements)),
+                      start=start)
 
 
 ALL_SUITES = ("extension", "axioms", "density", "truncation")

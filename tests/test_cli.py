@@ -15,8 +15,9 @@ from monothetic import (
     build_anchor_table,
     k_sequence,
 )
-from monothetic.cli import MAX_WORKERS, main
+from monothetic.cli import MAX_SAMPLES, main
 from monothetic.construction import MAX_TABLE_DEPTH
+from monothetic.counterexample import MAX_GRID
 from monothetic.evaluator import density_witness
 from monothetic.serialize import density_witness_to_json, load_table, save_table
 
@@ -24,9 +25,6 @@ Z = GroupDescriptor(free_rank=1)
 
 GROUP = '{"free_rank":1}'
 NORM = '{"type":"capped_l1","weights":["1/1"]}'
-
-# Written by the version-1 writer: build --group GROUP --norm NORM --depth 12.
-V1_TABLE = Path(__file__).parent / "data" / "table_v1_depth12.json"
 
 
 def edited_copy(source, target, **changes):
@@ -183,37 +181,33 @@ class TestVerify:
         ]
         assert all(r["passed"] for r in reports)
 
-    def test_negative_samples_exit_two(self, table_path, capsys):
+    @pytest.mark.parametrize("samples", [-3, MAX_SAMPLES + 1])
+    def test_negative_samples_exit_two(self, table_path, capsys, samples):
         code = main(["verify", "--table", str(table_path), "--suite", "extension",
-                     "--samples", "-3"])
+                     "--samples", str(samples)])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples" in captured.err
 
-    @pytest.mark.parametrize("value", ["0", "65", "100000000000000"])
-    def test_worker_count_outside_the_cap_exits_two(self, table_path, capsys,
-                                                    monkeypatch, value):
-        monkeypatch.setenv("MONO_THREADS", value)
-        code = main(["verify", "--table", str(table_path), "--suite", "extension",
-                     "--samples", "4"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "MONO_THREADS" in captured.err
-        if value != "0":
-            assert str(MAX_WORKERS) in captured.err
+    def test_mono_threads_is_ignored(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "verify.json"
+        main(["build", "--group", GROUP, "--norm",
+              '{"type":"capped_l1","weights":["1/4"]}', "--depth", "50",
+              "--out", str(path)])
+        argv = ["verify", "--table", str(path), "--suite", "all", "--samples", "40"]
+        monkeypatch.delenv("MONO_THREADS", raising=False)
+        capsys.readouterr()
+        assert main(argv) == 0
+        unset = capsys.readouterr().out
+        for value in ("0", "2", "65", "abc"):
+            monkeypatch.setenv("MONO_THREADS", value)
+            assert main(argv) == 0
+            assert capsys.readouterr().out == unset
 
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())
         raw["N"] = 11
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(raw))
-        assert main(["verify", "--table", str(tampered), "--suite", "axioms"]) == 2
-
-    def test_tampered_v1_table_rejected(self, tmp_path):
-        raw = json.loads(V1_TABLE.read_text())
-        raw["anchors"][2]["k"] = 3
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(raw))
         assert main(["verify", "--table", str(tampered), "--suite", "axioms"]) == 2
@@ -243,8 +237,11 @@ class TestCounterexample:
         assert len(lines) == 16
         assert all(json.loads(line)["identity_verified"] for line in lines)
 
-    def test_missing_arguments(self):
-        assert main(["counterexample"]) == 2
+    @pytest.mark.parametrize("argv", [[], ["--grid", str(MAX_GRID + 1)]],
+                             ids=["no-mode", "grid-past-cap"])
+    def test_missing_arguments(self, capsys, argv):
+        assert main(["counterexample"] + argv) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestFamily:
@@ -292,18 +289,6 @@ class TestPersistence:
         with pytest.raises(TableFormatError, match="corrupted table"):
             load_table(path)
 
-    def test_edited_v1_power_rejected(self, tmp_path):
-        raw = json.loads(V1_TABLE.read_text())
-        raw["anchors"][2]["k"] = 4
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps(raw))
-        with pytest.raises(TableFormatError, match="corrupted table"):
-            load_table(path)
-
-    def test_v1_file_loads_as_built(self):
-        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 12)
-        assert load_table(V1_TABLE) == table
-
     def test_round_trip_past_digit_limit(self, tmp_path):
         # k_3000 has about 5000 decimal digits, past CPython's 4300-digit
         # int-to-text limit; the file must not need it as text.
@@ -312,14 +297,15 @@ class TestPersistence:
         save_table(table, path)
         assert load_table(path) == table
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [3, 1])
+    def test_version_mismatch(self, tmp_path, version):
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 5)
         path = tmp_path / "t.json"
         save_table(table, path)
         raw = json.loads(path.read_text())
-        raw["version"] = 3
+        raw["version"] = version
         path.write_text(json.dumps(raw))
-        with pytest.raises(TableFormatError, match="version"):
+        with pytest.raises(TableFormatError, match="version.*build"):
             load_table(path)
 
     def test_garbage_file(self, tmp_path):
@@ -330,31 +316,21 @@ class TestPersistence:
 
 
 class TestHostileInput:
-    @pytest.mark.parametrize("version", ["v1", "v2"])
     @pytest.mark.parametrize(
         "changes",
-        # Both tables have depth 12; int() would read 12.0 and "12" as 12.
-        [{"descriptor": 5}, {"spec": [1]}, {"N": 12.0}, {"N": "12"}],
-        ids=["descriptor-int", "spec-array", "depth-float", "depth-string"],
+        # The table has depth 12; int() would read 12.0 and "12" as 12.
+        [{"descriptor": 5}, {"spec": [1]}, {"N": 12.0}, {"N": "12"}, {"version": 1}],
+        ids=["descriptor-int", "spec-array", "depth-float", "depth-string", "version-1"],
     )
-    def test_bad_header_exits_two(self, table_path, tmp_path, capsys, version, changes):
-        source = V1_TABLE if version == "v1" else table_path
-        path = edited_copy(source, tmp_path / "bad.json", **changes)
+    def test_bad_header_exits_two(self, table_path, tmp_path, capsys, changes):
+        path = edited_copy(table_path, tmp_path / "bad.json", **changes)
         capsys.readouterr()
         code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
-
-    @pytest.mark.parametrize("anchors", [[1, 1, 1], None], ids=["ints", "null"])
-    def test_bad_v1_anchors_exit_two(self, tmp_path, capsys, anchors):
-        path = edited_copy(V1_TABLE, tmp_path / "bad.json", anchors=anchors)
-        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "anchors" in captured.err
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("flag, value", [
         ("--group", "5"),

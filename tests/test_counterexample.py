@@ -10,6 +10,7 @@ from monothetic import (
     counterexample_certificate,
     counterexample_scan,
 )
+from monothetic.counterexample import MAX_GRID
 
 
 class TestCertificate:
@@ -83,6 +84,7 @@ class TestScan:
         assert summary.certificate_count == 2500
         assert summary.all_margins_positive
 
-    def test_bad_limit(self):
+    @pytest.mark.parametrize("limit", [0, MAX_GRID + 1])
+    def test_bad_limit(self, limit):
         with pytest.raises(DomainError):
-            counterexample_scan(0)
+            counterexample_scan(limit)

@@ -1,7 +1,6 @@
 """Certified evaluation: truncation, search, oracle agreement, density, families."""
 
 import itertools
-import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -32,11 +31,8 @@ from monothetic import (
     extend_family,
     k_sequence,
     truncation_index,
-    verify_truncation,
 )
-from monothetic import verification
 from monothetic.evaluator import FRAMES_PER_TABLE
-from monothetic.serialize import suite_report_to_json
 
 Z = GroupDescriptor(free_rank=1)
 Z5_9_7 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
@@ -452,18 +448,6 @@ class TestSearchFrames:
             # Witnesses must add up under the copy's own powers.
             for x, result in zip(elements * len(epsilons), warm):
                 assert not result.is_exact or result.witness.check_against(copy, x)
-
-    def test_frames_stay_out_of_pickles(self, monkeypatch):
-        # Two CPUs whatever the host, so the workers=2 run starts a real pool.
-        monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
-        table = build_anchor_table(Z5_9_7, CyclicScaled(), 60)
-        evaluate(table, table.anchor_element(3))
-        assert table.search_frames
-        copy = pickle.loads(pickle.dumps(table))
-        assert copy == table and not copy.search_frames
-        # The suites send the table to their pool workers pickled.
-        assert suite_report_to_json(verify_truncation(table, 40, 0, workers=2)) == (
-            suite_report_to_json(verify_truncation(table, 40, 0, workers=1)))
 
 
 class TestEvaluateTruncated:

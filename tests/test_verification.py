@@ -20,7 +20,6 @@ from monothetic import (
     verify_norm_axioms,
     verify_truncation,
 )
-from monothetic import verification
 from monothetic.serialize import suite_report_to_json
 from monothetic.verification import PAIR_INDEX_POOL, sample_elements, sample_pairs
 
@@ -87,57 +86,19 @@ class TestExtensionSuite:
         assert suite_report_to_json(a) == suite_report_to_json(b)
 
 
-SHARDED_SUITES = pytest.mark.parametrize(
+SAMPLED_SUITES = pytest.mark.parametrize(
     "suite", [verify_extension, verify_norm_axioms, verify_truncation],
     ids=["extension", "axioms", "truncation"],
 )
 
 
-class TestSharding:
-    @SHARDED_SUITES
-    def test_sharded_run_matches_inline(self, monkeypatch, quarter_table, suite):
-        # Two CPUs whatever the host, so the sharded run starts a real pool.
-        monkeypatch.setattr(verification.os, "cpu_count", lambda: 2)
-        inline = suite(quarter_table, 60, seed=4, workers=1)
-        sharded = suite(quarter_table, 60, seed=4, workers=3)
-        assert suite_report_to_json(inline) == suite_report_to_json(sharded)
-
-    @pytest.mark.parametrize(
-        "workers,samples,cpus,expected",
-        [(8, 2, 16, 2), (8, 40, 3, 3), (2, 40, 16, 2), (4, 40, 1, None), (5, 1, 16, None)],
-    )
-    def test_pool_size(self, monkeypatch, unit_table, workers, samples, cpus, expected):
-        # One process per shard and per CPU at most, none when one would do;
-        # the fake pool starts nothing and maps inline.
-        started = []
-
-        class FakePool:
-            def __init__(self, processes):
-                started.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, worker, payloads):
-                return [worker(p) for p in payloads]
-
-        monkeypatch.setattr(verification.multiprocessing, "Pool", FakePool)
-        monkeypatch.setattr(verification.os, "cpu_count", lambda: cpus)
-        report = verify_extension(unit_table, samples, seed=0, workers=workers)
-        assert started == ([] if expected is None else [expected])
-        assert report == replace(verify_extension(unit_table, samples, seed=0),
-                                 wall_time_ms=report.wall_time_ms)
-
-    @SHARDED_SUITES
+class TestSampleCount:
+    @SAMPLED_SUITES
     @pytest.mark.parametrize("count", [0, -3])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_no_samples_rejected(self, unit_table, suite, count, workers):
+    def test_no_samples_rejected(self, unit_table, suite, count):
         # A suite that checked nothing must not report a pass.
         with pytest.raises(DomainError):
-            suite(unit_table, count, seed=0, workers=workers)
+            suite(unit_table, count, seed=0)
 
 
 class TestAxiomSuite:

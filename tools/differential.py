@@ -5,7 +5,7 @@
 SRC is the ``src`` directory of the checkout to import ``monothetic`` from.
 Run it on two checkouts and compare the files with ``cmp``: a change that
 must not alter any output passes when they are byte-identical.  The last
-line is the SHA-256 of all the case lines.
+line is the SHA-256 of all the lines before it.
 
 Tables: Z^2 capped_l1 1,1; Z capped_l1 1/4; Z5xZ9xZ7 cyclic_scaled; Z
 rational_rotation 3/7, each at depths 70 and 410, plus three tampered copies
@@ -14,7 +14,9 @@ precisions).  Elements: +-anchor, anchor plus a small base element, sums of
 two anchors, and random base elements with |k| up to 10^30.  Each case runs
 ``evaluate`` at four epsilons, ``evaluate_truncated`` at a random level up to
 64, and ``best_decomposition`` at budgets 1 (random cap up to 64), 5/7 and
-1023/1024 (cap at the truncation level).
+1023/1024 (cap at the truncation level).  Each depth-70 table, tampered or
+not, also gets one line per suite report: extension, axioms and truncation at
+200 samples and seed 7, and density over targets and precisions up to 5.
 """
 
 import hashlib
@@ -40,8 +42,16 @@ from monothetic import (  # noqa: E402
     evaluate,
     evaluate_truncated,
     truncation_index,
+    verify_density,
+    verify_extension,
+    verify_norm_axioms,
+    verify_truncation,
 )
-from monothetic.serialize import dumps_stable, eval_result_to_json  # noqa: E402
+from monothetic.serialize import (  # noqa: E402
+    dumps_stable,
+    eval_result_to_json,
+    suite_report_to_json,
+)
 
 SPECS = (
     (GroupDescriptor(2), CappedWeightedL1((Fraction(1), Fraction(1)))),
@@ -52,6 +62,8 @@ SPECS = (
 EPSILONS = (Fraction(1, 2), Fraction(1, 8), Fraction(1, 1024), Fraction(1, 2 ** 30))
 BUDGETS = (Fraction(1), Fraction(5, 7), Fraction(1023, 1024))
 CASES_PER_TABLE = 160
+SUITE_SAMPLES = 200
+SUITE_SEED = 7
 
 
 def tampered(table, powers=(), precisions=()):
@@ -122,17 +134,31 @@ def case(table, x, rng):
     return " | ".join(out)
 
 
+def suite_reports(table):
+    yield verify_extension(table, SUITE_SAMPLES, SUITE_SEED)
+    yield verify_norm_axioms(table, SUITE_SAMPLES, SUITE_SEED)
+    yield verify_density(table, 5, 5)
+    yield verify_truncation(table, SUITE_SAMPLES, SUITE_SEED)
+
+
 def main():
     digest = hashlib.sha256()
     count = 0
+
+    def emit(line):
+        nonlocal count
+        digest.update(line.encode() + b"\n")
+        print(line)
+        count += 1
+
     for name, table in tables():
         rng = random.Random(f"differential/{name}")
         for _ in range(CASES_PER_TABLE):
-            line = f"{name} {case(table, element(table, rng), rng)}"
-            digest.update(line.encode() + b"\n")
-            print(line)
-            count += 1
-    print(f"{count} cases sha256 {digest.hexdigest()}")
+            emit(f"{name} {case(table, element(table, rng), rng)}")
+        if table.depth == 70:
+            for report in suite_reports(table):
+                emit(f"{name} suite {dumps_stable(suite_report_to_json(report))}")
+    print(f"{count} lines sha256 {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
