@@ -26,6 +26,14 @@ Z = GroupDescriptor(free_rank=1)
 GROUP = '{"free_rank":1}'
 NORM = '{"type":"capped_l1","weights":["1/1"]}'
 
+# The commands that read a table file, with arguments that succeed on the
+# depth-12 table of ``table_path``.
+TABLE_READERS = {
+    "eval": ["--element", '{"h":[0],"k":1}'],
+    "density": ["--m", "1", "--j", "1"],
+    "verify": ["--suite", "axioms", "--samples", "4"],
+}
+
 
 def edited_copy(source, target, **changes):
     """Copy a table file to ``target`` with top-level keys replaced."""
@@ -190,7 +198,8 @@ class TestVerify:
         assert captured.out == ""
         assert "--samples" in captured.err
 
-    def test_mono_threads_is_ignored(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("value", ["0", "2", "65", "abc"])
+    def test_mono_threads_is_ignored(self, tmp_path, capsys, monkeypatch, value):
         path = tmp_path / "verify.json"
         main(["build", "--group", GROUP, "--norm",
               '{"type":"capped_l1","weights":["1/4"]}', "--depth", "50",
@@ -200,10 +209,9 @@ class TestVerify:
         capsys.readouterr()
         assert main(argv) == 0
         unset = capsys.readouterr().out
-        for value in ("0", "2", "65", "abc"):
-            monkeypatch.setenv("MONO_THREADS", value)
-            assert main(argv) == 0
-            assert capsys.readouterr().out == unset
+        monkeypatch.setenv("MONO_THREADS", value)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == unset
 
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())
@@ -322,10 +330,12 @@ class TestHostileInput:
         [{"descriptor": 5}, {"spec": [1]}, {"N": 12.0}, {"N": "12"}, {"version": 1}],
         ids=["descriptor-int", "spec-array", "depth-float", "depth-string", "version-1"],
     )
-    def test_bad_header_exits_two(self, table_path, tmp_path, capsys, changes):
+    @pytest.mark.parametrize("command", sorted(TABLE_READERS))
+    def test_bad_header_exits_two(self, table_path, tmp_path, capsys, changes, command):
+        # Every command that reads a table goes through the same loader.
         path = edited_copy(table_path, tmp_path / "bad.json", **changes)
         capsys.readouterr()
-        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
+        code = main([command, "--table", str(path)] + TABLE_READERS[command])
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""

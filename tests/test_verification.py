@@ -15,6 +15,7 @@ from monothetic import (
     RationalRotation,
     build_anchor_table,
     enumerate_h,
+    evaluate,
     verify_density,
     verify_extension,
     verify_norm_axioms,
@@ -93,6 +94,28 @@ SAMPLED_SUITES = pytest.mark.parametrize(
 
 
 class TestSampleCount:
+    @SAMPLED_SUITES
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_report_counts_every_sample(self, quarter_table, suite, count):
+        report = suite(quarter_table, count, seed=3)
+        assert report.samples == count
+        assert 0 <= report.skipped <= count
+        assert report.passed, report.violations[:3]
+
+    @SAMPLED_SUITES
+    def test_warm_search_frames_keep_the_report(self, suite):
+        # A table whose search frames an earlier evaluation left warm must
+        # report exactly what a freshly built one does, run after run.
+        def fresh():
+            return build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 50)
+
+        cold = suite_report_to_json(suite(fresh(), 60, seed=4))
+        table = fresh()
+        evaluate(table, table.anchor_element(3))
+        assert table.search_frames
+        for _ in range(2):
+            assert suite_report_to_json(suite(table, 60, seed=4)) == cold
+
     @SAMPLED_SUITES
     @pytest.mark.parametrize("count", [0, -3])
     def test_no_samples_rejected(self, unit_table, suite, count):
