@@ -21,6 +21,11 @@ from typing import Optional, Sequence, Union
 from .errors import DomainError, ShapeError
 
 
+# The coordinate count comes from outside input, and the enumeration's count
+# rows, the coordinate bounds and zero() all cost time linear in it.
+MAX_COORDINATES = 64
+
+
 @dataclass(frozen=True)
 class GroupDescriptor:
     """Finitely generated abelian group Z^free_rank x prod Z_{q}."""
@@ -31,9 +36,14 @@ class GroupDescriptor:
     def __post_init__(self):
         if self.free_rank < 0:
             raise ShapeError("free_rank must be non-negative")
+        coordinates = self.free_rank + len(self.torsion_moduli)
+        if coordinates > MAX_COORDINATES:
+            raise ShapeError(
+                f"descriptor must have at most {MAX_COORDINATES} coordinates, got {coordinates}"
+            )
         if any(q < 2 for q in self.torsion_moduli):
             raise ShapeError("torsion moduli must be >= 2")
-        if self.free_rank + len(self.torsion_moduli) < 1:
+        if coordinates < 1:
             raise ShapeError("descriptor must have at least one coordinate")
 
     @property
@@ -169,8 +179,13 @@ def _counts(
       count(i, s) = count(i, s-1) + count(i+1, s) - count(i+1, s-1-bound),
     the last term dropping the value that would overflow a bounded
     coordinate, so each row costs O(coords).  The cache holds at most 64
-    descriptors, but each one's table still grows to the largest grade asked
-    for.  Callers guarantee ``elements`` is attainable, so this stops.
+    descriptors.  Every grade holds an element, so a table grown to index n
+    has at most n rows.  The CLI asks for no index past the sample pool,
+    cli.MAX_SAMPLES // 2 + 1 = 10001 (anchor targets stop at 140 at depth
+    MAX_TABLE_DEPTH, the pair pool at 4), so a table there has at most 10001
+    rows of at most MAX_COORDINATES + 1 entries.  Library callers asking
+    enumerate_h for larger indices are not bounded by this.  Callers
+    guarantee ``elements`` is attainable, so this stops.
     """
     rows, cums = _count_table(descriptor)
     bounds = _coord_bounds(descriptor)

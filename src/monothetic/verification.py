@@ -15,7 +15,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .construction import AnchorTable, check_table_consistency, unpair_index
 from .errors import DomainError, ExtendTableError
@@ -101,7 +101,7 @@ def sample_pairs(
     seed: int,
     k_range: int = 5,
 ) -> list[tuple[ExtElement, ExtElement]]:
-    """The documented pair sample stream (powers slowest, indices fastest)."""
+    """The documented pair sample stream (indices slowest, powers fastest)."""
     pool = _clamped_pool(descriptor, PAIR_INDEX_POOL)
     kspan = 2 * k_range + 1
     grid = kspan * kspan * pool * pool
@@ -117,26 +117,21 @@ def sample_pairs(
     return out
 
 
-def _run_suite(suite: str, check: Callable, table: AnchorTable, samples: list,
-               *extra, start: float, found=()) -> SuiteReport:
-    """Run ``check(table, samples, *extra)`` on the indexed samples.
-
-    ``check`` returns ``(violations, skipped)``; its violations follow the
-    suite-level ``found`` ones.  ``start`` is when the suite began, so the
-    wall time covers all of it.
-    """
-    if not samples:
-        raise DomainError(f"the {suite} suite needs at least one sample")
-    violations, skipped = check(table, samples, *extra)
-    return SuiteReport(suite, len(samples), (*found, *violations), skipped,
+def _report(suite: str, samples: int, violations: list, skipped: int, start: float) -> SuiteReport:
+    return SuiteReport(suite, samples, tuple(violations), skipped,
                        (time.perf_counter() - start) * 1000.0)
 
 
 # --- extension suite -------------------------------------------------------
 
-def _check_extension(table: AnchorTable, samples: list) -> tuple[list[Violation], int]:
+def verify_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
+    """The extended norm restricted to the base group equals the base norm."""
+    start = time.perf_counter()
+    elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
+    if not elements:
+        raise DomainError("the extension suite needs at least one sample")
     violations = []
-    for i, x in samples:
+    for i, x in enumerate(elements):
         expected = base_norm(table.spec, x.h)
         result = evaluate(table, x)
         if not isinstance(result, ExactResult):
@@ -147,15 +142,7 @@ def _check_extension(table: AnchorTable, samples: list) -> tuple[list[Violation]
             violations.append(
                 Violation(i, "extension-value", f"h={x.h.coords()}", str(expected), str(result.value))
             )
-    return violations, 0
-
-
-def verify_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
-    """The extended norm restricted to the base group equals the base norm."""
-    start = time.perf_counter()
-    elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
-    return _run_suite("extension", _check_extension, table, list(enumerate(elements)),
-                      start=start)
+    return _report("extension", len(elements), violations, 0, start)
 
 
 # --- norm axiom suite ------------------------------------------------------
@@ -164,11 +151,33 @@ def _certified_value(result: EvalResult) -> Optional[Fraction]:
     return result.value if isinstance(result, ExactResult) else None
 
 
-def _check_axioms(
-    table: AnchorTable, pairs: list, epsilon: Fraction
-) -> tuple[list[Violation], int]:
+def verify_norm_axioms(
+    table: AnchorTable,
+    sample_count: int,
+    seed: int,
+    epsilon: Fraction = DEFAULT_EPSILON,
+    k_range: int = 5,
+) -> SuiteReport:
+    """Sampled symmetry, triangle casework, cap, and zero checks.
+
+    Starts with a structural cross-check of the table against the recurrence:
+    a tampered table voids every certificate downstream, so it is reported as
+    a violation rather than silently trusted.
+    """
+    start = time.perf_counter()
+    violations = [
+        Violation(-1, "table-invariant", problem, "recurrence holds", "mismatch")
+        for problem in check_table_consistency(table)
+    ]
+    zero = ExtElement(table.descriptor.zero(), 0)
+    rzero = evaluate(table, zero, epsilon)
+    if not (isinstance(rzero, ExactResult) and rzero.value == ZERO):
+        violations.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
+
+    pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
+    if not pairs:
+        raise DomainError("the axioms suite needs at least one sample")
     budget = ONE - epsilon
-    violations: list[Violation] = []
     skipped = 0
     cache: dict[ExtElement, EvalResult] = {}
 
@@ -177,7 +186,7 @@ def _check_axioms(
             cache[x] = evaluate(table, x, epsilon)
         return cache[x]
 
-    for i, (x, y) in pairs:
+    for i, (x, y) in enumerate(pairs):
         for z in (x, y):
             r = ev(z)
             mirror = ev(-z)
@@ -217,35 +226,7 @@ def _check_axioms(
                         f"min(1, {vx + vy}) > {budget}", "interval certificate",
                     )
                 )
-    return violations, skipped
-
-
-def verify_norm_axioms(
-    table: AnchorTable,
-    sample_count: int,
-    seed: int,
-    epsilon: Fraction = DEFAULT_EPSILON,
-    k_range: int = 5,
-) -> SuiteReport:
-    """Sampled symmetry, triangle casework, cap, and zero checks.
-
-    Starts with a structural cross-check of the table against the recurrence:
-    a tampered table voids every certificate downstream, so it is reported as
-    a violation rather than silently trusted.
-    """
-    start = time.perf_counter()
-    found = [
-        Violation(-1, "table-invariant", problem, "recurrence holds", "mismatch")
-        for problem in check_table_consistency(table)
-    ]
-    zero = ExtElement(table.descriptor.zero(), 0)
-    rzero = evaluate(table, zero, epsilon)
-    if not (isinstance(rzero, ExactResult) and rzero.value == ZERO):
-        found.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
-
-    pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
-    return _run_suite("axioms", _check_axioms, table, list(enumerate(pairs)), epsilon,
-                      start=start, found=found)
+    return _report("axioms", len(pairs), violations, skipped, start)
 
 
 def _describe(result: EvalResult) -> str:
@@ -255,18 +236,6 @@ def _describe(result: EvalResult) -> str:
 
 
 # --- density suite ---------------------------------------------------------
-
-def _check_density(
-    table: AnchorTable, demands: list, epsilon: Fraction
-) -> tuple[list[Violation], int]:
-    violations = []
-    for i, (m, j) in demands:
-        witness = density_witness(table, m, j, epsilon)
-        if not witness.certified:
-            violations.append(Violation(i, "density", f"target={m} precision={j}",
-                                        f"<= 1/{j}", _describe(witness.certificate)))
-    return violations, 0
-
 
 def verify_density(
     table: AnchorTable,
@@ -279,16 +248,32 @@ def verify_density(
     needed = unpair_index(max_target, max_precision)
     if needed > table.depth:
         raise ExtendTableError(needed)
-    demands = itertools.product(range(1, max_target + 1), range(1, max_precision + 1))
-    return _run_suite("density", _check_density, table, list(enumerate(demands, start=1)),
-                      epsilon, start=start)
+    demands = list(itertools.product(range(1, max_target + 1), range(1, max_precision + 1)))
+    violations = []
+    for i, (m, j) in enumerate(demands, start=1):
+        witness = density_witness(table, m, j, epsilon)
+        if not witness.certified:
+            violations.append(Violation(i, "density", f"target={m} precision={j}",
+                                        f"<= 1/{j}", _describe(witness.certificate)))
+    return _report("density", len(demands), violations, 0, start)
 
 
 # --- truncation suite ------------------------------------------------------
 
-def _check_truncation(table: AnchorTable, samples: list) -> tuple[list[Violation], int]:
+def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
+    """Truncated values decrease with depth and stabilize at the certified level.
+
+    Levels are probed on 0..level+TRUNCATION_PROBE_EXTRA plus the table
+    depth.  Together with monotonicity and the certified lower bound this pins
+    every deeper level as well: a non-increasing sequence that already equals
+    the certified value cannot move again.
+    """
+    start = time.perf_counter()
+    elements = sample_elements(table.descriptor, sample_count, seed)
+    if not elements:
+        raise DomainError("the truncation suite needs at least one sample")
     violations = []
-    for i, x in samples:
+    for i, x in enumerate(elements):
         result = evaluate(table, x)
         if isinstance(result, ExactResult):
             level = result.truncation_level
@@ -320,21 +305,7 @@ def _check_truncation(table: AnchorTable, samples: list) -> tuple[list[Violation
                                   f"x=({x.h.coords()},{x.k}) N={n}",
                                   f"> {result.lower}", str(v))
                     )
-    return violations, 0
-
-
-def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
-    """Truncated values decrease with depth and stabilize at the certified level.
-
-    Levels are probed on 0..level+TRUNCATION_PROBE_EXTRA plus the table
-    depth.  Together with monotonicity and the certified lower bound this pins
-    every deeper level as well: a non-increasing sequence that already equals
-    the certified value cannot move again.
-    """
-    start = time.perf_counter()
-    elements = sample_elements(table.descriptor, sample_count, seed)
-    return _run_suite("truncation", _check_truncation, table, list(enumerate(elements)),
-                      start=start)
+    return _report("truncation", len(elements), violations, 0, start)
 
 
 ALL_SUITES = ("extension", "axioms", "density", "truncation")

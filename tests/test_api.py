@@ -1,5 +1,5 @@
-"""Every public name has a caller inside the package itself, and no cache
-grows without bound."""
+"""Every public name and every module-level function or class has a caller
+inside the package itself, and no cache grows without bound."""
 
 import ast
 from pathlib import Path
@@ -20,24 +20,50 @@ def exported_names():
     }
 
 
-def used_names():
+def module_statements():
+    # The top-level statements of every module but __init__, which only
+    # re-exports names.
+    return [
+        node
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.parse(path.read_text()).body
+    ]
+
+
+def loaded_names(tree):
     # Loads and attribute reads only: a def, a class or an assignment
     # defines a name, and an import alone does not use it.
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
     return used
+
+
+def used_names():
+    return set().union(*map(loaded_names, module_statements()))
 
 
 def test_every_export_has_a_caller_in_the_package():
     unused = exported_names() - used_names()
     assert unused == TEST_ONLY, f"exported but never used in src/monothetic: {sorted(unused)}"
+
+
+def test_every_module_level_definition_is_referenced():
+    # A helper whose last caller was deleted is named only by its own def; a
+    # function that only calls itself counts as unreferenced too.
+    statements = module_statements()
+    loads = [loaded_names(node) for node in statements]
+    unreferenced = {
+        node.name
+        for i, node in enumerate(statements)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not any(node.name in names for j, names in enumerate(loads) if j != i)
+    }
+    assert unreferenced == TEST_ONLY, f"defined but never referenced: {sorted(unreferenced)}"
 
 
 def _unbounded_cache(decorator):

@@ -19,6 +19,7 @@ from monothetic.cli import MAX_SAMPLES, main
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.counterexample import MAX_GRID
 from monothetic.evaluator import density_witness
+from monothetic.groups import MAX_COORDINATES
 from monothetic.serialize import density_witness_to_json, load_table, save_table
 
 Z = GroupDescriptor(free_rank=1)
@@ -371,6 +372,33 @@ class TestHostileInput:
         assert time.perf_counter() - start < 1
         assert code == 2
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(TABLE_READERS))
+    def test_huge_rank_in_file_rejected_quickly(self, table_path, tmp_path, capsys, command):
+        # Without a cap every reader builds the table, in time linear in the
+        # rank, before it can compare digests.
+        path = edited_copy(table_path, tmp_path / "wide.json", descriptor={"free_rank": 10 ** 6},
+                           spec={"type": "capped_linf", "scale": "1/3"})
+        capsys.readouterr()
+        start = time.perf_counter()
+        code = main([command, "--table", str(path)] + TABLE_READERS[command])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"at most {MAX_COORDINATES} coordinates" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("group", ['{"free_rank":65}', '{"free_rank":1000000}'])
+    def test_group_past_coordinate_cap_exits_two(self, tmp_path, capsys, group):
+        start = time.perf_counter()
+        code = main(["build", "--group", group, "--norm", '{"type":"capped_linf","scale":"1/3"}',
+                     "--depth", "5", "--out", str(tmp_path / "t.json")])
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_COORDINATES} coordinates" in captured.err
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("command", ["build", "family"])
     def test_depth_past_cap_exits_two(self, tmp_path, capsys, command):

@@ -18,7 +18,7 @@ from monothetic import (
     base_norm,
     enumerate_h,
 )
-from monothetic.groups import grade_cumulative_count, zigzag_decode
+from monothetic.groups import MAX_COORDINATES, grade_cumulative_count, zigzag_decode
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -34,6 +34,12 @@ class TestDescriptor:
             GroupDescriptor(free_rank=0, torsion_moduli=(1,))
         with pytest.raises(ShapeError):
             GroupDescriptor(free_rank=0, torsion_moduli=())
+
+    def test_coordinate_cap(self):
+        assert GroupDescriptor(free_rank=60, torsion_moduli=(2,) * 4).zero().coords() == (0,) * 64
+        for free_rank, moduli in [(65, ()), (60, (2,) * 5), (0, (3,) * 65)]:
+            with pytest.raises(ShapeError, match=f"at most {MAX_COORDINATES} coordinates"):
+                GroupDescriptor(free_rank, moduli)
 
     def test_order(self):
         assert Z.order is None

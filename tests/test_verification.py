@@ -120,7 +120,7 @@ class TestSampleCount:
     @pytest.mark.parametrize("count", [0, -3])
     def test_no_samples_rejected(self, unit_table, suite, count):
         # A suite that checked nothing must not report a pass.
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="needs at least one sample"):
             suite(unit_table, count, seed=0)
 
 
