@@ -214,6 +214,21 @@ class TestVerify:
         assert main(argv) == 0
         assert capsys.readouterr().out == unset
 
+    def test_pair_sums_evaluated_on_skipped_pairs(self, tmp_path, capsys):
+        # Nearly every pair skips the triangle check here, but the sums must
+        # still be evaluated: one of them needs anchor 5.
+        path = tmp_path / "shallow.json"
+        main(["build", "--group", GROUP, "--norm",
+              '{"type":"capped_l1","weights":["1/4"]}', "--depth", "4",
+              "--out", str(path)])
+        capsys.readouterr()
+        code = main(["verify", "--table", str(path), "--suite", "axioms",
+                     "--epsilon", "1/2", "--samples", "500", "--seed", "0"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "extend table", "required_depth": 5,
+        }
+
     def test_tampered_table_rejected(self, table_path, tmp_path):
         raw = json.loads(table_path.read_text())
         raw["N"] = 11

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import monothetic.verification as verification
 from monothetic import (
     AnchorTable,
     CappedWeightedL1,
@@ -21,6 +22,7 @@ from monothetic import (
     verify_norm_axioms,
     verify_truncation,
 )
+from monothetic.evaluator import ExactResult
 from monothetic.serialize import suite_report_to_json
 from monothetic.verification import PAIR_INDEX_POOL, sample_elements, sample_pairs
 
@@ -180,6 +182,82 @@ class TestAxiomSuite:
     def test_zero_checked(self, quarter_table):
         report = verify_norm_axioms(quarter_table, 10, seed=0)
         assert report.passed
+
+
+class TestRepeatedSamples:
+    """Repeated samples are evaluated once; their violations are still
+    reported at every index that holds them."""
+
+    @staticmethod
+    def perturb(monkeypatch, hit):
+        # Add 1 to every exact value whose element satisfies ``hit``.
+        def perturbed(table, x, *args):
+            result = evaluate(table, x, *args)
+            if hit(x) and isinstance(result, ExactResult):
+                return replace(result, value=result.value + 1)
+            return result
+
+        monkeypatch.setattr(verification, "evaluate", perturbed)
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counted(table, x, *args):
+            calls.append(x)
+            return evaluate(table, x, *args)
+
+        monkeypatch.setattr(verification, "evaluate", counted)
+        return calls
+
+    def test_axiom_violations_repeat_with_their_pairs(self, monkeypatch, quarter_table):
+        # 2000 samples run past the 11 * 11 * 4 * 4 = 1936-pair grid.  Powers
+        # +-2 are the ones with exact values among the pooled elements, so
+        # perturbing power 2 breaks symmetry at both signs and the cap at +2.
+        pairs = sample_pairs(quarter_table.descriptor, 2000, seed=0)
+        expected = []
+        for i, (x, y) in enumerate(pairs):
+            for z in (x, y):
+                r = evaluate(quarter_table, z)
+                if abs(z.k) == 2 and isinstance(r, ExactResult):
+                    expected.append((i, "symmetry", f"z=({z.h.coords()},{z.k})"))
+                if z.k == 2 and isinstance(r, ExactResult) and r.value + 1 > 1:
+                    expected.append((i, "cap", f"z=({z.h.coords()},{z.k})"))
+        assert {i for i, _, _ in expected} & set(range(1936, 2000))
+        self.perturb(monkeypatch, lambda x: x.k == 2)
+        report = verify_norm_axioms(quarter_table, 2000, seed=0)
+        got = [(v.sample_index, v.check, v.inputs) for v in report.violations
+               if v.check in ("symmetry", "cap")]
+        assert got == expected
+
+    def test_extension_violations_repeat_with_the_stream(self, monkeypatch, quarter_table):
+        # With k_range=0 the 4000-sample stream repeats after 4000 // 2 + 1.
+        target = enumerate_h(Z, 5)
+        self.perturb(monkeypatch, lambda x: x.h == target)
+        report = verify_extension(quarter_table, 4000, seed=0)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations] == [
+            (i, "extension-value", "h=(-2,)", "1/2", "3/2") for i in (4, 2005)
+        ]
+
+    def test_extension_evaluates_each_distinct_element_once(self, monkeypatch, lattice_table):
+        calls = self.count_calls(monkeypatch)
+        assert verify_extension(lattice_table, 4000, seed=0).passed
+        assert len(calls) == len(set(calls)) == 4000 // 2 + 1
+
+    @pytest.mark.parametrize("torsion", [False, True], ids=["Z2", "Z5"])
+    def test_axioms_evaluate_each_distinct_element_once(self, monkeypatch, lattice_table,
+                                                        torsion):
+        # Once per distinct element of {x, -x, y, -y, x + y}, plus the
+        # separate zero check.  On Z/5, -z and x + y leave the pool's
+        # coordinate range and meet it again only once reduced mod 5.
+        table = build_anchor_table(Z5, CyclicScaled(), 30) if torsion else lattice_table
+        distinct = {z for x, y in sample_pairs(table.descriptor, 2000, seed=0)
+                    for z in (x, -x, y, -y, x + y)}
+        calls = self.count_calls(monkeypatch)
+        assert verify_norm_axioms(table, 2000, seed=0).passed
+        assert len(calls) == len(distinct) + 1
+        assert set(calls) == distinct
 
 
 class TestDensitySuite:

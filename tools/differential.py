@@ -17,6 +17,9 @@ two anchors, and random base elements with |k| up to 10^30.  Each case runs
 1023/1024 (cap at the truncation level).  Each depth-70 table, tampered or
 not, also gets one line per suite report: extension, axioms and truncation at
 200 samples and seed 7, and density over targets and precisions up to 5.
+Two more lines put repeated samples through the suites: axioms at 2000
+samples, past its 1936-pair grid, and extension at 500 samples, whose stream
+repeats after 251.
 """
 
 import hashlib
@@ -64,6 +67,8 @@ BUDGETS = (Fraction(1), Fraction(5, 7), Fraction(1023, 1024))
 CASES_PER_TABLE = 160
 SUITE_SAMPLES = 200
 SUITE_SEED = 7
+REPEATED_AXIOM_SAMPLES = 2000
+REPEATED_EXTENSION_SAMPLES = 500
 
 
 def tampered(table, powers=(), precisions=()):
@@ -139,6 +144,8 @@ def suite_reports(table):
     yield verify_norm_axioms(table, SUITE_SAMPLES, SUITE_SEED)
     yield verify_density(table, 5, 5)
     yield verify_truncation(table, SUITE_SAMPLES, SUITE_SEED)
+    yield verify_norm_axioms(table, REPEATED_AXIOM_SAMPLES, SUITE_SEED)
+    yield verify_extension(table, REPEATED_EXTENSION_SAMPLES, SUITE_SEED)
 
 
 def main():
