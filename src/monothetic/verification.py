@@ -189,10 +189,10 @@ def verify_norm_axioms(
     skipped = 0
     moduli = table.descriptor.torsion_moduli
     # Both memos are keyed by raw coordinates (free, torsion mod q, k): hashing
-    # the frozen element dataclasses would cost more than the checks.  ``own``
-    # holds each element's symmetry and cap findings.
+    # the frozen element dataclasses would cost more than the checks.
+    # ``problems`` holds each element's symmetry and cap findings.
     results: dict[tuple, EvalResult] = {}
-    own: dict[tuple, list] = {}
+    problems: dict[tuple, list] = {}
 
     def ev(key: tuple, build: Callable[[], ExtElement]) -> EvalResult:
         if key not in results:
@@ -202,12 +202,12 @@ def verify_norm_axioms(
     for i, (x, y) in enumerate(pairs):
         kx, ky = (x.h.free, x.h.torsion, x.k), (y.h.free, y.h.torsion, y.k)
         for z, key in ((x, kx), (y, ky)):
-            if key not in own:
+            if key not in problems:
                 free, torsion, k = key
                 r = ev(key, lambda: z)
                 mirror = ev((tuple(-a for a in free),
                              tuple(-t % q for t, q in zip(torsion, moduli)), -k), lambda: -z)
-                own[key] = found = []
+                problems[key] = found = []
                 if isinstance(r, ExactResult) != isinstance(mirror, ExactResult) or (
                     _certified_value(r) != _certified_value(mirror)
                 ):
@@ -215,7 +215,7 @@ def verify_norm_axioms(
                                   _describe(r), _describe(mirror)))
                 if isinstance(r, ExactResult) and r.value > ONE:
                     found.append(("cap", f"z=({z.h.coords()},{z.k})", "<= 1", str(r.value)))
-            violations.extend(Violation(i, *p) for p in own[key])
+            violations.extend(Violation(i, *p) for p in problems[key])
         rx, ry = results[kx], results[ky]
         rxy = ev((tuple(a + b for a, b in zip(kx[0], ky[0])),
                   tuple((a + b) % q for a, b, q in zip(kx[1], ky[1], moduli)), kx[2] + ky[2]),
