@@ -112,6 +112,11 @@ class AnchorTable:
         return tuple(floors)
 
     @cached_property
+    def precision_lcm(self) -> int:
+        """lcm of every anchor's precision index j: anchor costs 1/j are multiples of 1/L."""
+        return math.lcm(*{a.precision_index for a in self.anchors})
+
+    @cached_property
     def search_frames(self) -> dict:
         """The evaluator's search set-up per budget, which it keeps bounded."""
         return {}

@@ -171,7 +171,7 @@ class _SearchFrame:
 
     def __init__(self, table: AnchorTable, budget: Fraction):
         self.num, self.den = budget.numerator, budget.denominator
-        self.scale = lcm(self.den, *{a.precision_index for a in table.anchors})
+        self.scale = lcm(self.den, table.precision_lcm)
         self.budget_scaled = self.num * (self.scale // self.den)
         table.spec.check_shape(table.descriptor)
         self.denominator = table.spec.denominator(table.descriptor)
@@ -350,15 +350,19 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
     """Finite-table value: min cost over anchor indices <= level, capped at 1.
 
     Not certified against deeper anchors; used as a monotonicity diagnostic.
+
+    Every cost is a multiple of 1/over with over = L * D (L the lcm of every
+    anchor's j, D the spec's denominator), so a cost below 1 is at most
+    (over - 1)/over.  Searching at that budget therefore finds every cost the
+    capped value can take, and a miss means the value is 1.  At budget 1
+    each anchor's cap would be its full j, which lets levels reach so far
+    that none can be skipped; at this budget it is j - 1.
     """
     if level < 0 or level > table.depth:
         raise DomainError("truncation level outside table depth")
-    if x.descriptor != table.descriptor:
-        raise ShapeError("element does not conform to the table's descriptor")
-    found = best_decomposition(table, x, ONE, level)
-    if found is None:
-        return ONE
-    return min(ONE, found.cost)
+    over = table.precision_lcm * table.spec.denominator(table.descriptor)
+    found = best_decomposition(table, x, Fraction(over - 1, over), level)
+    return ONE if found is None else found.cost
 
 
 @lru_cache(maxsize=8)

@@ -91,11 +91,15 @@ def sample_elements(
     pool = _clamped_pool(descriptor, count // 2 + 1)
     kspan = 2 * k_range + 1
     grid = pool * kspan
+    built: dict[int, ExtElement] = {}   # a repeated counter gives the same element
     out = []
     for i in range(count):
         c = (seed + i) % grid
-        index, kslot = divmod(c, kspan)
-        out.append(ExtElement(enumerate_h(descriptor, index + 1), kslot - k_range))
+        x = built.get(c)
+        if x is None:
+            index, kslot = divmod(c, kspan)
+            x = built[c] = ExtElement(enumerate_h(descriptor, index + 1), kslot - k_range)
+        out.append(x)
     return out
 
 
@@ -109,15 +113,16 @@ def sample_pairs(
     pool = _clamped_pool(descriptor, PAIR_INDEX_POOL)
     kspan = 2 * k_range + 1
     grid = kspan * kspan * pool * pool
+    # Single element (index, k slot) sits at index * kspan + k slot.
+    singles = [ExtElement(enumerate_h(descriptor, index + 1), k)
+               for index in range(pool) for k in range(-k_range, k_range + 1)]
     out = []
     for i in range(count):
         c = (seed + i) % grid
         c, ky = divmod(c, kspan)
         c, kx = divmod(c, kspan)
         ix, iy = divmod(c, pool)
-        x = ExtElement(enumerate_h(descriptor, ix + 1), kx - k_range)
-        y = ExtElement(enumerate_h(descriptor, iy + 1), ky - k_range)
-        out.append((x, y))
+        out.append((singles[ix * kspan + kx], singles[iy * kspan + ky]))
     return out
 
 

@@ -229,7 +229,7 @@ class TestBestDecomposition:
     ):
         # Running costs are integers over L = lcm(budget denominator, j_1..j_n);
         # the cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
-        # need not contain.  Budget 1 is the one evaluate_truncated searches.
+        # need not contain.
         if torsion:
             table = build_anchor_table(Z5_9_7, CyclicScaled(), 20)
             offsets = [enumerate_h(Z5_9_7, i) for i in (1, 2, 7, 40)]
@@ -481,6 +481,53 @@ class TestEvaluateTruncated:
         assert isinstance(result, ExactResult)
         for n in range(result.truncation_level, 15):
             assert evaluate_truncated(quarter_table, x, n) == result.value
+
+    def test_equals_the_budget_one_search_at_every_level(self, unit_table, quarter_table):
+        # evaluate_truncated searches just below 1; the capped budget-1 search
+        # is the definition it must match, costs of exactly 1 included.
+        bases = [
+            unit_table,
+            quarter_table,
+            build_anchor_table(Z5_9_7, CyclicScaled(), 24),
+            build_anchor_table(Z, RationalRotation(Fraction(3, 7)), 24),
+        ]
+        tables = []
+        for base in bases:
+            tables.append(base)
+            tables.append(with_powers(base, {4: 1, 5: 1}))
+            tables.append(with_powers(base, {6: 3 * base.anchor(6).power}))
+            anchors = list(base.anchors)
+            for n, j in ((5, 1), (7, 9), (10, 2)):
+                anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+            tables.append(AnchorTable(base.descriptor, base.spec, tuple(anchors), base.deltas))
+        costs_of_one = 0
+        for table in tables:
+            elements = [table.anchor_element(1), -table.anchor_element(1)]
+            elements += near_anchor_elements(table, 12)
+            elements += [ExtElement(enumerate_h(table.descriptor, h), k)
+                         for h in (1, 2, 5) for k in (-3, 0, 2, 7)]
+            for x in elements:
+                for n in range(table.depth + 1):
+                    found = best_decomposition(table, x, ONE, n)
+                    expected = ONE if found is None else min(ONE, found.cost)
+                    assert evaluate_truncated(table, x, n) == expected, (x, n)
+                    costs_of_one += found is not None and found.cost == ONE
+        assert costs_of_one > 0
+
+    def test_rejects_bad_level_and_shape(self, unit_table):
+        with pytest.raises(DomainError):
+            evaluate_truncated(unit_table, ExtElement(Z.zero(), 1), unit_table.depth + 1)
+        with pytest.raises(ShapeError):
+            evaluate_truncated(unit_table, ExtElement(Z5_9_7.zero(), 1), 3)
+
+    def test_largest_cost_below_one(self):
+        # L = lcm(1, 2) = 2 and D = 3 are coprime, so 1/2 + 1/3 = 5/6 is the
+        # largest cost below 1, (over - 1)/over: a budget one step too low,
+        # or one that left out D, would miss it.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 2)
+        x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
+        assert best_decomposition(table, x, ONE, 2).cost == Fraction(5, 6)
+        assert evaluate_truncated(table, x, 2) == Fraction(5, 6)
 
 
 class TestBruteForceOracle:

@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import monothetic.evaluator as evaluator
 import monothetic.verification as verification
 from monothetic import (
     AnchorTable,
     CappedWeightedL1,
     CyclicScaled,
     DomainError,
+    ExtElement,
     ExtendTableError,
     GroupDescriptor,
     RationalRotation,
@@ -70,6 +72,43 @@ class TestSamplers:
     def test_finite_group_covers_all_representatives(self):
         seen = {x.h for x in sample_elements(Z6, 100, seed=5)}
         assert len(seen) == 6
+
+    def test_repeated_single_samples_are_one_element(self):
+        # With k_range=0 the 4000-sample stream on Z^2 repeats after 2001.
+        stream = sample_elements(Z2, 4000, seed=17, k_range=0)
+        for i in range(4000 - 2001):
+            assert stream[i] is stream[i + 2001]
+
+    @pytest.mark.parametrize("descriptor", [Z2, Z6], ids=["Z2", "Z6"])
+    @pytest.mark.parametrize("seed", [0, 5, 1933, -40])
+    def test_streams_follow_the_documented_grid(self, descriptor, seed):
+        # Element i decodes the counter (seed + i) mod grid as the
+        # module comment says, whatever the samplers reuse.
+        def coords(z):
+            return z.h.coords(), z.k
+
+        def element(index, k):
+            return coords(ExtElement(enumerate_h(descriptor, index + 1), k))
+
+        for count, k_range in ((300, 5), (900, 0), (77, 2)):
+            pool = min(count // 2 + 1, descriptor.order or count)
+            kspan = 2 * k_range + 1
+            expected = []
+            for i in range(count):
+                index, kslot = divmod((seed + i) % (pool * kspan), kspan)
+                expected.append(element(index, kslot - k_range))
+            got = sample_elements(descriptor, count, seed, k_range)
+            assert [coords(x) for x in got] == expected
+
+            pool = min(PAIR_INDEX_POOL, descriptor.order or PAIR_INDEX_POOL)
+            expected = []
+            for i in range(count + 2000):
+                c, ky = divmod((seed + i) % (kspan * kspan * pool * pool), kspan)
+                c, kx = divmod(c, kspan)
+                ix, iy = divmod(c, pool)
+                expected.append((element(ix, kx - k_range), element(iy, ky - k_range)))
+            got = sample_pairs(descriptor, count + 2000, seed, k_range)
+            assert [(coords(x), coords(y)) for x, y in got] == expected
 
 
 class TestExtensionSuite:
@@ -318,6 +357,20 @@ class TestTruncationSuite:
         table = build_anchor_table(Z6, CyclicScaled(), 12)
         report = verify_truncation(table, 30, seed=2)
         assert report.passed
+
+    def test_no_truncated_search_runs_at_budget_one(self, monkeypatch, lattice_table):
+        # Truncated values search just below 1: over = lcm(1..10) * 1 = 2520
+        # on the depth-50 Z^2 table.  evaluate's own budget is 1 - 1/1024.
+        budgets = set()
+        search = evaluator.best_decomposition
+
+        def recorded(table, x, budget, index_cap):
+            budgets.add(budget)
+            return search(table, x, budget, index_cap)
+
+        monkeypatch.setattr(evaluator, "best_decomposition", recorded)
+        assert verify_truncation(lattice_table, 200, seed=7).passed
+        assert budgets == {Fraction(1023, 1024), Fraction(2519, 2520)}
 
 
 class TestReportSerialization:

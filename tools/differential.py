@@ -19,7 +19,9 @@ not, also gets one line per suite report: extension, axioms and truncation at
 200 samples and seed 7, and density over targets and precisions up to 5.
 Two more lines put repeated samples through the suites: axioms at 2000
 samples, past its 1936-pair grid, and extension at 500 samples, whose stream
-repeats after 251.
+repeats after 251.  Last, six elements per depth-70 table get one line each
+with ``evaluate_truncated`` at every level 0..70: +-anchor 1, whose best
+cost is exactly 1, and four drawn as above.
 """
 
 import hashlib
@@ -69,6 +71,7 @@ SUITE_SAMPLES = 200
 SUITE_SEED = 7
 REPEATED_AXIOM_SAMPLES = 2000
 REPEATED_EXTENSION_SAMPLES = 500
+LEVEL_SWEEP_ELEMENTS = 6
 
 
 def tampered(table, powers=(), precisions=()):
@@ -148,6 +151,14 @@ def suite_reports(table):
     yield verify_extension(table, REPEATED_EXTENSION_SAMPLES, SUITE_SEED)
 
 
+def level_sweeps(table, rng):
+    elements = [table.anchor_element(1), -table.anchor_element(1)]
+    elements += [element(table, rng) for _ in range(LEVEL_SWEEP_ELEMENTS - 2)]
+    for x in elements:
+        values = " ".join(str(evaluate_truncated(table, x, n)) for n in range(table.depth + 1))
+        yield f"{x.h.coords()} {x.k} levels {values}"
+
+
 def main():
     digest = hashlib.sha256()
     count = 0
@@ -165,6 +176,8 @@ def main():
         if table.depth == 70:
             for report in suite_reports(table):
                 emit(f"{name} suite {dumps_stable(suite_report_to_json(report))}")
+            for line in level_sweeps(table, random.Random(f"levels/{name}")):
+                emit(f"{name} {line}")
     print(f"{count} lines sha256 {digest.hexdigest()}")
 
 
