@@ -38,7 +38,6 @@ from .evaluator import (
     ExactResult,
     IntervalResult,
     best_decomposition,
-    brute_force_eval,
     density_witness,
     evaluate,
     evaluate_truncated,

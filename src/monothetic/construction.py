@@ -1,6 +1,6 @@
 """Inductive construction data: the pairing of (target, precision) demands,
-the admissibility thresholds, the power sequence, and the anchor table that
-defines the partial norm on the extended group.
+the power sequence, and the anchor table that defines the partial norm on the
+extended group.
 
 The power sequence is norm-independent: it is fixed by the pairing alone, so
 every norm over the same base group shares the identical table skeleton.
@@ -8,12 +8,13 @@ every norm over the same base group shares the identical table skeleton.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, ExtendTableError
 from .groups import (
     ExtElement,
     GroupDescriptor,
@@ -21,7 +22,6 @@ from .groups import (
     NormSpec,
     enumerate_h,
 )
-from .rat import ONE
 
 
 def pair_index(n: int) -> tuple[int, int]:
@@ -44,25 +44,33 @@ def unpair_index(m: int, j: int) -> int:
     return (m + j - 1) * (m + j - 2) // 2 + m
 
 
-def k_sequence(length: int) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-    """Powers k_1..k_N with their thresholds delta_1..delta_N.
+def _pairs():
+    """Every pair (target index, precision index) in :func:`pair_index` order.
 
-    k_1 = 1 and delta_1 = 1 by convention.  For n >= 2, delta_n is the
-    smallest anchor value declared so far (min of 1/precision over earlier
-    steps) and k_n = floor(k_{n-1}/delta_n) + 1, the minimal choice exceeding
-    k_{n-1}/delta_n.  Since delta_n <= 1 this also forces strict growth.
+    Walks the anti-diagonals m + j = 2, 3, ... directly, so no pair costs an
+    ``isqrt``.
+    """
+    for total in itertools.count(2):
+        for m in range(1, total):
+            yield m, total - m
+
+
+def k_sequence(length: int) -> tuple[int, ...]:
+    """Powers k_1..k_N of the anchor table.
+
+    k_1 = 1.  For n >= 2, with J_n the largest precision index among pairs
+    1..n-1, k_n = k_{n-1} * J_n + 1: the least integer above k_{n-1} / delta_n
+    for the threshold delta_n = 1/J_n, the smallest anchor value declared so
+    far.  Since J_n >= 1 this also forces strict growth.  Pair n-1 = (m, j)
+    lies on the anti-diagonal m + j, whose first pair (1, m + j - 1) carries
+    the largest precision index yet, so J_n = m + j - 1.
     """
     if length < 1:
         raise DomainError("sequence length must be >= 1")
     powers = [1]
-    deltas = [ONE]
-    max_precision = 1
-    for n in range(2, length + 1):
-        max_precision = max(max_precision, pair_index(n - 1)[1])
-        delta = Fraction(1, max_precision)
-        powers.append(powers[-1] * max_precision + 1)
-        deltas.append(delta)
-    return tuple(powers), tuple(deltas)
+    for m, j in itertools.islice(_pairs(), length - 1):
+        powers.append(powers[-1] * (m + j - 1) + 1)
+    return tuple(powers)
 
 
 @dataclass(frozen=True)
@@ -81,15 +89,15 @@ class Anchor:
 class AnchorTable:
     """Construction state shared by every evaluation query.
 
-    The fields are immutable; ``search_frames`` is the evaluator's cache,
-    which grows in place and is pickled with the table, so evaluate on one
-    table from one thread at a time.
+    The anchors carry the whole skeleton: each one's pair, power, target and
+    value.  The fields are immutable; ``search_frames`` is the evaluator's
+    cache, which grows in place and is pickled with the table, so evaluate on
+    one table from one thread at a time.
     """
 
     descriptor: GroupDescriptor
     spec: NormSpec
     anchors: tuple[Anchor, ...]
-    deltas: tuple[Fraction, ...]
 
     @property
     def depth(self) -> int:
@@ -146,6 +154,20 @@ def _target_element(descriptor: GroupDescriptor, target_index: int) -> HElement:
 MAX_TABLE_DEPTH = 10_000
 
 
+def require_depth(table: AnchorTable, n: int) -> None:
+    """Raise unless the table reaches anchor n.
+
+    :class:`ExtendTableError` names n when a table that deep can be built;
+    past ``MAX_TABLE_DEPTH`` none can, so that is a :class:`DomainError`.
+    """
+    if n > MAX_TABLE_DEPTH:
+        raise DomainError(
+            f"this query needs a table deeper than the depth cap {MAX_TABLE_DEPTH}"
+        )
+    if n > table.depth:
+        raise ExtendTableError(n)
+
+
 def build_anchor_table(
     descriptor: GroupDescriptor, spec: NormSpec, depth: int
 ) -> AnchorTable:
@@ -155,33 +177,34 @@ def build_anchor_table(
     if depth > MAX_TABLE_DEPTH:
         raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
     spec.validate(descriptor)
-    powers, deltas = k_sequence(depth)
+    # About 70 distinct targets and precisions at depth 2500: each target is
+    # looked up and each value built once.
+    targets: dict[int, HElement] = {}
+    values: dict[int, Fraction] = {}
     anchors = []
-    for n in range(1, depth + 1):
-        m, j = pair_index(n)
-        anchors.append(
-            Anchor(
-                index=n,
-                target_index=m,
-                precision_index=j,
-                power=powers[n - 1],
-                target=_target_element(descriptor, m),
-                value=Fraction(1, j),
-            )
-        )
-    return AnchorTable(descriptor, spec, tuple(anchors), deltas)
+    for n, (m, j), power in zip(range(1, depth + 1), _pairs(), k_sequence(depth)):
+        target = targets.get(m)
+        if target is None:
+            target = targets[m] = _target_element(descriptor, m)
+        value = values.get(j)
+        if value is None:
+            value = values[j] = Fraction(1, j)
+        anchors.append(Anchor(n, m, j, power, target, value))
+    return AnchorTable(descriptor, spec, tuple(anchors))
 
 
 def check_table_consistency(table: AnchorTable) -> list[str]:
     """Cross-check a table against the recurrence; returns human-readable defects.
 
     An empty list means the table is exactly what ``build_anchor_table`` would
-    produce for its descriptor, spec, and depth.
+    produce for its descriptor, spec, and depth.  The pairs come from the
+    closed form :func:`pair_index`, not from the walk the build uses.  The
+    growth law is checked in integers, K_n > K_{n-1} * J_n, with J_n the
+    largest precision index of the recurrence's own pairs 1..n-1, not of the
+    stored anchors.
     """
     problems: list[str] = []
-    powers, deltas = k_sequence(table.depth)
-    for n in range(1, table.depth + 1):
-        a = table.anchors[n - 1]
+    for n, power, a in zip(range(1, table.depth + 1), k_sequence(table.depth), table.anchors):
         m, j = pair_index(n)
         if a.index != n:
             problems.append(f"anchor {n}: stored index {a.index}")
@@ -189,16 +212,15 @@ def check_table_consistency(table: AnchorTable) -> list[str]:
             problems.append(
                 f"anchor {n}: pair ({a.target_index},{a.precision_index}) != ({m},{j})"
             )
-        if a.power != powers[n - 1]:
-            problems.append(f"anchor {n}: power {a.power} != {powers[n - 1]}")
+        if a.power != power:
+            problems.append(f"anchor {n}: power {a.power} != {power}")
         if a.value != Fraction(1, j):
             problems.append(f"anchor {n}: value {a.value} != 1/{j}")
         if a.target != _target_element(table.descriptor, m):
             problems.append(f"anchor {n}: target does not match enumeration")
         if n >= 2:
             prev = table.anchors[n - 2]
-            if not (a.power > prev.power and Fraction(a.power) * deltas[n - 1] > prev.power):
+            largest = sum(pair_index(n - 1)) - 1   # J_n, as in k_sequence
+            if not (a.power > prev.power and a.power > prev.power * largest):
                 problems.append(f"anchor {n}: growth law violated against anchor {n - 1}")
-    if table.deltas != deltas:
-        problems.append("threshold sequence does not match the recurrence")
     return problems

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, HypothesisNotMetError
-from .groups import ExtElement, GroupDescriptor
 
-_LATTICE = GroupDescriptor(free_rank=2)
 _HALF = Fraction(1, 2)
 
 # A scan builds limit^2 certificates (20 s and 126 MB at this limit), so a
@@ -57,6 +55,16 @@ class ScanSummary:
     certificates: tuple[ContradictionReport, ...]
 
 
+def _identity_sides(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Both sides of m*(c^n - e1) + n*(e2 - c^m) = -m*e1 + n*e2.
+
+    Elements of Z^2 + <c> are raw integer triples (e1, e2, c-power).
+    """
+    first = (-m, 0, m * n)                    # m * (c^n - e1)
+    second = (0, n, -n * m)                   # n * (e2 - c^m)
+    return tuple(a + b for a, b in zip(first, second)), (-m, n, 0)
+
+
 def counterexample_certificate(
     n: int, m: int, v1: Fraction, v2: Fraction
 ) -> ContradictionReport:
@@ -72,12 +80,7 @@ def counterexample_certificate(
             "hypothesis not met: both assumed values must lie strictly in (0, 1/2)"
         )
 
-    e1 = _LATTICE.element((1, 0))
-    e2 = _LATTICE.element((0, 1))
-    first = ExtElement(-e1, n).scale(m)       # m * (c^n - e1)
-    second = ExtElement(e2, -m).scale(n)      # n * (e2 - c^m)
-    combined = first + second
-    expected = ExtElement(e1.scale(-m) + e2.scale(n), 0)
+    combined, expected = _identity_sides(n, m)
     if combined != expected:
         raise RuntimeError("exact identity check failed")  # unreachable by algebra
 

@@ -35,12 +35,17 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import lcm
 from typing import Optional, Union
 
-from .construction import AnchorTable, build_anchor_table, k_sequence, unpair_index
+from .construction import (
+    MAX_TABLE_DEPTH,
+    AnchorTable,
+    build_anchor_table,
+    k_sequence,
+    require_depth,
+    unpair_index,
+)
 from .errors import DomainError, ExtendTableError, ShapeError
 from .groups import (
     ExtElement,
@@ -48,8 +53,6 @@ from .groups import (
     HElement,
     NormSpec,
     base_norm,
-    enumerate_h,
-    grade_cumulative_count,
 )
 from .rat import ONE, ZERO
 
@@ -123,7 +126,9 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
 
     Raises :class:`ExtendTableError` when the table cannot exhibit the level,
     i.e. when even its deepest power is below |k|/(1 - budget).  It names the
-    first depth N past the table's with K[N] >= |k|/(1 - budget).
+    first depth N past the table's with K[N] >= |k|/(1 - budget).  When no
+    depth up to ``MAX_TABLE_DEPTH`` reaches that bound, no table that can be
+    built would do, and it raises :class:`DomainError` instead.
     """
     if not ZERO < budget < ONE:
         raise DomainError("budget must lie strictly between 0 and 1")
@@ -134,10 +139,15 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     floors = table.power_floors
     if floors[-1] < bound:
         # Doubling then one bisect: O(log) k_sequence calls, not one per depth.
-        length = table.depth + 1
-        while (powers := k_sequence(length)[0])[-1] < bound:
-            length *= 2
-        raise ExtendTableError(bisect_left(powers, bound, table.depth) + 1)
+        length = table.depth
+        while length < MAX_TABLE_DEPTH:
+            length = min(2 * length, MAX_TABLE_DEPTH)
+            powers = k_sequence(length)
+            if powers[-1] >= bound:
+                raise ExtendTableError(bisect_left(powers, bound, table.depth) + 1)
+        raise DomainError(
+            f"this c-power needs a table deeper than the depth cap {MAX_TABLE_DEPTH}"
+        )
     # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
     return bisect_left(floors, bound, 0, table.depth - 1) + 1
 
@@ -365,87 +375,6 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
     return ONE if found is None else found.cost
 
 
-@lru_cache(maxsize=8)
-def _bounded_sums(
-    table: AnchorTable, max_summands: int, radius: int
-) -> dict[ExtElement, Fraction]:
-    """Minimum summed partial-norm value per reachable element.
-
-    Pool: base-group elements whose free coordinates are bounded by the radius
-    (torsion coordinates bounded in cyclic distance), plus anchors with power
-    and target coordinates inside the same box, with both signs.  All
-    multisets of at most ``max_summands`` pool elements are enumerated.
-    """
-    descriptor = table.descriptor
-
-    def h_in_box(h: HElement) -> bool:
-        if any(abs(v) > radius for v in h.free):
-            return False
-        return all(
-            min(t, q - t) <= radius
-            for t, q in zip(h.torsion, descriptor.torsion_moduli)
-        )
-
-    # Every box element's encoded grade is at most this, so the scan below is
-    # exhaustive once the cumulative count for that grade is passed.
-    max_grade = 2 * radius * descriptor.free_rank + sum(
-        q - 1 for q in descriptor.torsion_moduli
-    )
-    scan_limit = grade_cumulative_count(descriptor, max_grade)
-    order = descriptor.order
-    if order is not None:
-        scan_limit = min(scan_limit, order)
-
-    pool: list[tuple[ExtElement, Fraction]] = []
-    for index in range(1, scan_limit + 1):
-        h = enumerate_h(descriptor, index)
-        if h_in_box(h):
-            pool.append((ExtElement(h, 0), base_norm(table.spec, h)))
-    for anchor in table.anchors:
-        if anchor.power <= radius and h_in_box(anchor.target):
-            element = ExtElement(-anchor.target, anchor.power)
-            pool.append((element, anchor.value))
-            pool.append((-element, anchor.value))
-
-    sums: dict[ExtElement, Fraction] = {ExtElement(descriptor.zero(), 0): ZERO}
-    for size in range(1, max_summands + 1):
-        for combo in combinations_with_replacement(pool, size):
-            total = combo[0][0]
-            cost = combo[0][1]
-            for element, value in combo[1:]:
-                total = total + element
-                cost += value
-            previous = sums.get(total)
-            if previous is None or cost < previous:
-                sums[total] = cost
-    return sums
-
-
-def brute_force_eval(
-    table: AnchorTable,
-    x: ExtElement,
-    max_summands: int,
-    radius: int,
-) -> Fraction:
-    """Exhaustive oracle over arbitrary small decompositions, capped at 1.
-
-    Enumerates all multisets of at most ``max_summands`` partial-norm domain
-    elements with coordinates bounded by ``radius`` and returns the cheapest
-    that sums to x (1 when none does).  Independent of the canonical search:
-    repeated anchors and multiple base-group summands are enumerated as-is.
-    Intended for desk-scale cross-checks in tests.
-    """
-    if max_summands < 1 or radius < 0:
-        raise DomainError("oracle wants max_summands >= 1 and radius >= 0")
-    if x.descriptor != table.descriptor:
-        raise ShapeError("element does not conform to the table's descriptor")
-    sums = _bounded_sums(table, max_summands, radius)
-    found = sums.get(x)
-    if found is None:
-        return ONE
-    return min(ONE, found)
-
-
 @dataclass(frozen=True)
 class DensityWitness:
     """Certified evidence that some power of c sits within 1/precision of a target."""
@@ -472,8 +401,7 @@ def density_witness(
 ) -> DensityWitness:
     """Locate and certify the anchor serving the (target, precision) demand."""
     n = unpair_index(target_index, precision_index)
-    if n > table.depth:
-        raise ExtendTableError(n)
+    require_depth(table, n)
     anchor = table.anchor(n)
     certificate = evaluate(table, table.anchor_element(n), epsilon)
     return DensityWitness(

@@ -237,11 +237,6 @@ def enumerate_h(descriptor: GroupDescriptor, n: int) -> HElement:
     return HElement(descriptor, tuple(zigzag_decode(u) for u in encoded[:r]), tuple(encoded[r:]))
 
 
-def grade_cumulative_count(descriptor: GroupDescriptor, grade: int) -> int:
-    """How many elements have encoded coordinate sum <= grade."""
-    return _counts(descriptor, grade)[1][grade]
-
-
 # ---------------------------------------------------------------------------
 # Bounded invariant (pseudo)norms.  Each variant pins the descriptor shape it
 # applies to and states a denominator D that all its raw values divide:

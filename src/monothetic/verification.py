@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .construction import AnchorTable, check_table_consistency, unpair_index
-from .errors import DomainError, ExtendTableError
+from .construction import AnchorTable, check_table_consistency, require_depth, unpair_index
+from .errors import DomainError
 from .evaluator import (
     DEFAULT_EPSILON,
     EvalResult,
@@ -268,9 +268,7 @@ def verify_density(
 ) -> SuiteReport:
     """Every (target, precision) demand in the box is served by its anchor."""
     start = time.perf_counter()
-    needed = unpair_index(max_target, max_precision)
-    if needed > table.depth:
-        raise ExtendTableError(needed)
+    require_depth(table, unpair_index(max_target, max_precision))
     demands = list(itertools.product(range(1, max_target + 1), range(1, max_precision + 1)))
     violations = []
     for i, (m, j) in enumerate(demands, start=1):

@@ -19,8 +19,8 @@ from monothetic import (
     ExtElement,
     GroupDescriptor,
     RationalRotation,
-    brute_force_eval,
     build_anchor_table,
+    check_table_consistency,
     counterexample_scan,
     evaluate,
     extend_family,
@@ -32,6 +32,7 @@ from monothetic import (
     verify_truncation,
 )
 from monothetic.verification import sample_elements
+from oracle import brute_force_eval
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -109,13 +110,13 @@ def test_criterion_2_anchor_bounds(quarter_table):
 
 def test_criterion_3_power_sequence_law():
     start = time.perf_counter()
-    powers, _ = k_sequence(200)
+    powers = k_sequence(200)
     assert powers[:6] == (1, 2, 5, 11, 34, 103)
     for n in range(2, 201):
         biggest = max(pair_index(i)[1] for i in range(1, n))
         assert powers[n - 1] > powers[n - 2] * biggest
         assert powers[n - 1] > powers[n - 2]
-    assert k_sequence(200)[0] == powers  # repeated runs agree
+    assert k_sequence(200) == powers  # repeated runs agree
     specs = [
         CappedWeightedL1(weights=(Fraction(1),)),
         CappedLInf(scale=Fraction(1, 3)),
@@ -140,14 +141,14 @@ def test_criterion_4_norm_axioms(quarter_table, linf_table):
     base = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 16)
     anchors = list(base.anchors)
     anchors[2] = replace(anchors[2], power=3)
-    literal = AnchorTable(base.descriptor, base.spec, tuple(anchors), base.deltas)
+    literal = AnchorTable(base.descriptor, base.spec, tuple(anchors))
     report = verify_norm_axioms(literal, 500, 42, k_range=3)
     assert not report.passed
 
     anchors = list(base.anchors)
     anchors[3] = replace(anchors[3], power=1)
     anchors[4] = replace(anchors[4], power=1)
-    semantic = AnchorTable(base.descriptor, base.spec, tuple(anchors), base.deltas)
+    semantic = AnchorTable(base.descriptor, base.spec, tuple(anchors))
     report = verify_norm_axioms(semantic, 500, 42, k_range=3)
     assert not report.passed
     assert any(v.check == "triangle" for v in report.violations)
@@ -224,7 +225,8 @@ def test_criterion_9_family_extension():
         for t in tables
     }
     assert len(skeletons) == 1
-    assert len({t.deltas for t in tables}) == 1
+    # Each member satisfies the growth law K_n > K_{n-1} * J_n, in integers.
+    assert all(check_table_consistency(t) == [] for t in tables)
     for table in tables:
         report = verify_extension(table, 200, 42)
         assert report.passed, (table.spec, report.violations[:3])

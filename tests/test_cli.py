@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON schemas, persistence round-trips."""
 
+import hashlib
 import json
 import time
 from decimal import Decimal
@@ -20,7 +21,14 @@ from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.counterexample import MAX_GRID
 from monothetic.evaluator import density_witness
 from monothetic.groups import MAX_COORDINATES
-from monothetic.serialize import density_witness_to_json, load_table, save_table
+from monothetic.serialize import (
+    _table_digest,
+    density_witness_to_json,
+    descriptor_from_json,
+    load_table,
+    norm_spec_from_json,
+    save_table,
+)
 
 Z = GroupDescriptor(free_rank=1)
 
@@ -61,7 +69,7 @@ class TestBuild:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["depth"] == 50
-        assert payload["k_last"] == k_sequence(50)[0][-1]
+        assert payload["k_last"] == k_sequence(50)[-1]
         assert out.exists()
 
     def test_power_past_the_digit_limit(self, tmp_path, capsys):
@@ -71,7 +79,7 @@ class TestBuild:
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
-        assert payload["k_last"] == Decimal(k_sequence(3000)[0][-1])
+        assert payload["k_last"] == Decimal(k_sequence(3000)[-1])
         assert load_table(out).depth == 3000
 
     def test_bad_norm_json(self, tmp_path):
@@ -160,7 +168,7 @@ class TestDensity:
         assert code == 0
         payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
         assert payload["anchor_index"] == 2629
-        assert payload["power"] == Decimal(k_sequence(2629)[0][-1])
+        assert payload["power"] == Decimal(k_sequence(2629)[-1])
 
     def test_witness_json_holds_plain_ints(self, table_path):
         # The *_to_json dicts stay stdlib-serialisable; only the CLI splices.
@@ -172,6 +180,19 @@ class TestDensity:
         assert code == 3
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"error": "extend table", "required_depth": 41}
+
+    @pytest.mark.parametrize("command", ["density", "verify"])
+    def test_demand_past_the_depth_cap_exits_two(self, table_path, capsys, command):
+        # (1000000, 1) is anchor 500000500000: no build reaches it, so asking
+        # for that table would be an exit 3 that nothing can answer.
+        argv = ["density", "--table", str(table_path), "--m", "1000000", "--j", "1"]
+        if command == "verify":
+            argv = ["verify", "--table", str(table_path), "--suite", "density",
+                    "--max-m", "1000000", "--max-j", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(MAX_TABLE_DEPTH) in captured.err
 
 
 class TestVerify:
@@ -290,7 +311,7 @@ class TestFamily:
         code = main(["family", "--group", GROUP, "--norms", f"[{NORM}]", "--depth", "2700"])
         assert code == 0
         payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
-        powers = k_sequence(2700)[0]
+        powers = k_sequence(2700)
         assert [a["k"] for a in payload["shared_anchors"][-2:]] == [
             Decimal(k) for k in powers[-2:]]
 
@@ -423,3 +444,42 @@ class TestHostileInput:
         code = main(argv + ["--depth", str(MAX_TABLE_DEPTH + 1)])
         assert code == 2
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
+
+
+# SHA-256 of the tables a build at these depths writes, one per shape; v2
+# table files store it, so any change to the construction shows here.
+PINNED_TABLE_DIGESTS = {
+    ('{"free_rank":2}', '{"type":"capped_l1","weights":["1/1","1/1"]}'): {
+        50: "b3d0d7d5e7035eb7f1dcc7726536bf1cbf9ccec778616313927980e5eb156688",
+        1000: "2277a953274caa730f09d325418f4e27950184da609c17fb51deae3c453ee2f0",
+        2500: "2bd88790c09388a5106910ab6142b96cd8804ce20bb66be722e538190eb27b72",
+    },
+    ('{"free_rank":3}', '{"type":"capped_linf","scale":"1/2"}'): {
+        50: "c123a173173a182be687787b18ca00a50904f787a684b1d51bededb805635919",
+        1000: "58be9264ece60b337a9993c100f7f205398fa3eda18f39f2bcc2da70d201df3f",
+        2500: "2322b6ef75801406e2b7cbd42788f187756dfb55bad921a0bc182e8abef72cdd",
+    },
+    ('{"torsion_moduli":[5,9,7]}', '{"type":"cyclic_scaled"}'): {
+        50: "ffe6e705defe8679525f82d3eb421851574ab775ec878ffa5383b0e80373c98a",
+        1000: "7103a53b4e2d936b4ef12c8e6d9fa85b763d535056a18fb92df6d63277715b41",
+        2500: "9caf09738364e00477df17c0d5f5431f603a9b5e457d07a330fcdcd51e0cab73",
+    },
+}
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("group,norm", list(PINNED_TABLE_DIGESTS))
+    def test_table_digests(self, group, norm):
+        descriptor = descriptor_from_json(json.loads(group))
+        spec = norm_spec_from_json(json.loads(norm))
+        for depth, digest in PINNED_TABLE_DIGESTS[group, norm].items():
+            assert _table_digest(build_anchor_table(descriptor, spec, depth)) == digest
+
+    def test_counterexample_grid(self, tmp_path, capsys):
+        out = tmp_path / "certs.jsonl"
+        assert main(["counterexample", "--grid", "50", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "64922d400a376f42eeb7b8e3213191331ccb3d3481bd5b13adc1d7f26fcd7b5f")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "710bcea37e74153edb01a317e07a157bbd89556da2e69d73bc2e8df49487444d")

@@ -63,42 +63,41 @@ def recurrence_oracle(length):
     powers = [1]
     for n in range(2, length + 1):
         biggest = max(pair_index(i)[1] for i in range(1, n))
-        assert Fraction(1, biggest) <= 1
         powers.append(powers[-1] * biggest + 1)
     return powers
 
 
 class TestPowerSequence:
     def test_base_case(self):
-        powers, deltas = k_sequence(1)
-        assert powers == (1,)
-        assert deltas == (Fraction(1),)
+        assert k_sequence(1) == (1,)
 
     def test_known_prefix(self):
-        powers, _ = k_sequence(6)
-        assert powers == (1, 2, 5, 11, 34, 103)
+        assert k_sequence(6) == (1, 2, 5, 11, 34, 103)
 
     def test_matches_recurrence_oracle(self):
-        powers, _ = k_sequence(80)
-        assert list(powers) == recurrence_oracle(80)
+        assert list(k_sequence(80)) == recurrence_oracle(80)
 
     def test_prefix_stability(self):
-        long_powers, long_deltas = k_sequence(30)
-        short_powers, short_deltas = k_sequence(12)
-        assert long_powers[:12] == short_powers
-        assert long_deltas[:12] == short_deltas
+        assert k_sequence(30)[:12] == k_sequence(12)
 
     def test_growth_law(self):
-        powers, deltas = k_sequence(200)
+        # K_n > K_{n-1} * J_n in integers, J_n the largest precision index of
+        # pairs 1..n-1; delta_n = 1/J_n is the smallest value declared so far.
+        powers = k_sequence(200)
         for n in range(2, 201):
             biggest = max(pair_index(i)[1] for i in range(1, n))
             assert powers[n - 1] > powers[n - 2] * biggest
             assert powers[n - 1] > powers[n - 2]
-            assert deltas[n - 1] == Fraction(1, biggest)
 
-    def test_deltas_non_increasing(self):
-        _, deltas = k_sequence(60)
-        assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+    def test_growth_factor_non_decreasing(self):
+        # K_n = K_{n-1} * J_n + 1, and J_n never shrinks: the smallest
+        # declared value only falls.
+        powers = k_sequence(60)
+        factors = [(b - 1) // a for a, b in zip(powers, powers[1:])]
+        assert factors == [
+            max(pair_index(i)[1] for i in range(1, n)) for n in range(2, 61)
+        ]
+        assert all(a <= b for a, b in zip(factors, factors[1:]))
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -122,7 +121,9 @@ class TestBuildTable:
         a = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 25)
         b = build_anchor_table(Z, CappedLInf(scale=Fraction(5)), 25)
         assert a.powers == b.powers
-        assert a.deltas == b.deltas
+        assert [(x.target_index, x.precision_index) for x in a.anchors] == [
+            (x.target_index, x.precision_index) for x in b.anchors
+        ]
 
     def test_validation_propagates(self):
         with pytest.raises(Exception):
@@ -164,6 +165,35 @@ class TestConsistencyCheck:
 
         anchors = list(unit_table.anchors)
         anchors[2] = replace(anchors[2], power=3)
-        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors), unit_table.deltas)
+        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
         problems = check_table_consistency(bad)
         assert any("power" in p for p in problems)
+
+    def test_growth_law_reads_the_recurrence_pairs(self, unit_table):
+        # Edited precision indices are pair defects only: the growth law takes
+        # J_n from the recurrence's pairs, so a raised stored j (9 at anchor
+        # 7) does not make the unchanged powers after it look too small.
+        from dataclasses import replace
+
+        from monothetic import AnchorTable
+
+        anchors = list(unit_table.anchors)
+        for n, j in ((5, 1), (7, 9), (12, 2)):
+            anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        assert check_table_consistency(bad) == [
+            "anchor 5: pair (2,1) != (2,2)",
+            "anchor 7: pair (1,9) != (1,4)",
+            "anchor 12: pair (2,2) != (2,4)",
+        ]
+
+    def test_growth_law_flags_a_collapsed_power(self, unit_table):
+        from dataclasses import replace
+
+        from monothetic import AnchorTable
+
+        anchors = list(unit_table.anchors)
+        anchors[5] = replace(anchors[5], power=anchors[4].power * 2)
+        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        # K_6 = 68 is not above K_5 * J_6 = 34 * 3.
+        assert "anchor 6: growth law violated against anchor 5" in check_table_consistency(bad)

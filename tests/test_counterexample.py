@@ -10,7 +10,8 @@ from monothetic import (
     counterexample_certificate,
     counterexample_scan,
 )
-from monothetic.counterexample import MAX_GRID
+from monothetic.counterexample import MAX_GRID, _identity_sides
+from oracle import lattice_identity
 
 
 class TestCertificate:
@@ -39,6 +40,18 @@ class TestCertificate:
     def test_zero_powers_rejected(self):
         with pytest.raises(DomainError):
             counterexample_certificate(0, 1, Fraction(1, 4), Fraction(1, 4))
+
+    @pytest.mark.parametrize("n", [1, -1, 2, -3, 7, -50, 10 ** 40, -(10 ** 40)])
+    @pytest.mark.parametrize("m", [1, -1, 3, -2, 50, -7, 10 ** 25])
+    def test_identity_matches_group_elements(self, n, m):
+        # The certificate's integer triples against the same identity built
+        # from group elements.
+        combined, expected = lattice_identity(n, m)
+        assert combined == expected
+        assert _identity_sides(n, m) == tuple(
+            x.h.coords() + (x.k,) for x in (combined, expected))
+        report = counterexample_certificate(n, m, Fraction(1, 3), Fraction(2, 5))
+        assert report.identity_verified
 
     def test_negative_powers_allowed(self):
         report = counterexample_certificate(-3, 2, Fraction(1, 4), Fraction(1, 3))

@@ -22,7 +22,6 @@ from monothetic import (
     ShapeError,
     base_norm,
     best_decomposition,
-    brute_force_eval,
     build_anchor_table,
     density_witness,
     enumerate_h,
@@ -32,7 +31,9 @@ from monothetic import (
     k_sequence,
     truncation_index,
 )
+from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.evaluator import FRAMES_PER_TABLE
+from oracle import brute_force_eval
 
 Z = GroupDescriptor(free_rank=1)
 Z5_9_7 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
@@ -107,7 +108,7 @@ class TestTruncationIndex:
     def test_required_depth_when_bound_equals_a_power(self, unit_table):
         # Budget 1 - 1/K_13 puts the bound for k = +-1 at K_13 exactly: the
         # depth-12 table falls short, and depth 13 is the first to reach it.
-        k13 = k_sequence(13)[0][-1]
+        k13 = k_sequence(13)[-1]
         budget = ONE - Fraction(1, k13)
         for k in (1, -1):
             with pytest.raises(ExtendTableError) as err:
@@ -118,7 +119,7 @@ class TestTruncationIndex:
 
     def test_required_depth_past_the_next_anchor(self, unit_table):
         # A bound of exactly K_N needs depth N; one more needs depth N + 1.
-        powers = k_sequence(61)[0]
+        powers = k_sequence(61)
         for n in (13, 14, 25, 26, 27, 40, 60):
             kn = powers[n - 1]
             for bound, expected in ((kn, n), (kn + 1, n + 1)):
@@ -127,6 +128,18 @@ class TestTruncationIndex:
                     with pytest.raises(ExtendTableError) as err:
                         truncation_index(unit_table, k, budget)
                     assert err.value.required_depth == expected
+
+    def test_required_depth_stops_at_the_depth_cap(self, unit_table):
+        # A bound of exactly K at the cap still names the cap; one more would
+        # need a table that no build can make, and the doubling search stops.
+        cap_power = k_sequence(MAX_TABLE_DEPTH)[-1]
+        with pytest.raises(ExtendTableError) as err:
+            truncation_index(unit_table, 1, ONE - Fraction(1, cap_power))
+        assert err.value.required_depth == MAX_TABLE_DEPTH
+        with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
+            truncation_index(unit_table, 1, ONE - Fraction(1, cap_power + 1))
+        with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
+            evaluate(unit_table, ExtElement(Z.zero(), 10 ** 30000))
 
     def test_matches_fraction_formula(self, unit_table, quarter_table):
         # Reference: the largest n with n == 1 or K[n-1] < |k|/(1 - b), by a
@@ -406,7 +419,7 @@ def with_powers(table, replacements):
     anchors = list(table.anchors)
     for index, power in replacements.items():
         anchors[index - 1] = replace(anchors[index - 1], power=power)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
 def near_anchor_elements(table, top):
@@ -499,7 +512,7 @@ class TestEvaluateTruncated:
             anchors = list(base.anchors)
             for n, j in ((5, 1), (7, 9), (10, 2)):
                 anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
-            tables.append(AnchorTable(base.descriptor, base.spec, tuple(anchors), base.deltas))
+            tables.append(AnchorTable(base.descriptor, base.spec, tuple(anchors)))
         costs_of_one = 0
         for table in tables:
             elements = [table.anchor_element(1), -table.anchor_element(1)]
@@ -587,6 +600,15 @@ class TestDensityWitness:
             density_witness(unit_table, 5, 5)
         assert err.value.required_depth == 41
 
+    def test_demand_past_the_depth_cap(self, unit_table):
+        # (130, 12) is anchor 10 000 exactly, which a build can still reach.
+        with pytest.raises(ExtendTableError) as err:
+            density_witness(unit_table, 130, 12)
+        assert err.value.required_depth == MAX_TABLE_DEPTH
+        for m, j in ((131, 12), (1_000_000, 1)):
+            with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
+                density_witness(unit_table, m, j)
+
 
 class TestExtendFamily:
     def test_shared_construction_data(self):
@@ -599,7 +621,6 @@ class TestExtendFamily:
             15,
         )
         assert tables[0].powers == tables[1].powers
-        assert tables[0].deltas == tables[1].deltas
         skeleton = [
             [(a.index, a.target_index, a.precision_index, a.power) for a in t.anchors]
             for t in tables

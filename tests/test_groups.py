@@ -18,12 +18,17 @@ from monothetic import (
     base_norm,
     enumerate_h,
 )
-from monothetic.groups import MAX_COORDINATES, grade_cumulative_count, zigzag_decode
+from monothetic.groups import MAX_COORDINATES, _counts, zigzag_decode
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
 Z5 = GroupDescriptor(free_rank=0, torsion_moduli=(5,))
 MIXED = GroupDescriptor(free_rank=1, torsion_moduli=(4,))
+
+
+def grade_cumulative_count(descriptor, grade):
+    """How many elements have encoded coordinate sum <= grade."""
+    return _counts(descriptor, grade)[1][grade]
 
 
 class TestDescriptor:

@@ -39,7 +39,7 @@ def tamper_powers(table, replacements):
     anchors = list(table.anchors)
     for index, power in replacements.items():
         anchors[index - 1] = replace(anchors[index - 1], power=power)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
 class TestSamplers:
@@ -324,7 +324,7 @@ class TestDensitySuite:
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 20)
         anchors = list(table.anchors)
         anchors[4] = replace(anchors[4], precision_index=1)
-        bad = AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+        bad = AnchorTable(table.descriptor, table.spec, tuple(anchors))
         report = verify_density(bad, 3, 3)
         assert [(v.sample_index, v.inputs) for v in report.violations] == [
             (5, "target=2 precision=2")

@@ -80,7 +80,7 @@ def tampered(table, powers=(), precisions=()):
         anchors[n - 1] = replace(anchors[n - 1], power=k)
     for n, j in precisions:
         anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors), table.deltas)
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
 def tables():
