@@ -23,8 +23,8 @@ from .errors import (
     ShapeError,
     TableFormatError,
 )
-from .evaluator import density_witness, evaluate, extend_family
-from .rat import parse_fraction
+from .evaluator import DEFAULT_EPSILON, density_witness, evaluate, extend_family
+from .rat import format_fraction, parse_fraction
 from .serialize import (
     contradiction_to_json,
     density_witness_to_json,
@@ -177,14 +177,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="certified evaluation of the extended norm")
     p_eval.add_argument("--table", required=True)
     p_eval.add_argument("--element", required=True, help='element JSON {"h": [...], "k": int}')
-    p_eval.add_argument("--epsilon", default="1/1024")
+    p_eval.add_argument("--epsilon", default=format_fraction(DEFAULT_EPSILON))
     p_eval.set_defaults(handler=_cmd_eval)
 
     p_density = sub.add_parser("density", help="certify one density witness")
     p_density.add_argument("--table", required=True)
     p_density.add_argument("--m", type=int, required=True, help="target enumeration index")
     p_density.add_argument("--j", type=int, required=True, help="precision index")
-    p_density.add_argument("--epsilon", default="1/1024")
+    p_density.add_argument("--epsilon", default=format_fraction(DEFAULT_EPSILON))
     p_density.set_defaults(handler=_cmd_density)
 
     p_verify = sub.add_parser("verify", help="run property suites")
@@ -192,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=ALL_SUITES + ("all",), default="all")
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--epsilon", default="1/1024")
+    p_verify.add_argument("--epsilon", default=format_fraction(DEFAULT_EPSILON))
     p_verify.add_argument("--max-m", type=int, default=5, dest="max_m")
     p_verify.add_argument("--max-j", type=int, default=5, dest="max_j")
     p_verify.set_defaults(handler=_cmd_verify)

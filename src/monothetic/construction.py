@@ -82,17 +82,20 @@ class Anchor:
     precision_index: int
     power: int
     target: HElement
-    value: Fraction
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(1, self.precision_index)
 
 
 @dataclass(frozen=True)
 class AnchorTable:
     """Construction state shared by every evaluation query.
 
-    The anchors carry the whole skeleton: each one's pair, power, target and
-    value.  The fields are immutable; ``search_frames`` is the evaluator's
-    cache, which grows in place and is pickled with the table, so evaluate on
-    one table from one thread at a time.
+    The anchors carry the whole skeleton: each one's pair, power and target;
+    its value 1/j follows from the pair.  The fields are immutable;
+    ``search_frames`` is the evaluator's cache, which grows in place and is
+    pickled with the table, so evaluate on one table from one thread at a time.
     """
 
     descriptor: GroupDescriptor
@@ -177,19 +180,14 @@ def build_anchor_table(
     if depth > MAX_TABLE_DEPTH:
         raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
     spec.validate(descriptor)
-    # About 70 distinct targets and precisions at depth 2500: each target is
-    # looked up and each value built once.
+    # About 70 distinct targets at depth 2500: each is looked up once.
     targets: dict[int, HElement] = {}
-    values: dict[int, Fraction] = {}
     anchors = []
     for n, (m, j), power in zip(range(1, depth + 1), _pairs(), k_sequence(depth)):
         target = targets.get(m)
         if target is None:
             target = targets[m] = _target_element(descriptor, m)
-        value = values.get(j)
-        if value is None:
-            value = values[j] = Fraction(1, j)
-        anchors.append(Anchor(n, m, j, power, target, value))
+        anchors.append(Anchor(n, m, j, power, target))
     return AnchorTable(descriptor, spec, tuple(anchors))
 
 
@@ -214,8 +212,6 @@ def check_table_consistency(table: AnchorTable) -> list[str]:
             )
         if a.power != power:
             problems.append(f"anchor {n}: power {a.power} != {power}")
-        if a.value != Fraction(1, j):
-            problems.append(f"anchor {n}: value {a.value} != 1/{j}")
         if a.target != _target_element(table.descriptor, m):
             problems.append(f"anchor {n}: target does not match enumeration")
         if n >= 2:

@@ -46,7 +46,7 @@ from .construction import (
     require_depth,
     unpair_index,
 )
-from .errors import DomainError, ExtendTableError, ShapeError
+from .errors import DomainError, ShapeError
 from .groups import (
     ExtElement,
     GroupDescriptor,
@@ -100,10 +100,15 @@ class ExactResult:
 
 @dataclass(frozen=True)
 class IntervalResult:
-    """Certified two-sided enclosure: the value lies in (lower, upper]."""
+    """Certified two-sided enclosure: the value lies in (lower, upper].
+
+    ``truncation_level`` is the level the search ran to, as in
+    :class:`ExactResult`; JSON output prints only ``lower`` and ``upper``.
+    """
 
     lower: Fraction
     upper: Fraction
+    truncation_level: int
     is_exact = False
 
 
@@ -124,11 +129,11 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     satisfies K < |k|*den/(den - num) exactly when K < ceil(|k|*den/(den - num)),
     and the largest such index is found by bisecting ``table.power_floors``.
 
-    Raises :class:`ExtendTableError` when the table cannot exhibit the level,
-    i.e. when even its deepest power is below |k|/(1 - budget).  It names the
-    first depth N past the table's with K[N] >= |k|/(1 - budget).  When no
-    depth up to ``MAX_TABLE_DEPTH`` reaches that bound, no table that can be
-    built would do, and it raises :class:`DomainError` instead.
+    When the table cannot exhibit the level, i.e. when even its deepest power
+    is below |k|/(1 - budget), it raises through :func:`require_depth` for the
+    first depth N past the table's with K[N] >= |k|/(1 - budget): an
+    :class:`ExtendTableError` naming N, or a :class:`DomainError` when no
+    depth up to ``MAX_TABLE_DEPTH`` reaches that bound.
     """
     if not ZERO < budget < ONE:
         raise DomainError("budget must lie strictly between 0 and 1")
@@ -139,15 +144,14 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     floors = table.power_floors
     if floors[-1] < bound:
         # Doubling then one bisect: O(log) k_sequence calls, not one per depth.
+        # Each require_depth raises, since the depth it is given is past the table's.
         length = table.depth
         while length < MAX_TABLE_DEPTH:
             length = min(2 * length, MAX_TABLE_DEPTH)
             powers = k_sequence(length)
             if powers[-1] >= bound:
-                raise ExtendTableError(bisect_left(powers, bound, table.depth) + 1)
-        raise DomainError(
-            f"this c-power needs a table deeper than the depth cap {MAX_TABLE_DEPTH}"
-        )
+                require_depth(table, bisect_left(powers, bound, table.depth) + 1)
+        require_depth(table, MAX_TABLE_DEPTH + 1)
     # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
     return bisect_left(floors, bound, 0, table.depth - 1) + 1
 
@@ -271,8 +275,6 @@ def best_decomposition(
             # The tests the skipped 0-multiplicity steps would make, of which
             # the one with the narrowest anchors left is the strongest.
             width = widest[land]
-            if width == 0:
-                return
             lower = running * width + size * scale
             if lower > budget_scaled * width:
                 return
@@ -306,8 +308,6 @@ def best_decomposition(
                 continue
             rest = target - mult * power
             if rest != 0:
-                if width == 0:
-                    continue
                 # (cost/L + |rest|/width) * L * width, against budget and incumbent.
                 lower = cost * width + abs(rest) * scale
                 if lower > budget_wide:
@@ -352,7 +352,7 @@ def evaluate(
     level = truncation_index(table, x.k, budget)
     found = best_decomposition(table, x, budget, level)
     if found is None:
-        return IntervalResult(budget, ONE)
+        return IntervalResult(budget, ONE, level)
     return ExactResult(found.cost, found, level)
 
 

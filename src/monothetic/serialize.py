@@ -187,17 +187,14 @@ def density_witness_to_json(witness: DensityWitness) -> dict:
 
 # --- reports -----------------------------------------------------------------
 
-def suite_report_to_json(report, include_timing: bool = False) -> dict:
-    payload = {
+def suite_report_to_json(report) -> dict:
+    return {
         "suite": report.suite,
         "samples": report.samples,
         "skipped": report.skipped,
         "passed": report.passed,
         "violations": [dataclasses.asdict(v) for v in report.violations],
     }
-    if include_timing:
-        payload["wall_time_ms"] = report.wall_time_ms
-    return payload
 
 
 def contradiction_to_json(report: ContradictionReport) -> dict:

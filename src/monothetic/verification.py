@@ -15,7 +15,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .construction import AnchorTable, check_table_consistency, require_depth, unpair_index
 from .errors import DomainError
@@ -26,9 +26,8 @@ from .evaluator import (
     density_witness,
     evaluate,
     evaluate_truncated,
-    truncation_index,
 )
-from .groups import ExtElement, GroupDescriptor, base_norm, enumerate_h
+from .groups import ExtElement, GroupDescriptor, HElement, base_norm, enumerate_h
 from .rat import ONE, ZERO
 
 
@@ -192,26 +191,25 @@ def verify_norm_axioms(
         raise DomainError("the axioms suite needs at least one sample")
     budget = ONE - epsilon
     skipped = 0
-    moduli = table.descriptor.torsion_moduli
-    # Both memos are keyed by raw coordinates (free, torsion mod q, k): hashing
-    # the frozen element dataclasses would cost more than the checks.
-    # ``problems`` holds each element's symmetry and cap findings.
+    # The memos are keyed by raw coordinates: hashing the frozen element
+    # dataclasses would cost more than the checks.  ``results`` holds each
+    # evaluation by (free, torsion, k), ``problems`` each single's symmetry and
+    # cap findings, and ``sums`` each base sum x.h + y.h by its two base parts.
     results: dict[tuple, EvalResult] = {}
     problems: dict[tuple, list] = {}
+    sums: dict[tuple, HElement] = {}
 
-    def ev(key: tuple, build: Callable[[], ExtElement]) -> EvalResult:
+    def ev(h: HElement, k: int) -> EvalResult:
+        key = (h.free, h.torsion, k)
         if key not in results:
-            results[key] = evaluate(table, build(), epsilon)
+            results[key] = evaluate(table, ExtElement(h, k), epsilon)
         return results[key]
 
     for i, (x, y) in enumerate(pairs):
-        kx, ky = (x.h.free, x.h.torsion, x.k), (y.h.free, y.h.torsion, y.k)
-        for z, key in ((x, kx), (y, ky)):
+        for z in (x, y):
+            key = (z.h.free, z.h.torsion, z.k)
             if key not in problems:
-                free, torsion, k = key
-                r = ev(key, lambda: z)
-                mirror = ev((tuple(-a for a in free),
-                             tuple(-t % q for t, q in zip(torsion, moduli)), -k), lambda: -z)
+                r, mirror = ev(z.h, z.k), ev(-z.h, -z.k)
                 problems[key] = found = []
                 if isinstance(r, ExactResult) != isinstance(mirror, ExactResult) or (
                     _certified_value(r) != _certified_value(mirror)
@@ -221,10 +219,10 @@ def verify_norm_axioms(
                 if isinstance(r, ExactResult) and r.value > ONE:
                     found.append(("cap", f"z=({z.h.coords()},{z.k})", "<= 1", str(r.value)))
             violations.extend(Violation(i, *p) for p in problems[key])
-        rx, ry = results[kx], results[ky]
-        rxy = ev((tuple(a + b for a, b in zip(kx[0], ky[0])),
-                  tuple((a + b) % q for a, b, q in zip(kx[1], ky[1], moduli)), kx[2] + ky[2]),
-                 lambda: x + y)
+        base = (x.h.free, x.h.torsion, y.h.free, y.h.torsion)
+        if base not in sums:
+            sums[base] = x.h + y.h
+        rx, ry, rxy = ev(x.h, x.k), ev(y.h, y.k), ev(sums[base], x.k + y.k)
         vx, vy = _certified_value(rx), _certified_value(ry)
         if vx is None or vy is None:
             skipped += 1
@@ -296,10 +294,7 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
     violations = []
     for i, x in enumerate(elements):
         result = evaluate(table, x)
-        if isinstance(result, ExactResult):
-            level = result.truncation_level
-        else:
-            level = truncation_index(table, x.k, result.lower)
+        level = result.truncation_level
         top = min(table.depth, level + TRUNCATION_PROBE_EXTRA)
         probes = sorted(set(range(0, top + 1)) | {table.depth})
         values = [evaluate_truncated(table, x, n) for n in probes]

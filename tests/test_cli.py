@@ -389,6 +389,7 @@ class TestHostileInput:
         ("--norm", '{"type":"capped_l1"}'),
         ("--norm", '{"type":"capped_l1","weights":"1"}'),
         ("--norm", '{"type":"rational_rotation","alpha":"3/1"}'),
+        ("--norm", '{"type":"bogus"}'),
     ])
     def test_build_malformed_object_exits_two(self, tmp_path, capsys, flag, value):
         argv = {"--group": GROUP, "--norm": NORM}
@@ -399,6 +400,26 @@ class TestHostileInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+
+    @pytest.mark.parametrize("case", ["table-array", "element-h-int", "empty-family"])
+    def test_wrong_json_shape_exits_two(self, table_path, tmp_path, capsys, case):
+        array = tmp_path / "array.json"
+        array.write_text("[]")
+        argv, message = {
+            "table-array": (["eval", "--table", str(array), "--element", '{"h":[0],"k":1}'],
+                            "table file must hold a JSON object"),
+            "element-h-int": (["eval", "--table", str(table_path), "--element", '{"h":3,"k":1}'],
+                              "base element must be a JSON array"),
+            "empty-family": (["family", "--group", GROUP, "--norms", "[]"],
+                             "--norms must be a non-empty JSON array"),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err
 
     def test_huge_depth_in_file_rejected_quickly(self, table_path, tmp_path, capsys):
         path = edited_copy(table_path, tmp_path / "huge.json", N=10 ** 7)

@@ -169,6 +169,20 @@ class TestConsistencyCheck:
         problems = check_table_consistency(bad)
         assert any("power" in p for p in problems)
 
+    def test_detects_edited_index_and_target(self, unit_table):
+        from dataclasses import replace
+
+        from monothetic import AnchorTable
+
+        anchors = list(unit_table.anchors)
+        anchors[3] = replace(anchors[3], index=9)
+        anchors[6] = replace(anchors[6], target=anchors[5].target)
+        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        assert check_table_consistency(bad) == [
+            "anchor 4: stored index 9",
+            "anchor 7: target does not match enumeration",
+        ]
+
     def test_growth_law_reads_the_recurrence_pairs(self, unit_table):
         # Edited precision indices are pair defects only: the growth law takes
         # J_n from the recurrence's pairs, so a raised stored j (9 at anchor

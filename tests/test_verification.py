@@ -1,5 +1,6 @@
 """Property suites: pass on honest tables, fail on tampered ones."""
 
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from monothetic import (
 )
 from monothetic.evaluator import ExactResult
 from monothetic.serialize import suite_report_to_json
-from monothetic.verification import PAIR_INDEX_POOL, sample_elements, sample_pairs
+from monothetic.verification import PAIR_INDEX_POOL, Violation, sample_elements, sample_pairs
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -222,6 +223,38 @@ class TestAxiomSuite:
         report = verify_norm_axioms(quarter_table, 10, seed=0)
         assert report.passed
 
+    def test_nonzero_value_at_zero_reported(self, monkeypatch, quarter_table):
+        zero = ExtElement(Z.zero(), 0)
+
+        def shifted(table, x, *args):
+            result = evaluate(table, x, *args)
+            return replace(result, value=Fraction(1, 2)) if x == zero else result
+
+        monkeypatch.setattr(verification, "evaluate", shifted)
+        report = verify_norm_axioms(quarter_table, 10, seed=0)
+        assert [v for v in report.violations if v.check == "zero"] == [
+            Violation(-1, "zero", "0", "0/1", "exact 1/2")
+        ]
+
+    def test_interval_sum_of_cheap_summands_breaks_triangle(self, monkeypatch, quarter_table):
+        # Certifying h = 2 at k = 0 only as c^1's interval leaves 1 + 1 an
+        # interval, though its summands cost 1/4 + 1/4, within the budget.
+        # Pairs that hold h = 2 itself are skipped, as it no longer certifies.
+        interval = evaluate(quarter_table, ExtElement(enumerate_h(Z, 2), 1))
+        assert not isinstance(interval, ExactResult)
+        two = ExtElement(Z.element((2,)), 0)
+
+        def patched(table, x, *args):
+            return interval if x == two else evaluate(table, x, *args)
+
+        monkeypatch.setattr(verification, "evaluate", patched)
+        report = verify_norm_axioms(quarter_table, 16, seed=0, k_range=0)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations if v.check == "triangle"] == [
+            (5, "triangle", "x=((1,),0) y=((1,),0)", "min(1, 1/2) > 1023/1024",
+             "interval certificate")
+        ]
+
 
 class TestRepeatedSamples:
     """Repeated samples are evaluated once; their violations are still
@@ -358,6 +391,69 @@ class TestTruncationSuite:
         report = verify_truncation(table, 30, seed=2)
         assert report.passed
 
+    def test_anchor_given_its_predecessors_power_breaks_stabilization(self):
+        # Anchors 19 and 20 then cancel their c-powers, so h = +-4 at k = 0
+        # costs 1/3 + 1/2 = 5/6 at the full depth, below its certified 1.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
+        bad = tamper_powers(table, {20: table.anchor(19).power})
+        report = verify_truncation(bad, 200, seed=42)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations] == [
+            (40, "truncation-stabilized", "x=((4,),0) N=30", "1", "5/6"),
+            (51, "truncation-stabilized", "x=((-4,),0) N=30", "1", "5/6"),
+        ]
+
+    def test_rising_truncated_value_breaks_monotonicity(self, monkeypatch, quarter_table):
+        # Every sample's probes end at the table depth, where the value rises.
+        truncated = verification.evaluate_truncated
+
+        def raised(table, x, level):
+            value = truncated(table, x, level)
+            return value + 1 if level == table.depth else value
+
+        monkeypatch.setattr(verification, "evaluate_truncated", raised)
+        report = verify_truncation(quarter_table, 20, seed=42)
+        monotone = [v for v in report.violations if v.check == "truncation-monotone"]
+        assert [v.sample_index for v in monotone] == list(range(20))
+        assert all(v.inputs.endswith(f"->{quarter_table.depth}") for v in monotone)
+
+    def test_truncated_value_at_the_interval_bound_is_reported(self, monkeypatch, quarter_table):
+        # Clamping truncated values to the budget 1023/1024 keeps them
+        # non-increasing and leaves exact values (at most the budget) alone,
+        # but puts every probe of an interval sample on its lower bound.
+        budget = Fraction(1023, 1024)
+        truncated = verification.evaluate_truncated
+        monkeypatch.setattr(verification, "evaluate_truncated",
+                            lambda table, x, level: min(budget, truncated(table, x, level)))
+        intervals = {i for i, x in enumerate(sample_elements(Z, 20, seed=42))
+                     if not isinstance(evaluate(quarter_table, x), ExactResult)}
+        assert intervals
+        report = verify_truncation(quarter_table, 20, seed=42)
+        assert {v.sample_index for v in report.violations} == intervals
+        assert {(v.check, v.expected, v.got) for v in report.violations} == {
+            ("truncation-interval", f"> {budget}", str(budget))
+        }
+
+    def test_levels_come_from_the_results(self, lattice_table):
+        # Interval results carry their level too: truncation_index runs only
+        # inside evaluate, once per sample with a nonzero c-power.  Calls are
+        # matched by code object, so no import alias escapes the count.
+        code = evaluator.truncation_index.__code__
+        callers = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is code:
+                callers.append(frame.f_back.f_code.co_name)
+
+        sys.setprofile(profile)
+        try:
+            report = verify_truncation(lattice_table, 200, seed=7)
+        finally:
+            sys.setprofile(None)
+        assert report.passed
+        assert set(callers) == {"evaluate"}
+        assert len(callers) == sum(x.k != 0 for x in sample_elements(Z2, 200, seed=7))
+
     def test_no_truncated_search_runs_at_budget_one(self, monkeypatch, lattice_table):
         # Truncated values search just below 1: over = lcm(1..10) * 1 = 2520
         # on the depth-50 Z^2 table.  evaluate's own budget is 1 - 1/1024.
@@ -376,7 +472,4 @@ class TestTruncationSuite:
 class TestReportSerialization:
     def test_stable_json_excludes_timing(self, quarter_table):
         report = verify_extension(quarter_table, 20, seed=8)
-        payload = suite_report_to_json(report)
-        assert "wall_time_ms" not in payload
-        timed = suite_report_to_json(report, include_timing=True)
-        assert "wall_time_ms" in timed
+        assert "wall_time_ms" not in suite_report_to_json(report)
