@@ -41,7 +41,6 @@ from .evaluator import (
     density_witness,
     evaluate,
     evaluate_truncated,
-    extend_family,
     truncation_index,
 )
 from .groups import (

@@ -23,7 +23,7 @@ from .errors import (
     ShapeError,
     TableFormatError,
 )
-from .evaluator import DEFAULT_EPSILON, density_witness, evaluate, extend_family
+from .evaluator import DEFAULT_EPSILON, density_witness, evaluate
 from .rat import format_fraction, parse_fraction
 from .serialize import (
     contradiction_to_json,
@@ -142,7 +142,7 @@ def _cmd_family(args) -> int:
     if not isinstance(specs_payload, list) or not specs_payload:
         raise DomainError("--norms must be a non-empty JSON array of norm specs")
     specs = [norm_spec_from_json(p) for p in specs_payload]
-    tables = extend_family(descriptor, specs, args.depth)
+    tables = [build_anchor_table(descriptor, spec, args.depth) for spec in specs]
     if args.out_dir:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", choices=ALL_SUITES + ("all",), default="all")
     p_verify.add_argument("--samples", type=int, default=500)
     p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--epsilon", default=format_fraction(DEFAULT_EPSILON))
+    p_verify.add_argument("--epsilon", default=format_fraction(DEFAULT_EPSILON),
+                          help="read by the axioms and density suites only")
     p_verify.add_argument("--max-m", type=int, default=5, dest="max_m")
     p_verify.add_argument("--max-j", type=int, default=5, dest="max_j")
     p_verify.set_defaults(handler=_cmd_verify)

@@ -117,10 +117,7 @@ class AnchorTable:
         Non-decreasing for every table, so it can be bisected even when a
         tampered table's powers are not; on a built table it equals ``powers``.
         """
-        floors = list(self.powers)
-        for i in range(len(floors) - 2, -1, -1):
-            floors[i] = min(floors[i], floors[i + 1])
-        return tuple(floors)
+        return tuple(itertools.accumulate(reversed(self.powers), min))[::-1]
 
     @cached_property
     def precision_lcm(self) -> int:
@@ -179,7 +176,7 @@ def build_anchor_table(
         raise DomainError("table depth must be >= 1")
     if depth > MAX_TABLE_DEPTH:
         raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
-    spec.validate(descriptor)
+    spec.check_shape(descriptor)
     # About 70 distinct targets at depth 2500: each is looked up once.
     targets: dict[int, HElement] = {}
     anchors = []

@@ -41,19 +41,12 @@ from typing import Optional, Union
 from .construction import (
     MAX_TABLE_DEPTH,
     AnchorTable,
-    build_anchor_table,
     k_sequence,
     require_depth,
     unpair_index,
 )
 from .errors import DomainError, ShapeError
-from .groups import (
-    ExtElement,
-    GroupDescriptor,
-    HElement,
-    NormSpec,
-    base_norm,
-)
+from .groups import ExtElement, HElement, base_norm
 from .rat import ONE, ZERO
 
 
@@ -234,14 +227,18 @@ def best_decomposition(
     """Exact minimum-cost decomposition within the budget, or None.
 
     Depth-first search over multiplicity vectors for anchors 1..index_cap,
-    assigning the deepest anchor first.  Pruning is exact: per-anchor budget
-    caps, reachability of the remaining c-power target under the leftover
-    caps, an admissible lower bound on the cost of covering the remaining
-    target, and the incumbent best cost.  Branches enumerate multiplicities
-    in ascending order, so the first minimum found is the lexicographically
-    smallest coefficient vector read from the deepest anchor down; later ties
-    never replace it.  Levels whose only multiplicity is 0 are skipped in one
-    bisection, and the strongest of their lower-bound tests is applied once.
+    assigning the deepest anchor first.  Per-anchor budget caps and the
+    reach of the leftover caps bound each level's multiplicities.  A branch
+    is then tested once against the budget and once against the incumbent:
+    on its cost when no c-power is left to cover, otherwise on the admissible
+    bound cost + |rest| / widest[n-1], which exceeds the cost.  Levels whose
+    only multiplicity is 0 are skipped in one bisection with no test of
+    their own: every anchor at or below the level landed on covers c-power
+    at no less than 1/widest[land] per unit, so the tests there cut whatever
+    a skipped level's test, on a widest no narrower, would.  Branches
+    enumerate multiplicities in ascending order, so the first minimum found
+    is the lexicographically smallest coefficient vector read from the
+    deepest anchor down; later ties never replace it.
 
     Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
     and leaf totals over L*D, D being the spec's denominator.  Every prune is
@@ -269,18 +266,7 @@ def best_decomposition(
     def descend(n: int, target: int, shift: tuple[int, ...], running: int,
                 coeffs: list[tuple[int, int]]) -> None:
         nonlocal best, best_total
-        size = abs(target)
-        land = bisect_right(floors, size, 1, n + 1) - 1
-        if land < n and target:
-            # The tests the skipped 0-multiplicity steps would make, of which
-            # the one with the narrowest anchors left is the strongest.
-            width = widest[land]
-            lower = running * width + size * scale
-            if lower > budget_scaled * width:
-                return
-            if best is not None and lower * d >= best_total * width:
-                return
-        n = land
+        n = bisect_right(floors, abs(target), 1, n + 1) - 1
         if n == 0:
             if target:
                 return
@@ -302,17 +288,14 @@ def best_decomposition(
         hi = min(hi, cap)
         for mult in range(lo, hi + 1):
             cost = running + abs(mult) * unit
-            if cost > budget_scaled:
-                continue
-            if best is not None and cost * d >= best_total:
-                continue
             rest = target - mult * power
-            if rest != 0:
+            if rest == 0:
+                if cost > budget_scaled or best is not None and cost * d >= best_total:
+                    continue
+            else:
                 # (cost/L + |rest|/width) * L * width, against budget and incumbent.
                 lower = cost * width + abs(rest) * scale
-                if lower > budget_wide:
-                    continue
-                if best is not None and lower * d >= best_total * width:
+                if lower > budget_wide or best is not None and lower * d >= best_total * width:
                     continue
             if mult != 0:
                 coeffs.append((anchor.index, mult))
@@ -413,15 +396,3 @@ def density_witness(
         certificate=certificate,
     )
 
-
-def extend_family(
-    descriptor: GroupDescriptor,
-    specs: list[NormSpec],
-    depth: int,
-) -> list[AnchorTable]:
-    """One table per norm, all sharing the identical pairing/threshold/power data.
-
-    Pseudonorm members are accepted; their tables certify the same bounds with
-    positivity claims dropped.
-    """
-    return [build_anchor_table(descriptor, spec, depth) for spec in specs]

@@ -207,8 +207,12 @@ def _counts(
     return rows, cums
 
 
-# sample_elements scans indices 1..count//2 + 1 twice in order, and an LRU
-# bound below that pool would miss on every lookup.
+# sample_elements walks its pool of indices cyclically from the seed's
+# offset, over up to count//2 + 1 of them (10001 under cli.MAX_SAMPLES), and
+# the extension and truncation suites of one verify run, like repeated calls
+# in a long-running process, walk the same indices again.  Under an LRU bound
+# below the pool each walk would evict every entry before the next one came
+# back to it, so every lookup would miss.
 @lru_cache(maxsize=1 << 14)
 def enumerate_h(descriptor: GroupDescriptor, n: int) -> HElement:
     """Return the n-th element (1-based) of the fixed graded-lex enumeration."""
@@ -252,6 +256,10 @@ class CappedWeightedL1:
     weights: tuple[Fraction, ...]
     kind = "capped_l1"
 
+    def __post_init__(self):
+        if any(w <= 0 for w in self.weights):
+            raise ShapeError("capped_l1 weights must be positive")
+
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.torsion_moduli:
             raise ShapeError("capped_l1 applies to torsion-free groups")
@@ -259,11 +267,6 @@ class CappedWeightedL1:
             raise ShapeError(
                 f"capped_l1 has {len(self.weights)} weights for rank {descriptor.free_rank}"
             )
-
-    def validate(self, descriptor: GroupDescriptor) -> None:
-        self.check_shape(descriptor)
-        if any(w <= 0 for w in self.weights):
-            raise ShapeError("capped_l1 weights must be positive")
 
     # Cached on the instance: a cache keyed by the weights would hash every
     # Fraction on every call and cost more than the scaling saves.
@@ -286,16 +289,15 @@ class CappedLInf:
     scale: Fraction
     kind = "capped_linf"
 
+    def __post_init__(self):
+        if self.scale <= 0:
+            raise ShapeError("capped_linf scale must be positive")
+
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.torsion_moduli:
             raise ShapeError("capped_linf applies to torsion-free groups")
         if descriptor.free_rank < 1:
             raise ShapeError("capped_linf needs at least one free coordinate")
-
-    def validate(self, descriptor: GroupDescriptor) -> None:
-        self.check_shape(descriptor)
-        if self.scale <= 0:
-            raise ShapeError("capped_linf scale must be positive")
 
     def denominator(self, descriptor: GroupDescriptor) -> int:
         return self.scale.denominator
@@ -320,9 +322,6 @@ class CyclicScaled:
         if descriptor.free_rank != 0 or not descriptor.torsion_moduli:
             raise ShapeError("cyclic_scaled applies to purely torsion groups")
 
-    def validate(self, descriptor: GroupDescriptor) -> None:
-        self.check_shape(descriptor)
-
     def denominator(self, descriptor: GroupDescriptor) -> int:
         return _cyclic_weights(descriptor.torsion_moduli)[0]
 
@@ -346,14 +345,13 @@ class RationalRotation:
     alpha: Fraction
     kind = "rational_rotation"
 
+    def __post_init__(self):
+        if self.alpha.denominator < 2:
+            raise ShapeError("alpha must be a non-integer rational p/q with q >= 2")
+
     def check_shape(self, descriptor: GroupDescriptor) -> None:
         if descriptor.free_rank != 1 or descriptor.torsion_moduli:
             raise ShapeError("rational_rotation applies to the rank-one free group")
-
-    def validate(self, descriptor: GroupDescriptor) -> None:
-        self.check_shape(descriptor)
-        if self.alpha.denominator < 2:
-            raise ShapeError("alpha must be a non-integer rational p/q with q >= 2")
 
     def denominator(self, descriptor: GroupDescriptor) -> int:
         return self.alpha.denominator

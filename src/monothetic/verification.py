@@ -211,9 +211,7 @@ def verify_norm_axioms(
             if key not in problems:
                 r, mirror = ev(z.h, z.k), ev(-z.h, -z.k)
                 problems[key] = found = []
-                if isinstance(r, ExactResult) != isinstance(mirror, ExactResult) or (
-                    _certified_value(r) != _certified_value(mirror)
-                ):
+                if _certified_value(r) != _certified_value(mirror):
                     found.append(("symmetry", f"z=({z.h.coords()},{z.k})",
                                   _describe(r), _describe(mirror)))
                 if isinstance(r, ExactResult) and r.value > ONE:

@@ -23,7 +23,6 @@ from monothetic import (
     check_table_consistency,
     counterexample_scan,
     evaluate,
-    extend_family,
     k_sequence,
     pair_index,
     verify_density,
@@ -219,7 +218,7 @@ def test_criterion_9_family_extension():
         CappedLInf(scale=Fraction(3)),
         RationalRotation(alpha=Fraction(1, 3)),
     ]
-    tables = extend_family(Z, specs, 10)
+    tables = [build_anchor_table(Z, spec, 10) for spec in specs]
     skeletons = {
         tuple((a.index, a.target_index, a.precision_index, a.power) for a in t.anchors)
         for t in tables

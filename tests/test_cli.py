@@ -389,6 +389,8 @@ class TestHostileInput:
         ("--norm", '{"type":"capped_l1"}'),
         ("--norm", '{"type":"capped_l1","weights":"1"}'),
         ("--norm", '{"type":"rational_rotation","alpha":"3/1"}'),
+        ("--norm", '{"type":"capped_l1","weights":["-1/1"]}'),
+        ("--norm", '{"type":"capped_linf","scale":"0/1"}'),
         ("--norm", '{"type":"bogus"}'),
     ])
     def test_build_malformed_object_exits_two(self, tmp_path, capsys, flag, value):
@@ -400,6 +402,7 @@ class TestHostileInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("case", ["table-array", "element-h-int", "empty-family"])
     def test_wrong_json_shape_exits_two(self, table_path, tmp_path, capsys, case):

@@ -27,7 +27,6 @@ from monothetic import (
     enumerate_h,
     evaluate,
     evaluate_truncated,
-    extend_family,
     k_sequence,
     truncation_index,
 )
@@ -612,14 +611,10 @@ class TestDensityWitness:
 
 class TestExtendFamily:
     def test_shared_construction_data(self):
-        tables = extend_family(
-            Z,
-            [
-                CappedWeightedL1(weights=(Fraction(1),)),
-                CappedLInf(scale=Fraction(3)),
-            ],
-            15,
-        )
+        tables = [
+            build_anchor_table(Z, spec, 15)
+            for spec in (CappedWeightedL1(weights=(Fraction(1),)), CappedLInf(scale=Fraction(3)))
+        ]
         assert tables[0].powers == tables[1].powers
         skeleton = [
             [(a.index, a.target_index, a.precision_index, a.power) for a in t.anchors]
@@ -627,32 +622,22 @@ class TestExtendFamily:
         ]
         assert skeleton[0] == skeleton[1]
 
-    def test_singleton_matches_direct_build(self):
-        spec = CappedWeightedL1(weights=(Fraction(1),))
-        [table] = extend_family(Z, [spec], 10)
-        assert table == build_anchor_table(Z, spec, 10)
-
     def test_pseudonorm_member_accepted(self):
-        tables = extend_family(
-            Z,
-            [
-                CappedWeightedL1(weights=(Fraction(1),)),
-                RationalRotation(alpha=Fraction(1, 3)),
-            ],
-            10,
-        )
+        tables = [
+            build_anchor_table(Z, spec, 10)
+            for spec in (CappedWeightedL1(weights=(Fraction(1),)), RationalRotation(alpha=Fraction(1, 3)))
+        ]
         assert tables[0].powers == tables[1].powers
 
     def test_same_truncation_indices_across_members(self):
-        tables = extend_family(
-            Z,
-            [
+        tables = [
+            build_anchor_table(Z, spec, 12)
+            for spec in (
                 CappedWeightedL1(weights=(Fraction(1),)),
                 CappedLInf(scale=Fraction(3)),
                 RationalRotation(alpha=Fraction(1, 3)),
-            ],
-            12,
-        )
+            )
+        ]
         for k in (1, 2, 5, -7):
             levels = {
                 truncation_index(t, k, Fraction(1023, 1024)) for t in tables

@@ -222,6 +222,21 @@ class TestBaseNorm:
         with pytest.raises(ShapeError):
             base_norm(CappedWeightedL1(weights=(Fraction(1),)), MIXED.zero())
 
+    # A spec checks its parameters when it is made, so no table or base_norm
+    # call can hold a negative weight or scale, or an integer alpha.
+    @pytest.mark.parametrize("make", [
+        lambda: CappedWeightedL1(weights=(Fraction(-1),)),
+        lambda: CappedWeightedL1(weights=(Fraction(1), Fraction(0))),
+        lambda: CappedLInf(scale=Fraction(0)),
+        lambda: CappedLInf(scale=Fraction(-1, 3)),
+        lambda: RationalRotation(alpha=Fraction(3)),
+        lambda: RationalRotation(alpha=Fraction(0)),
+    ], ids=["l1-negative", "l1-zero", "linf-zero", "linf-negative",
+            "rotation-integer", "rotation-zero"])
+    def test_bad_parameters_rejected_on_construction(self, make):
+        with pytest.raises(ShapeError):
+            make()
+
     @pytest.mark.parametrize(
         "descriptor,spec",
         [
