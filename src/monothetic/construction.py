@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DomainError, ExtendTableError
 from .groups import (
@@ -73,9 +74,12 @@ def k_sequence(length: int) -> tuple[int, ...]:
     return tuple(powers)
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """One declared value: the element c^power - target gets value 1/precision."""
+class Anchor(NamedTuple):
+    """One declared value: the element c^power - target gets value 1/precision.
+
+    A named tuple, the cheapest record to make: every build and load of a
+    deep table makes thousands.
+    """
 
     index: int
     target_index: int

@@ -267,8 +267,10 @@ def load_table(path: str | Path) -> AnchorTable:
     """
     try:
         raw = json.loads(Path(path).read_text())
-    except FileNotFoundError as exc:
-        raise TableFormatError(f"parse error: cannot read {path}") from exc
+    except OSError as exc:
+        raise TableFormatError(
+            f"parse error: cannot read {path}: {exc.strerror or exc}"
+        ) from exc
     except json.JSONDecodeError as exc:
         raise TableFormatError(f"parse error: {exc}") from exc
 

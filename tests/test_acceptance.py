@@ -6,7 +6,6 @@ tolerances are the stated wall-clock budgets.
 """
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -139,14 +138,14 @@ def test_criterion_4_norm_axioms(quarter_table, linf_table):
     # triangle violation.
     base = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 16)
     anchors = list(base.anchors)
-    anchors[2] = replace(anchors[2], power=3)
+    anchors[2] = anchors[2]._replace(power=3)
     literal = AnchorTable(base.descriptor, base.spec, tuple(anchors))
     report = verify_norm_axioms(literal, 500, 42, k_range=3)
     assert not report.passed
 
     anchors = list(base.anchors)
-    anchors[3] = replace(anchors[3], power=1)
-    anchors[4] = replace(anchors[4], power=1)
+    anchors[3] = anchors[3]._replace(power=1)
+    anchors[4] = anchors[4]._replace(power=1)
     semantic = AnchorTable(base.descriptor, base.spec, tuple(anchors))
     report = verify_norm_axioms(semantic, 500, 42, k_range=3)
     assert not report.passed

@@ -16,7 +16,8 @@ from monothetic import (
     build_anchor_table,
     k_sequence,
 )
-from monothetic.cli import MAX_SAMPLES, main
+from monothetic import cli
+from monothetic.cli import MAX_FAMILY, MAX_SAMPLES, main
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.counterexample import MAX_GRID
 from monothetic.evaluator import density_witness
@@ -306,6 +307,28 @@ class TestFamily:
         tables = [load_table(out_dir / f"family_{i}.json") for i in range(3)]
         assert tables[0].powers == tables[1].powers == tables[2].powers
 
+    def test_members_share_one_anchors_tuple(self, tmp_path, monkeypatch):
+        saved = []
+        monkeypatch.setattr(cli, "save_table", lambda table, path: saved.append(table))
+        norms = json.dumps([json.loads(NORM), {"type": "capped_linf", "scale": "3/1"}] * 2)
+        code = main(["family", "--group", GROUP, "--norms", norms,
+                     "--depth", "10", "--out-dir", str(tmp_path)])
+        assert code == 0
+        assert len(saved) == 4
+        assert all(table.anchors is saved[0].anchors for table in saved)
+
+    def test_members_past_cap_exit_two(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_anchor_table", lambda *args: built.append(args))
+        norms = json.dumps([json.loads(NORM)] * (MAX_FAMILY + 1))
+        code = main(["family", "--group", GROUP, "--norms", norms,
+                     "--out-dir", str(tmp_path / "family")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"at most {MAX_FAMILY} members" in captured.err
+        assert built == []
+        assert not (tmp_path / "family").exists()
 
     def test_powers_past_the_digit_limit(self, capsys):
         code = main(["family", "--group", GROUP, "--norms", f"[{NORM}]", "--depth", "2700"])
@@ -314,6 +337,35 @@ class TestFamily:
         powers = k_sequence(2700)
         assert [a["k"] for a in payload["shared_anchors"][-2:]] == [
             Decimal(k) for k in powers[-2:]]
+
+
+class TestSharedParser:
+    def test_calls_match_a_fresh_parser(self, tmp_path, capsys):
+        # main builds its parser once per process; a call after others must
+        # behave as it does on a parser built for it alone, and no option
+        # value may carry over from one call to the next.
+        path = str(tmp_path / "t.json")
+        verify = ["verify", "--table", path, "--suite", "extension"]
+        calls = [
+            verify + ["--samples", "seven"],
+            ["build", "--group", GROUP, "--norm", NORM, "--depth", "12", "--out", path],
+            ["eval", "--table", path, "--element", '{"h":[2],"k":-2}'],
+            verify + ["--samples", "7"],
+            verify,
+        ]
+
+        def run(argv):
+            code = main(argv)
+            return code, capsys.readouterr().out
+
+        shared = [run(argv) for argv in calls]
+        fresh = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            fresh.append(run(argv))
+        assert shared == fresh
+        assert [code for code, _ in shared] == [2, 0, 0, 0, 0]
+        assert [json.loads(out)[0]["samples"] for _, out in shared[3:]] == [7, 500]
 
 
 class TestPersistence:
@@ -422,6 +474,30 @@ class TestHostileInput:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("case", ["eval-table-dir", "build-out-missing-dir",
+                                      "counterexample-out-dir", "family-out-dir-file"])
+    def test_unusable_path_exits_two(self, tmp_path, capsys, case):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv, path = {
+            "eval-table-dir": (["eval", "--table", str(tmp_path),
+                                "--element", '{"h":[0],"k":1}'], tmp_path),
+            "build-out-missing-dir": (["build", "--group", GROUP, "--norm", NORM, "--out",
+                                       str(tmp_path / "missing" / "t.json")],
+                                      tmp_path / "missing" / "t.json"),
+            "counterexample-out-dir": (["counterexample", "--grid", "2", "--out", str(tmp_path)],
+                                       tmp_path),
+            "family-out-dir-file": (["family", "--group", GROUP, "--norms", f"[{NORM}]",
+                                     "--out-dir", str(a_file)], a_file),
+        }[case]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert str(path) in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
 
     def test_huge_depth_in_file_rejected_quickly(self, table_path, tmp_path, capsys):

@@ -159,24 +159,20 @@ class TestConsistencyCheck:
         assert check_table_consistency(unit_table) == []
 
     def test_detects_tampered_power(self, unit_table):
-        from dataclasses import replace
-
         from monothetic import AnchorTable
 
         anchors = list(unit_table.anchors)
-        anchors[2] = replace(anchors[2], power=3)
+        anchors[2] = anchors[2]._replace(power=3)
         bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
         problems = check_table_consistency(bad)
         assert any("power" in p for p in problems)
 
     def test_detects_edited_index_and_target(self, unit_table):
-        from dataclasses import replace
-
         from monothetic import AnchorTable
 
         anchors = list(unit_table.anchors)
-        anchors[3] = replace(anchors[3], index=9)
-        anchors[6] = replace(anchors[6], target=anchors[5].target)
+        anchors[3] = anchors[3]._replace(index=9)
+        anchors[6] = anchors[6]._replace(target=anchors[5].target)
         bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
         assert check_table_consistency(bad) == [
             "anchor 4: stored index 9",
@@ -187,13 +183,11 @@ class TestConsistencyCheck:
         # Edited precision indices are pair defects only: the growth law takes
         # J_n from the recurrence's pairs, so a raised stored j (9 at anchor
         # 7) does not make the unchanged powers after it look too small.
-        from dataclasses import replace
-
         from monothetic import AnchorTable
 
         anchors = list(unit_table.anchors)
         for n, j in ((5, 1), (7, 9), (12, 2)):
-            anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+            anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
         bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
         assert check_table_consistency(bad) == [
             "anchor 5: pair (2,1) != (2,2)",
@@ -202,12 +196,10 @@ class TestConsistencyCheck:
         ]
 
     def test_growth_law_flags_a_collapsed_power(self, unit_table):
-        from dataclasses import replace
-
         from monothetic import AnchorTable
 
         anchors = list(unit_table.anchors)
-        anchors[5] = replace(anchors[5], power=anchors[4].power * 2)
+        anchors[5] = anchors[5]._replace(power=anchors[4].power * 2)
         bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
         # K_6 = 68 is not above K_5 * J_6 = 34 * 3.
         assert "anchor 6: growth law violated against anchor 5" in check_table_consistency(bad)

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monothetic import (
     DomainError,
@@ -10,8 +11,12 @@ from monothetic import (
     counterexample_certificate,
     counterexample_scan,
 )
-from monothetic.counterexample import MAX_GRID, _identity_sides
+from monothetic.counterexample import MAX_GRID, ContradictionReport, _identity_sides
 from oracle import lattice_identity
+
+HALF = Fraction(1, 2)
+powers = st.integers(-(10 ** 12), 10 ** 12).filter(bool)
+values = st.fractions(0, HALF, max_denominator=10 ** 9).filter(lambda v: 0 < v < HALF)
 
 
 class TestCertificate:
@@ -58,6 +63,16 @@ class TestCertificate:
         assert report.required_norm == 5
         assert report.implied_bound == 2 * Fraction(1, 4) + 3 * Fraction(1, 3)
 
+    @given(n=powers, m=powers, v1=values, v2=values)
+    def test_matches_fraction_reference(self, n, m, v1, v2):
+        # The certificate reduces the bound in integers; plain Fraction
+        # arithmetic is the reference, at v1 != v2 as well.
+        required = abs(m) + abs(n)
+        implied = abs(m) * v1 + abs(n) * v2
+        assert counterexample_certificate(n, m, v1, v2) == ContradictionReport(
+            n=n, m=m, v1=v1, v2=v2, required_norm=required,
+            implied_bound=implied, margin=required - implied, identity_verified=True)
+
     def test_margin_dominates_half_norm(self):
         v = Fraction(99, 200)
         for n in range(1, 8):
@@ -86,6 +101,12 @@ class TestScan:
         for cert in summary.certificates:
             total = abs(cert.n) + abs(cert.m)
             assert cert.margin == total * (1 - v)
+
+    def test_cells_match_single_certificates(self):
+        summary = counterexample_scan(12)
+        v = summary.worst_case_value
+        assert summary.certificates == tuple(
+            counterexample_certificate(n, m, v, v) for n in range(1, 13) for m in range(1, 13))
 
     def test_identity_everywhere(self):
         summary = counterexample_scan(4)

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -417,7 +416,7 @@ def with_powers(table, replacements):
     """A copy of ``table`` with some anchor powers rewritten."""
     anchors = list(table.anchors)
     for index, power in replacements.items():
-        anchors[index - 1] = replace(anchors[index - 1], power=power)
+        anchors[index - 1] = anchors[index - 1]._replace(power=power)
     return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
@@ -510,7 +509,7 @@ class TestEvaluateTruncated:
             tables.append(with_powers(base, {6: 3 * base.anchor(6).power}))
             anchors = list(base.anchors)
             for n, j in ((5, 1), (7, 9), (10, 2)):
-                anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+                anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
             tables.append(AnchorTable(base.descriptor, base.spec, tuple(anchors)))
         costs_of_one = 0
         for table in tables:

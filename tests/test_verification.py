@@ -39,7 +39,7 @@ def tamper_powers(table, replacements):
     """Test fixture: rewrite anchor powers, keeping everything else."""
     anchors = list(table.anchors)
     for index, power in replacements.items():
-        anchors[index - 1] = replace(anchors[index - 1], power=power)
+        anchors[index - 1] = anchors[index - 1]._replace(power=power)
     return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
@@ -356,7 +356,7 @@ class TestDensitySuite:
         # 3 x 3 box; declaring it at precision 1 breaks exactly that demand.
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 20)
         anchors = list(table.anchors)
-        anchors[4] = replace(anchors[4], precision_index=1)
+        anchors[4] = anchors[4]._replace(precision_index=1)
         bad = AnchorTable(table.descriptor, table.spec, tuple(anchors))
         report = verify_density(bad, 3, 3)
         assert [(v.sample_index, v.inputs) for v in report.violations] == [

@@ -27,7 +27,6 @@ cost is exactly 1, and four drawn as above.
 import hashlib
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -77,9 +76,9 @@ LEVEL_SWEEP_ELEMENTS = 6
 def tampered(table, powers=(), precisions=()):
     anchors = list(table.anchors)
     for n, k in powers:
-        anchors[n - 1] = replace(anchors[n - 1], power=k)
+        anchors[n - 1] = anchors[n - 1]._replace(power=k)
     for n, j in precisions:
-        anchors[n - 1] = replace(anchors[n - 1], precision_index=j)
+        anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
     return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
