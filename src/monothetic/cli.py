@@ -17,7 +17,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .construction import AnchorTable, build_anchor_table
-from .counterexample import counterexample_certificate, counterexample_scan
+from .counterexample import counterexample_certificate, counterexample_scan, worst_case_value
 from .errors import (
     DomainError,
     ExtendTableError,
@@ -136,15 +136,43 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
+# A bare JSON word no certificate field can hold: each class's line is
+# rendered once with it in place of n and m, then split around it.
+_CELL = Decimal("NaN")
+
+
+def _line_writer(handle):
+    """counterexample_scan's emit: one JSON line per cell, rendered once per class."""
+    pieces = {}
+
+    def emit(n: int, m: int, report) -> None:
+        parts = pieces.get(report.required_norm)
+        if parts is None:
+            payload = contradiction_to_json(report)
+            payload["n"] = payload["m"] = _CELL
+            head, mid, tail = dumps_stable(payload).split(str(_CELL))  # "m" sorts before "n"
+            parts = pieces[report.required_norm] = (head, mid, tail + "\n")
+        head, mid, tail = parts
+        handle.write(f"{head}{m}{mid}{n}{tail}")
+
+    return emit
+
+
 def _cmd_counterexample(args) -> int:
     if args.grid is not None:
-        summary = counterexample_scan(args.grid)
-        if args.out:
+        for option in ("n", "m", "v1", "v2"):
+            if getattr(args, option) is not None:
+                raise DomainError(f"--{option} cannot be combined with --grid")
+        if args.out is None:
+            summary = counterexample_scan(args.grid)
+        else:
+            worst_case_value(args.grid)  # a refused grid creates no file
             with _writing(args.out), open(args.out, "w") as handle:
-                for certificate in summary.certificates:
-                    handle.write(dumps_stable(contradiction_to_json(certificate)) + "\n")
+                summary = counterexample_scan(args.grid, _line_writer(handle))
         print(dumps_stable(scan_summary_to_json(summary)))
         return EXIT_OK
+    if args.out is not None:
+        raise DomainError("--out needs --grid: a single certificate goes to stdout")
     if args.n is None or args.m is None or args.v1 is None or args.v2 is None:
         raise DomainError("single-certificate mode needs --n, --m, --v1, and --v2")
     report = counterexample_certificate(

@@ -184,12 +184,14 @@ def test_criterion_7_truncation_stabilization():
 
 def test_criterion_8_counterexample_and_contrast(lattice_table):
     start = time.perf_counter()
-    summary = counterexample_scan(50)
+    cells = []
+    summary = counterexample_scan(50, lambda n, m, cert: cells.append((n, m, cert)))
     assert summary.worst_case_value == Fraction(1, 2) - Fraction(1, 2500)
-    assert summary.certificate_count == 2500
+    assert summary.certificate_count == len(cells) == 2500
     assert summary.all_margins_positive
-    for cert in summary.certificates:
+    for n, m, cert in cells:
         assert cert.identity_verified
+        assert cert.required_norm == n + m
         assert cert.implied_bound < Fraction(cert.required_norm, 2)
 
     # Contrast: the capped variant of the same norm on the same lattice

@@ -289,6 +289,25 @@ class TestCounterexample:
         assert main(["counterexample"] + argv) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("argv,option", [
+        (["--n", "2", "--m", "2", "--v1", "2/5", "--v2", "2/5", "--out", "f.jsonl"], "--out"),
+        (["--grid", "3", "--n", "2"], "--n"),
+    ], ids=["single-with-out", "grid-with-n"])
+    def test_conflicting_modes_exit_two(self, tmp_path, monkeypatch, capsys, argv, option):
+        monkeypatch.chdir(tmp_path)
+        assert main(["counterexample"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and option in captured.err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", ["0", str(MAX_GRID + 1)])
+    def test_refused_grid_creates_no_file(self, tmp_path, capsys, grid):
+        out = tmp_path / "certs.jsonl"
+        assert main(["counterexample", "--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
 
 class TestFamily:
     def test_shared_block_and_files(self, tmp_path, capsys):
@@ -583,3 +602,12 @@ class TestPinnedBytes:
             "64922d400a376f42eeb7b8e3213191331ccb3d3481bd5b13adc1d7f26fcd7b5f")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "710bcea37e74153edb01a317e07a157bbd89556da2e69d73bc2e8df49487444d")
+
+    def test_counterexample_largest_grid(self, tmp_path, capsys):
+        out = tmp_path / "certs.jsonl"
+        assert main(["counterexample", "--grid", "500", "--out", str(out)]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == (
+            "53c503baf35994cd45d0d6631c5a714a6363395cb751adea7a7d628b48cde53b")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "c8bebc26ce0e62747b9c0a63495639dd905b0fbcad49102b165ea9e0bd60583f")

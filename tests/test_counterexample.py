@@ -1,5 +1,7 @@
 """Infeasibility certificates for the unbounded sum norm on the rank-two lattice."""
 
+import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,7 +13,9 @@ from monothetic import (
     counterexample_certificate,
     counterexample_scan,
 )
+from monothetic.cli import main
 from monothetic.counterexample import MAX_GRID, ContradictionReport, _identity_sides
+from monothetic.serialize import contradiction_to_json, dumps_stable
 from oracle import lattice_identity
 
 HALF = Fraction(1, 2)
@@ -81,6 +85,14 @@ class TestCertificate:
                 assert report.margin > Fraction(n + m, 2)
 
 
+def streamed(limit):
+    """The scan's summary and every cell's certificate, in the order it emits them."""
+    cells = []
+    summary = counterexample_scan(
+        limit, lambda n, m, report: cells.append(replace(report, n=n, m=m)))
+    return summary, cells
+
+
 class TestScan:
     def test_single_cell(self):
         summary = counterexample_scan(1)
@@ -90,33 +102,53 @@ class TestScan:
         assert 0 < summary.worst_case_value < Fraction(1, 2)
 
     def test_grid(self):
-        summary = counterexample_scan(5)
-        assert summary.certificate_count == 25
+        summary, cells = streamed(5)
+        assert summary.certificate_count == len(cells) == 25
         assert summary.all_margins_positive
-        assert summary.min_margin == min(c.margin for c in summary.certificates)
+        assert summary.min_margin == min(c.margin for c in cells)
 
     def test_margins_linear_in_norm(self):
-        summary = counterexample_scan(6)
+        summary, cells = streamed(6)
         v = summary.worst_case_value
-        for cert in summary.certificates:
+        for cert in cells:
             total = abs(cert.n) + abs(cert.m)
             assert cert.margin == total * (1 - v)
 
-    def test_cells_match_single_certificates(self):
-        summary = counterexample_scan(12)
+    def test_streamed_cells_match_single_certificates(self):
+        summary, cells = streamed(12)
         v = summary.worst_case_value
-        assert summary.certificates == tuple(
-            counterexample_certificate(n, m, v, v) for n in range(1, 13) for m in range(1, 13))
+        assert cells == [
+            counterexample_certificate(n, m, v, v) for n in range(1, 13) for m in range(1, 13)]
+
+    def test_cells_match_single_certificates(self, tmp_path, capsys):
+        # Every line the CLI writes against the single-cell path, in row order.
+        out = tmp_path / "certs.jsonl"
+        assert main(["counterexample", "--grid", "12", "--out", str(out)]) == 0
+        v = counterexample_scan(12).worst_case_value
+        assert out.read_text().splitlines() == [
+            dumps_stable(contradiction_to_json(counterexample_certificate(n, m, v, v)))
+            for n in range(1, 13) for m in range(1, 13)]
 
     def test_identity_everywhere(self):
-        summary = counterexample_scan(4)
-        assert all(c.identity_verified for c in summary.certificates)
+        _, cells = streamed(4)
+        assert len(cells) == 16
+        assert all(c.identity_verified for c in cells)
 
     def test_criterion_scale_values(self):
         summary = counterexample_scan(50)
         assert summary.worst_case_value == Fraction(1, 2) - Fraction(1, 2500)
         assert summary.certificate_count == 2500
         assert summary.all_margins_positive
+
+    def test_memory_does_not_grow_with_the_cells(self):
+        # One certificate per class n + m, none per cell: 199 at limit 100.
+        tracemalloc.start()
+        try:
+            counterexample_scan(100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("limit", [0, MAX_GRID + 1])
     def test_bad_limit(self, limit):
