@@ -31,7 +31,7 @@ class TableFormatError(ValueError):
 
 
 class CorruptedTableError(TableFormatError):
-    """A persisted table contradicts the construction recurrence."""
+    """A persisted table's stored digest does not match its header."""
 
 
 class HypothesisNotMetError(ValueError):

@@ -306,6 +306,7 @@ def best_decomposition(
                 descend(n - 1, rest, shift, cost, coeffs)
 
     descend(index_cap, x.k, x.h.coords(), 0, [])
+    del descend   # it refers to itself through its cell: free the search now, not at a gc
     if best is None:
         return None
     coefficients, shift = best

@@ -6,6 +6,7 @@ in lowest terms with q > 0; nothing is ever serialized as a float.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 ZERO = Fraction(0)
@@ -17,16 +18,21 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# ASCII digits only: int() alone would also take spaces, "_", "+" and other scripts' digits.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a bare integer string into an exact Fraction."""
-    if not isinstance(text, str):
-        raise ValueError(f"expected a rational string, got {text!r}")
-    parts = text.strip().split("/")
-    if len(parts) == 1:
-        return Fraction(int(parts[0]))
-    if len(parts) == 2:
-        num, den = int(parts[0]), int(parts[1])
-        if den <= 0:
-            raise ValueError(f"denominator must be positive in {text!r}")
-        return Fraction(num, den)
-    raise ValueError(f"malformed rational {text!r}")
+    """Parse ``"p/q"`` or a bare integer ``"p"`` into an exact Fraction.
+
+    p is ASCII digits with an optional leading ``-``, q is ASCII digits and
+    positive; nothing else, not even whitespace, is accepted.  ``"2/4"`` is
+    read as 1/2.
+    """
+    match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        raise ValueError(f"malformed rational {text!r}: expected \"p/q\" or \"p\"")
+    num, den = int(match[1]), int(match[2] or 1)
+    if den == 0:
+        raise ValueError(f"denominator must be positive in {text!r}")
+    return Fraction(num, den)

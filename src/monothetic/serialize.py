@@ -1,11 +1,12 @@
 """JSON wire formats and table persistence.
 
 All rationals cross the wire as ``"p/q"`` strings; coordinates are integers.
-A table file holds only what the loader cannot re-derive: the descriptor, the
-norm spec, the depth and a SHA-256 digest of the table it was written from.
-Loading rebuilds the construction from the recurrence and compares digests, so
-edited files are rejected rather than silently trusted.  No power is ever
-written as text: the deepest ones run to thousands of decimal digits.
+A table file holds its header (the format version, the descriptor, the norm
+spec and the depth N) and a SHA-256 digest of the header's canonical JSON.
+The construction is inductive, so the header fixes every anchor: loading
+rebuilds the table from the recurrence and checks the digest, so an edited
+header is rejected rather than silently trusted.  No power is ever written as
+text: the deepest ones run to thousands of decimal digits.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import dataclasses
 import decimal
 import hashlib
 import json
-import struct
 from pathlib import Path
 from typing import Any
 
@@ -34,7 +34,7 @@ from .groups import (
 )
 from .rat import format_fraction, parse_fraction
 
-TABLE_VERSION = 2
+TABLE_VERSION = 3
 
 
 # What json.dumps writes for the string dumps_stable puts in place of a raw
@@ -223,47 +223,28 @@ def scan_summary_to_json(summary: ScanSummary) -> dict:
 
 # --- table persistence --------------------------------------------------------
 
-def _table_digest(table: AnchorTable) -> str:
-    """SHA-256 over the canonical header JSON, then each anchor's n, m, j and k.
-
-    Each power goes in as big-endian two's-complement bytes after a length
-    prefix.  Turning it into decimal text would cost time quadratic in its
-    length, and CPython refuses powers past 4300 digits.
-    """
+def _table_file(table: AnchorTable) -> dict:
+    """A table file's contents: the header and the SHA-256 of its canonical JSON."""
     header = {
-        "descriptor": descriptor_to_json(table.descriptor),
-        "spec": norm_spec_to_json(table.spec),
-    }
-    digest = hashlib.sha256(dumps_stable(header).encode())
-    pack = struct.Struct(">4Q").pack
-    for a in table.anchors:
-        power = a.power.to_bytes((a.power.bit_length() + 8) // 8, "big", signed=True)
-        digest.update(pack(a.index, a.target_index, a.precision_index, len(power)))
-        digest.update(power)
-    return digest.hexdigest()
-
-
-def table_to_json(table: AnchorTable) -> dict:
-    return {
         "version": TABLE_VERSION,
         "descriptor": descriptor_to_json(table.descriptor),
         "spec": norm_spec_to_json(table.spec),
         "N": table.depth,
-        "sha256": _table_digest(table),
     }
+    return {**header, "sha256": hashlib.sha256(dumps_stable(header).encode()).hexdigest()}
 
 
 def save_table(table: AnchorTable, path: str | Path) -> None:
-    Path(path).write_text(dumps_stable(table_to_json(table)) + "\n")
+    Path(path).write_text(dumps_stable(_table_file(table)) + "\n")
 
 
 def load_table(path: str | Path) -> AnchorTable:
     """Load a table file by rebuilding the table its header describes.
 
-    The descriptor, spec and depth N are read (N at most
-    ``MAX_TABLE_DEPTH``), the anchors are rebuilt from the recurrence, and the
-    rebuilt table's digest must equal the stored one; any disagreement is a
-    corruption, not a value to be trusted.
+    The version, descriptor, spec and depth N are read (N at most
+    ``MAX_TABLE_DEPTH``), and the anchors are rebuilt from the recurrence.
+    Then the stored digest must equal the SHA-256 of the rebuilt table's
+    header; any disagreement is a corruption, not a value to be trusted.
     """
     try:
         raw = json.loads(Path(path).read_text())
@@ -291,8 +272,6 @@ def load_table(path: str | Path) -> AnchorTable:
         raise TableFormatError(f"parse error: {exc}") from exc
 
     table = build_anchor_table(descriptor, spec, depth)
-    if _table_digest(table) != stored:
-        raise CorruptedTableError(
-            "corrupted table: digest does not match the rebuilt construction"
-        )
+    if _table_file(table)["sha256"] != stored:
+        raise CorruptedTableError("corrupted table: digest does not match the header")
     return table

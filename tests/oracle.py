@@ -4,11 +4,15 @@ Each one computes its answer the slow, direct way and shares no code path
 with what it checks.
 """
 
+import hashlib
 import itertools
+import json
+import struct
 from fractions import Fraction
 from functools import lru_cache
 
 from monothetic import AnchorTable, ExtElement, GroupDescriptor, base_norm
+from monothetic.serialize import descriptor_to_json, norm_spec_to_json
 
 ONE = Fraction(1)
 LATTICE = GroupDescriptor(free_rank=2)
@@ -72,6 +76,29 @@ def brute_force_eval(
     assert max_summands >= 1 and radius >= 0
     assert x.descriptor == table.descriptor
     return min(ONE, _bounded_sums(table, max_summands, radius).get(x, ONE))
+
+
+def construction_digest(table: AnchorTable) -> str:
+    """SHA-256 over a whole table: header, then every anchor with its target.
+
+    The header is the canonical JSON of descriptor and spec.  Each anchor then
+    adds its n, m, j and the byte length of its power as four big-endian
+    64-bit words, the power as big-endian two's-complement bytes, and its
+    target's coordinates as big-endian signed 64-bit words.  Decimal text is
+    avoided: CPython refuses powers past 4300 digits.
+    """
+    header = {
+        "descriptor": descriptor_to_json(table.descriptor),
+        "spec": norm_spec_to_json(table.spec),
+    }
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    for a in table.anchors:
+        power = a.power.to_bytes((a.power.bit_length() + 8) // 8, "big", signed=True)
+        coords = a.target.coords()
+        digest.update(struct.pack(">4Q", a.index, a.target_index, a.precision_index, len(power)))
+        digest.update(power)
+        digest.update(struct.pack(f">{len(coords)}q", *coords))
+    return digest.hexdigest()
 
 
 def lattice_identity(n: int, m: int) -> tuple[ExtElement, ExtElement]:

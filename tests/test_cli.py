@@ -23,13 +23,13 @@ from monothetic.counterexample import MAX_GRID
 from monothetic.evaluator import density_witness
 from monothetic.groups import MAX_COORDINATES
 from monothetic.serialize import (
-    _table_digest,
     density_witness_to_json,
     descriptor_from_json,
     load_table,
     norm_spec_from_json,
     save_table,
 )
+from oracle import construction_digest
 
 Z = GroupDescriptor(free_rank=1)
 
@@ -123,6 +123,16 @@ class TestEval:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_padded_epsilon_exits_two(self, table_path, capsys):
+        code = main(["eval", "--table", str(table_path),
+                     "--element", '{"h":[0],"k":2}', "--epsilon", " 1/2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
 
     def test_non_object_element_exits_two(self, table_path, capsys):
         code = main(["eval", "--table", str(table_path), "--element", "[1,2]"])
@@ -251,12 +261,17 @@ class TestVerify:
             "error": "extend table", "required_depth": 5,
         }
 
-    def test_tampered_table_rejected(self, table_path, tmp_path):
-        raw = json.loads(table_path.read_text())
-        raw["N"] = 11
-        tampered = tmp_path / "tampered.json"
-        tampered.write_text(json.dumps(raw))
+    # Each edit keeps the stored sha256, so the digest must cover that field.
+    @pytest.mark.parametrize("changes", [
+        {"N": 11},
+        {"spec": {"type": "capped_l1", "weights": ["1/2"]}},
+        {"spec": {"type": "capped_linf", "scale": "1/2"}},
+    ], ids=["depth", "weight", "spec-type"])
+    def test_tampered_table_rejected(self, table_path, tmp_path, capsys, changes):
+        tampered = edited_copy(table_path, tmp_path / "tampered.json", **changes)
+        capsys.readouterr()
         assert main(["verify", "--table", str(tampered), "--suite", "axioms"]) == 2
+        assert "corrupted table" in capsys.readouterr().err
 
 
 class TestCounterexample:
@@ -413,7 +428,7 @@ class TestPersistence:
         save_table(table, path)
         assert load_table(path) == table
 
-    @pytest.mark.parametrize("version", [3, 1])
+    @pytest.mark.parametrize("version", [4, 2, 1])
     def test_version_mismatch(self, tmp_path, version):
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 5)
         path = tmp_path / "t.json"
@@ -565,23 +580,25 @@ class TestHostileInput:
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
 
 
-# SHA-256 of the tables a build at these depths writes, one per shape; v2
-# table files store it, so any change to the construction shows here.
+# SHA-256 of the whole construction a build at these depths makes, one per
+# shape (``oracle.construction_digest``).  A table file stores only a digest
+# of its header, so a change to these pins must come with a ``TABLE_VERSION``
+# bump: files written before it would otherwise load as different tables.
 PINNED_TABLE_DIGESTS = {
     ('{"free_rank":2}', '{"type":"capped_l1","weights":["1/1","1/1"]}'): {
-        50: "b3d0d7d5e7035eb7f1dcc7726536bf1cbf9ccec778616313927980e5eb156688",
-        1000: "2277a953274caa730f09d325418f4e27950184da609c17fb51deae3c453ee2f0",
-        2500: "2bd88790c09388a5106910ab6142b96cd8804ce20bb66be722e538190eb27b72",
+        50: "077cf1deb0e9f769440fc4b32429910ba3c1a037766c55f4ade283a63cdbb5b0",
+        1000: "e868bfee9f64e437b8fba074c933fb47f1d1a1ffc9e100b9e7ebbe135f128fe2",
+        2500: "4d843c4230dbca654fe5ee7c9007eff1377ecc26abe54c658d2f367ced99b000",
     },
     ('{"free_rank":3}', '{"type":"capped_linf","scale":"1/2"}'): {
-        50: "c123a173173a182be687787b18ca00a50904f787a684b1d51bededb805635919",
-        1000: "58be9264ece60b337a9993c100f7f205398fa3eda18f39f2bcc2da70d201df3f",
-        2500: "2322b6ef75801406e2b7cbd42788f187756dfb55bad921a0bc182e8abef72cdd",
+        50: "497500fe2988749bb568f681d4f4bcea62412201c3618311957478403743ed05",
+        1000: "08dd696b0248afaf8700956bf40087ed04f5a87668efa5a1ac6ab86954e68476",
+        2500: "16ddb7c39201006eba8de6e8c1644fc94983dd235d26c5bbd71ce235c7862f50",
     },
     ('{"torsion_moduli":[5,9,7]}', '{"type":"cyclic_scaled"}'): {
-        50: "ffe6e705defe8679525f82d3eb421851574ab775ec878ffa5383b0e80373c98a",
-        1000: "7103a53b4e2d936b4ef12c8e6d9fa85b763d535056a18fb92df6d63277715b41",
-        2500: "9caf09738364e00477df17c0d5f5431f603a9b5e457d07a330fcdcd51e0cab73",
+        50: "cd81cefa56c58bbda77660d83cc081fe155c8300f60fe3eae2417f6ed8cc28d6",
+        1000: "945f2566782a56420778e9d36971d1236bd11919491d568a6d47f640c8334823",
+        2500: "33ea011787a7735731a9e811b833fb5b55f592b58846d7cff2c2bef1edf35ffe",
     },
 }
 
@@ -592,7 +609,7 @@ class TestPinnedBytes:
         descriptor = descriptor_from_json(json.loads(group))
         spec = norm_spec_from_json(json.loads(norm))
         for depth, digest in PINNED_TABLE_DIGESTS[group, norm].items():
-            assert _table_digest(build_anchor_table(descriptor, spec, depth)) == digest
+            assert construction_digest(build_anchor_table(descriptor, spec, depth)) == digest
 
     def test_counterexample_grid(self, tmp_path, capsys):
         out = tmp_path / "certs.jsonl"

@@ -1,5 +1,6 @@
 """Certified evaluation: truncation, search, oracle agreement, density, families."""
 
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -444,6 +445,23 @@ class TestSearchFrames:
         for e, results in zip(epsilons + epsilons, warm):
             cold = build()
             assert [evaluate(cold, x, e) for x in elements] == results
+
+    def test_search_leaves_no_cyclic_garbage(self):
+        # A cycle through the search would hold its anchors until the next gc.
+        table = build_anchor_table(
+            GroupDescriptor(free_rank=2), CappedWeightedL1((ONE, ONE)), 60)
+        elements = [table.anchor_element(20),
+                    ExtElement(table.descriptor.element((1, 2)), 12345)]
+        for x in elements:
+            evaluate(table, x)
+        gc.collect()
+        gc.disable()
+        try:
+            for x in elements:
+                evaluate(table, x)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_tampered_copy_equals_its_cold_evaluation(self, quarter_table):
         elements = near_anchor_elements(quarter_table, 16)

@@ -24,7 +24,16 @@ def test_bare_integers_accepted():
     assert parse_fraction("-4") == -4
 
 
-@pytest.mark.parametrize("bad", ["1/0", "1/-2", "a/b", "1/2/3", "", "0.5"])
+def test_unreduced_accepted():
+    assert parse_fraction("2/4") == Fraction(1, 2)
+    assert parse_fraction("-0/3") == 0
+
+
+@pytest.mark.parametrize("bad", [
+    "1/0", "1/-2", "a/b", "1/2/3", "", "0.5",
+    # int() reads each of these; the wire format does not.
+    " 1 / 2 ", "1_0/3_1", "\u0661/\u0662", "\uff11/2", "+1/2", "1/+2",
+])
 def test_malformed_rejected(bad):
     with pytest.raises(ValueError):
         parse_fraction(bad)
