@@ -43,6 +43,7 @@ from .construction import (
     AnchorTable,
     k_sequence,
     require_depth,
+    restore_suffix_minima,
     unpair_index,
 )
 from .errors import DomainError, ShapeError
@@ -121,6 +122,10 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     The test runs on integers: with budget = num/den, an integer power K
     satisfies K < |k|*den/(den - num) exactly when K < ceil(|k|*den/(den - num)),
     and the largest such index is found by bisecting ``table.power_floors``.
+    The table first makes anchors until the last power made reaches that
+    bound, or until none is left: the recurrence puts every power not yet
+    made above the last one made, so none of them can change a comparison
+    with the bound.
 
     When the table cannot exhibit the level, i.e. when even its deepest power
     is below |k|/(1 - budget), it raises through :func:`require_depth` for the
@@ -135,6 +140,8 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     num, den = budget.numerator, budget.denominator
     bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
     floors = table.power_floors
+    while (not floors or floors[-1] < bound) and len(floors) < table.depth:
+        table.grow()
     if floors[-1] < bound:
         # Doubling then one bisect: O(log) k_sequence calls, not one per depth.
         # Each require_depth raises, since the depth it is given is past the table's.
@@ -146,7 +153,7 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
                 require_depth(table, bisect_left(powers, bound, table.depth) + 1)
         require_depth(table, MAX_TABLE_DEPTH + 1)
     # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
-    return bisect_left(floors, bound, 0, table.depth - 1) + 1
+    return bisect_left(floors, bound, 0, len(floors) - 1) + 1
 
 
 # Frames kept per table.  A frame lives as long as its table and can hold
@@ -198,15 +205,12 @@ class _SearchFrame:
             self.floors.append(k - self.reach[-1])
             self.reach.append(self.reach[-1] + cap * k)
             self.widest.append(max(self.widest[-1], j * k))
-        floors = self.floors
-        for i in range(len(floors) - 2, 0, -1):
-            if floors[i] > floors[i + 1]:
-                floors[i] = floors[i + 1]
-            elif i < start:
-                break   # the older entries are suffix minima already
+        restore_suffix_minima(self.floors, start, 1)
 
 
-def _search_frame(table: AnchorTable, budget: Fraction, index_cap: int) -> _SearchFrame:
+def _search_frame(
+    table: AnchorTable, budget: Fraction, anchors: list, index_cap: int
+) -> _SearchFrame:
     frames = table.search_frames
     key = (budget.numerator, budget.denominator)   # cheaper to hash than a Fraction
     frame = frames.get(key)
@@ -214,7 +218,8 @@ def _search_frame(table: AnchorTable, budget: Fraction, index_cap: int) -> _Sear
         if len(frames) >= FRAMES_PER_TABLE:
             del frames[next(iter(frames))]
         frame = frames[key] = _SearchFrame(table, budget)
-    frame.grow(table.anchors, index_cap)
+    if index_cap >= len(frame.units):
+        frame.grow(anchors, index_cap)
     return frame
 
 
@@ -252,9 +257,9 @@ def best_decomposition(
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
-    frame = _search_frame(table, budget, index_cap)
+    anchors = table.prefix(index_cap)
+    frame = _search_frame(table, budget, anchors, index_cap)
     scale, budget_scaled, d = frame.scale, frame.budget_scaled, frame.denominator
-    anchors = table.anchors
     units, caps, reach, widest, floors = (
         frame.units, frame.caps, frame.reach, frame.widest, frame.floors)
     descriptor = x.descriptor

@@ -4,9 +4,10 @@ All rationals cross the wire as ``"p/q"`` strings; coordinates are integers.
 A table file holds its header (the format version, the descriptor, the norm
 spec and the depth N) and a SHA-256 digest of the header's canonical JSON.
 The construction is inductive, so the header fixes every anchor: loading
-rebuilds the table from the recurrence and checks the digest, so an edited
-header is rejected rather than silently trusted.  No power is ever written as
-text: the deepest ones run to thousands of decimal digits.
+reads the header and checks the digest, so an edited header is rejected
+rather than silently trusted, and makes no anchor; the table makes each one
+when a query first reaches it.  No power is ever written as text: the
+deepest ones run to thousands of decimal digits.
 """
 
 from __future__ import annotations
@@ -239,12 +240,12 @@ def save_table(table: AnchorTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> AnchorTable:
-    """Load a table file by rebuilding the table its header describes.
+    """Load the table a file's header describes, making none of its anchors.
 
-    The version, descriptor, spec and depth N are read (N at most
-    ``MAX_TABLE_DEPTH``), and the anchors are rebuilt from the recurrence.
-    Then the stored digest must equal the SHA-256 of the rebuilt table's
-    header; any disagreement is a corruption, not a value to be trusted.
+    The version, descriptor, spec and depth N are read, N is capped at
+    ``MAX_TABLE_DEPTH`` and the spec's shape checked against the descriptor.
+    Then the stored digest must equal the SHA-256 of the header; any
+    disagreement is a corruption, not a value to be trusted.
     """
     try:
         raw = json.loads(Path(path).read_text())

@@ -339,7 +339,7 @@ class TestFamily:
         assert len(payload["members"]) == 3
         assert len(payload["shared_anchors"]) == 10
         tables = [load_table(out_dir / f"family_{i}.json") for i in range(3)]
-        assert tables[0].powers == tables[1].powers == tables[2].powers
+        assert tables[0].anchors == tables[1].anchors == tables[2].anchors
 
     def test_members_share_one_anchors_tuple(self, tmp_path, monkeypatch):
         saved = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monothetic import (
+    AnchorTable,
     CappedLInf,
     CappedWeightedL1,
     DomainError,
@@ -117,10 +118,20 @@ class TestBuildTable:
         spec = CappedWeightedL1(weights=(Fraction(1),))
         assert build_anchor_table(Z, spec, 20) == build_anchor_table(Z, spec, 20)
 
+    def test_precision_lcm_makes_no_anchor(self):
+        # The closed form on a grown table against the lcm over a full copy.
+        spec = CappedWeightedL1(weights=(Fraction(1),))
+        for depth in range(1, 400):
+            table = build_anchor_table(Z, spec, depth)
+            assert table.prefix(0) == []
+            value = table.precision_lcm
+            assert table.prefix(0) == []
+            assert value == AnchorTable(Z, spec, table.anchors).precision_lcm
+
     def test_powers_independent_of_norm(self):
         a = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 25)
         b = build_anchor_table(Z, CappedLInf(scale=Fraction(5)), 25)
-        assert a.powers == b.powers
+        assert [x.power for x in a.anchors] == [x.power for x in b.anchors]
         assert [(x.target_index, x.precision_index) for x in a.anchors] == [
             (x.target_index, x.precision_index) for x in b.anchors
         ]

@@ -6,8 +6,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from monothetic import (
+    Anchor,
     AnchorTable,
     CappedLInf,
     CappedWeightedL1,
@@ -28,13 +30,17 @@ from monothetic import (
     evaluate,
     evaluate_truncated,
     k_sequence,
+    load_table,
+    save_table,
     truncation_index,
 )
+from monothetic import construction
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.evaluator import FRAMES_PER_TABLE
 from oracle import brute_force_eval
 
 Z = GroupDescriptor(free_rank=1)
+Z2 = GroupDescriptor(free_rank=2)
 Z5_9_7 = GroupDescriptor(free_rank=0, torsion_moduli=(5, 9, 7))
 ONE = Fraction(1)
 
@@ -151,8 +157,13 @@ class TestTruncationIndex:
                     level = n
             return level
 
+        # The tampered copies have powers that are not monotone.
+        tampered = [
+            with_powers(quarter_table, {20: quarter_table.anchor(19).power, 30: 5}),
+            with_powers(unit_table, {3: 1, 7: 2, 9: 10 ** 9}),
+        ]
         rng = random.Random(20161213)
-        for table in (unit_table, quarter_table):
+        for table in (unit_table, quarter_table, *tampered):
             powers = [a.power for a in table.anchors]
             for _ in range(2000):
                 budget = Fraction(rng.randint(1, 2047), 2048)
@@ -632,7 +643,6 @@ class TestExtendFamily:
             build_anchor_table(Z, spec, 15)
             for spec in (CappedWeightedL1(weights=(Fraction(1),)), CappedLInf(scale=Fraction(3)))
         ]
-        assert tables[0].powers == tables[1].powers
         skeleton = [
             [(a.index, a.target_index, a.precision_index, a.power) for a in t.anchors]
             for t in tables
@@ -644,7 +654,7 @@ class TestExtendFamily:
             build_anchor_table(Z, spec, 10)
             for spec in (CappedWeightedL1(weights=(Fraction(1),)), RationalRotation(alpha=Fraction(1, 3)))
         ]
-        assert tables[0].powers == tables[1].powers
+        assert tables[0].anchors == tables[1].anchors
 
     def test_same_truncation_indices_across_members(self):
         tables = [
@@ -660,3 +670,60 @@ class TestExtendFamily:
                 truncation_index(t, k, Fraction(1023, 1024)) for t in tables
             }
             assert len(levels) == 1
+
+
+def outcome(call, *args):
+    """What a query returns, or the error it raises with its required depth."""
+    try:
+        return call(*args)
+    except (DomainError, ExtendTableError) as exc:
+        return type(exc), getattr(exc, "required_depth", None)
+
+
+class TestLazyTable:
+    """A table makes only the anchors a query reaches, with the same answers."""
+
+    def test_load_makes_no_anchor_and_a_query_only_what_it_reaches(self, tmp_path, monkeypatch):
+        path = tmp_path / "deep.json"
+        save_table(build_anchor_table(Z2, CappedWeightedL1((ONE, ONE)), MAX_TABLE_DEPTH), path)
+        made = []
+
+        def counted(*fields):
+            made.append(fields[0])
+            return Anchor(*fields)
+
+        monkeypatch.setattr(construction, "Anchor", counted)
+        table = load_table(path)
+        assert made == []
+        evaluate(table, ExtElement(Z2.element((3, -1)), -(10 ** 12) + 17))
+        evaluate(table, table.anchor_element(11) + table.anchor_element(30).scale(-1))
+        assert 30 <= len(made) <= 64
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        depth=st.integers(1, 300),
+        picks=st.lists(st.tuples(
+            st.one_of(st.integers(-(10 ** 200), 10 ** 200), st.integers(-50, 50)),
+            st.integers(1, 300), st.integers(1, 300), st.sampled_from([1, -1]),
+            st.integers(1, 6)), min_size=1, max_size=4),
+        epsilon=st.sampled_from([Fraction(1, 1024), Fraction(1, 2 ** 30)]),
+    )
+    @example(depth=12, picks=[(10 ** 30000, 1, 1, 1, 1)], epsilon=Fraction(1, 1024))
+    def test_fresh_table_answers_as_the_grown_one(self, depth, picks, epsilon):
+        # A pick is a c-power k plus a base element; for k == 0, anchor a
+        # plus or minus anchor b instead.  Each query gets a fresh lazy table.
+        spec = CappedWeightedL1((Fraction(1, 3), ONE))
+        grown = build_anchor_table(Z2, spec, depth)
+        assert len(grown.anchors) == depth
+        for k, a, b, sign, h in picks:
+            x = ExtElement(enumerate_h(Z2, h), k)
+            if k == 0:
+                x = x + grown.anchor_element(min(a, depth)) + grown.anchor_element(
+                    min(b, depth)).scale(sign)
+            if x.k == 0:
+                continue
+            budget = ONE - epsilon
+            assert outcome(truncation_index, build_anchor_table(Z2, spec, depth), x.k, budget) \
+                == outcome(truncation_index, grown, x.k, budget)
+            assert outcome(evaluate, build_anchor_table(Z2, spec, depth), x, epsilon) \
+                == outcome(evaluate, grown, x, epsilon)

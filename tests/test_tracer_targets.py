@@ -1,0 +1,42 @@
+"""The benchmark's tracer finds every function it traces.
+
+``perfbench/tracer.py`` rebinds each traced function by module and name.  A
+rename in the package would otherwise surface only in a traced benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import monothetic.cli  # noqa: F401  every traced module must be imported
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_to_a_wrapper():
+    tracer_module = load_tracer()
+    targets = tracer_module.SPAN_TARGETS + tracer_module.HOT_TARGETS
+    originals = {}
+    for target in targets:
+        module_name, func_name = target.rsplit(".", 1)
+        originals[target] = getattr(sys.modules[f"monothetic.{module_name}"], func_name)
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for target in targets:
+            module_name, func_name = target.rsplit(".", 1)
+            bound = getattr(sys.modules[f"monothetic.{module_name}"], func_name)
+            assert bound.__wrapped__ is originals[target], target
+    finally:
+        tracer.uninstall()
+    for target in targets:
+        module_name, func_name = target.rsplit(".", 1)
+        assert getattr(sys.modules[f"monothetic.{module_name}"], func_name) is originals[target]
