@@ -16,7 +16,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from .construction import AnchorTable, build_anchor_table, k_sequence
+from .construction import AnchorTable, build_anchor_table, k_power
 from .counterexample import counterexample_certificate, counterexample_scan, worst_case_value
 from .errors import (
     DomainError,
@@ -92,7 +92,7 @@ def _cmd_build(args) -> int:
     print(dumps_stable({
         "table": str(args.out),
         "depth": table.depth,
-        "k_last": Decimal(k_sequence(table.depth)[-1]),
+        "k_last": Decimal(k_power(table.depth)),
     }))
     return EXIT_OK
 

@@ -63,7 +63,9 @@ def _recurrence():
     for the threshold delta_n = 1/J_n, the smallest anchor value declared so
     far.  Since J_n >= 1 this also forces strict growth.  Pair n-1 = (m, j)
     lies on the anti-diagonal m + j, whose first pair (1, m + j - 1) carries
-    the largest precision index yet, so J_n = m + j - 1.
+    the largest precision index yet, so J_n = m + j - 1.  Every step from a
+    pair on anti-diagonal s therefore multiplies by the same a = s - 1, which
+    :func:`_diagonal_starts` uses to jump a whole anti-diagonal at once.
     """
     power = 1
     for m, j in _pairs():
@@ -72,10 +74,52 @@ def _recurrence():
 
 
 def k_sequence(length: int) -> tuple[int, ...]:
-    """Powers k_1..k_N of the anchor table, as the recurrence makes them."""
+    """Powers k_1..k_N of the anchor table, as the recurrence makes them.
+
+    One step per anchor; :func:`k_power` gives k_N alone in closed form per
+    anti-diagonal.
+    """
     if length < 1:
         raise DomainError("sequence length must be >= 1")
     return tuple(power for _, _, power in itertools.islice(_recurrence(), length))
+
+
+def _steps(power: int, a: int, r: int) -> int:
+    """r steps of K -> K * a + 1 from K = power, in closed form.
+
+    K * a^r + (a^r - 1) / (a - 1) for a >= 2, and K + r for a = 1.
+    """
+    if a == 1:
+        return power + r
+    ar = a ** r
+    return power * ar + (ar - 1) // (a - 1)
+
+
+def _diagonal_starts():
+    """(index n, power K_n, factor a) at the first anchor of each anti-diagonal.
+
+    The a pairs on anti-diagonal m + j = a + 1 each step by K -> K * a + 1, so
+    the next diagonal starts at n + a with power ``_steps(K_n, a, a)``: about
+    sqrt(2n) big products reach anchor n, against n single steps.
+    """
+    n, power = 1, 1
+    for a in itertools.count(1):
+        yield n, power, a
+        power = _steps(power, a, a)
+        n += a
+
+
+def k_power(n: int) -> int:
+    """K_n, the power of anchor n, without making K_1..K_{n-1}.
+
+    Jumps whole anti-diagonals, then finishes the partial one in closed form
+    (see :func:`_diagonal_starts`).  Equal to ``k_sequence(n)[-1]``.
+    """
+    if n < 1:
+        raise DomainError("anchor index must be >= 1")
+    for first, power, a in _diagonal_starts():
+        if n <= first + a - 1:
+            return _steps(power, a, n - first)
 
 
 def restore_suffix_minima(floors: list[int], start: int, first: int = 0) -> None:
@@ -225,6 +269,26 @@ def require_depth(table: AnchorTable, n: int) -> None:
         )
     if n > table.depth:
         raise ExtendTableError(n)
+
+
+def first_index_reaching(bound: int) -> int:
+    """The least n with K_n >= bound, or ``MAX_TABLE_DEPTH + 1`` if no n up to the cap has one.
+
+    Jumps anti-diagonal starts (see :func:`_diagonal_starts`) while the next
+    start's power is below the bound, then steps singly inside the last
+    diagonal: at most 141 steps at the cap.  The powers increase strictly, so
+    this is ``bisect_left(k_sequence(MAX_TABLE_DEPTH), bound) + 1``, capped.
+    """
+    starts = _diagonal_starts()
+    n, power, a = next(starts)
+    for start in starts:
+        if start[1] >= bound or start[0] > MAX_TABLE_DEPTH:
+            break
+        n, power, a = start
+    while power < bound and n <= MAX_TABLE_DEPTH:
+        power = power * a + 1
+        n += 1
+    return min(n, MAX_TABLE_DEPTH + 1)
 
 
 def build_anchor_table(

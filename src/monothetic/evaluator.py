@@ -39,9 +39,8 @@ from math import lcm
 from typing import Optional, Union
 
 from .construction import (
-    MAX_TABLE_DEPTH,
     AnchorTable,
-    k_sequence,
+    first_index_reaching,
     require_depth,
     restore_suffix_minima,
     unpair_index,
@@ -131,7 +130,10 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     is below |k|/(1 - budget), it raises through :func:`require_depth` for the
     first depth N past the table's with K[N] >= |k|/(1 - budget): an
     :class:`ExtendTableError` naming N, or a :class:`DomainError` when no
-    depth up to ``MAX_TABLE_DEPTH`` reaches that bound.
+    depth up to ``MAX_TABLE_DEPTH`` reaches that bound.  N comes from
+    :func:`first_index_reaching`, which jumps the recurrence one anti-diagonal
+    at a time in closed form (r steps at factor a take K to
+    K*a^r + (a^r - 1)/(a - 1)) and makes no power sequence.
     """
     if not ZERO < budget < ONE:
         raise DomainError("budget must lie strictly between 0 and 1")
@@ -143,15 +145,9 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     while (not floors or floors[-1] < bound) and len(floors) < table.depth:
         table.grow()
     if floors[-1] < bound:
-        # Doubling then one bisect: O(log) k_sequence calls, not one per depth.
-        # Each require_depth raises, since the depth it is given is past the table's.
-        length = table.depth
-        while length < MAX_TABLE_DEPTH:
-            length = min(2 * length, MAX_TABLE_DEPTH)
-            powers = k_sequence(length)
-            if powers[-1] >= bound:
-                require_depth(table, bisect_left(powers, bound, table.depth) + 1)
-        require_depth(table, MAX_TABLE_DEPTH + 1)
+        # Raises, since the depth it is given is past the table's.  A tampered
+        # table's powers can fall short of the recurrence's, hence the max.
+        require_depth(table, max(first_index_reaching(bound), table.depth + 1))
     # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
     return bisect_left(floors, bound, 0, len(floors) - 1) + 1
 

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, JSON schemas, persistence round-trips."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 from decimal import Decimal
@@ -8,6 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from monothetic import (
     CappedWeightedL1,
@@ -83,6 +86,18 @@ class TestBuild:
         assert payload["k_last"] == Decimal(k_sequence(3000)[-1])
         assert load_table(out).depth == 3000
 
+    def test_last_power_walks_no_sequence(self, tmp_path, monkeypatch, capsys,
+                                          no_k_sequence):
+        # k_last must come from the diagonal jumps; the digest pins stdout.
+        monkeypatch.chdir(tmp_path)
+        code = main(["build", "--group", GROUP, "--norm", NORM, "--depth", "2500",
+                     "--out", "t.json"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "0f966ef45433a19685c0b8d85322351e6e4802a1545922fc15365e4ef409f53e"
+        )
+
     def test_bad_norm_json(self, tmp_path):
         code = main(["build", "--group", GROUP, "--norm", "{nope",
                      "--out", str(tmp_path / "t.json")])
@@ -90,6 +105,40 @@ class TestBuild:
 
     def test_unknown_flag(self, tmp_path):
         assert main(["build", "--grup", GROUP]) == 2
+
+
+# Group and norm JSON from the menu: every norm fits one of the groups and
+# refuses another, so a draw is as often a mismatch as a valid pair.
+BUILD_GROUPS = ['{"free_rank":1}', '{"free_rank":2}',
+                '{"free_rank":0,"torsion_moduli":[3,4]}', '{"free_rank":1,"torsion_moduli":[3]}']
+BUILD_NORMS = ['{"type":"capped_l1","weights":["1/1"]}',
+               '{"type":"capped_l1","weights":["1/3","1/5"]}',
+               '{"type":"capped_linf","scale":"1/3"}', '{"type":"cyclic_scaled"}',
+               '{"type":"rational_rotation","alpha":"2/5"}']
+
+
+@pytest.fixture(scope="module")
+def build_out(tmp_path_factory):
+    return tmp_path_factory.mktemp("build") / "t.json"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(depth=st.integers(-3, 3000) | st.sampled_from([9999, 10000, 10001, 10 ** 30]),
+       group=st.sampled_from(BUILD_GROUPS), norm=st.sampled_from(BUILD_NORMS))
+def test_build_exit_codes(build_out, cap_powers, depth, group, norm):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["build", "--group", group, "--norm", norm, "--depth", str(depth),
+                     "--out", str(build_out)])
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""
+        payload = json.loads(out.getvalue(), parse_int=Decimal)
+        assert payload["k_last"] == Decimal(cap_powers[depth - 1])
 
 
 class TestEval:

@@ -1,5 +1,6 @@
 """Pairing, power recurrence, and anchor tables."""
 
+from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from monothetic import (
     pair_index,
     unpair_index,
 )
+from monothetic.construction import MAX_TABLE_DEPTH, first_index_reaching, k_power
 
 Z = GroupDescriptor(free_rank=1)
 
@@ -103,6 +105,44 @@ class TestPowerSequence:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             k_sequence(0)
+
+
+def diagonal_ends(limit):
+    """First and last index of every anti-diagonal that starts at or below ``limit``."""
+    ends = []
+    for a in range(1, limit + 1):
+        first = a * (a - 1) // 2 + 1
+        if first > limit:
+            break
+        ends += [first, min(first + a - 1, limit)]
+    return ends
+
+
+class TestDiagonalJumps:
+    def test_diagonal_ends(self):
+        assert diagonal_ends(11) == [1, 1, 2, 3, 4, 6, 7, 10, 11, 11]
+
+    def test_power_matches_the_sequence(self, cap_powers):
+        indices = [*range(1, 601), *diagonal_ends(MAX_TABLE_DEPTH), 2619, 10000]
+        for n in indices:
+            assert k_power(n) == cap_powers[n - 1], n
+
+    def test_power_domain_error(self):
+        with pytest.raises(DomainError):
+            k_power(0)
+
+    def test_first_index_reaching_matches_bisect(self, cap_powers):
+        def reference(bound):
+            return min(bisect_left(cap_powers, bound) + 1, MAX_TABLE_DEPTH + 1)
+
+        interior = [5, 8, 9, 100, 2619, 5000, 9998]
+        for n in [*diagonal_ends(MAX_TABLE_DEPTH), *interior]:
+            kn = cap_powers[n - 1]
+            for bound in (kn - 1, kn, kn + 1):
+                assert first_index_reaching(bound) == reference(bound), (n, bound)
+        for bound in (-5, 0, 1, 10 ** 30000):
+            assert first_index_reaching(bound) == reference(bound)
+        assert first_index_reaching(cap_powers[-1] + 1) == MAX_TABLE_DEPTH + 1
 
 
 class TestBuildTable:

@@ -146,6 +146,18 @@ class TestTruncationIndex:
         with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
             evaluate(unit_table, ExtElement(Z.zero(), 10 ** 30000))
 
+    def test_too_shallow_search_walks_no_sequence(self, unit_table, no_k_sequence):
+        # The depth past a too-shallow table comes from the diagonal jumps.
+        with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
+            truncation_index(unit_table, 10 ** 30000, Fraction(1, 1024))
+        k9000 = construction.k_power(9000)
+        with pytest.raises(ExtendTableError) as err:
+            truncation_index(unit_table, 1, ONE - Fraction(1, k9000))
+        assert err.value.required_depth == 9000
+        with pytest.raises(ExtendTableError) as err:
+            truncation_index(unit_table, k9000, Fraction(1, 1024))
+        assert err.value.required_depth == 9001
+
     def test_matches_fraction_formula(self, unit_table, quarter_table):
         # Reference: the largest n with n == 1 or K[n-1] < |k|/(1 - b), by a
         # linear scan in exact rationals.
