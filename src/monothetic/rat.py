@@ -18,16 +18,17 @@ def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-# ASCII digits only: int() alone would also take spaces, "_", "+" and other scripts' digits.
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# ASCII digits only, at most the 4300 that int() reads from a string: int() alone
+# would also take spaces, "_", "+" and other scripts' digits.
+_RATIONAL = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer ``"p"`` into an exact Fraction.
 
     p is ASCII digits with an optional leading ``-``, q is ASCII digits and
-    positive; nothing else, not even whitespace, is accepted.  ``"2/4"`` is
-    read as 1/2.
+    positive, at most 4300 digits each; nothing else, not even whitespace, is
+    accepted.  ``"2/4"`` is read as 1/2.
     """
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:

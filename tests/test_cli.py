@@ -10,9 +10,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monothetic import (
+    AnchorTable,
     CappedWeightedL1,
     GroupDescriptor,
     TableFormatError,
@@ -20,12 +21,13 @@ from monothetic import (
     k_sequence,
 )
 from monothetic import cli
-from monothetic.cli import MAX_FAMILY, MAX_SAMPLES, main
+from monothetic.cli import MAX_CERTIFICATE_DIGITS, MAX_FAMILY, MAX_SAMPLES, main
 from monothetic.construction import MAX_TABLE_DEPTH
-from monothetic.counterexample import MAX_GRID
+from monothetic.counterexample import MAX_GRID, counterexample_certificate
 from monothetic.evaluator import density_witness
 from monothetic.groups import MAX_COORDINATES
 from monothetic.serialize import (
+    contradiction_to_json,
     density_witness_to_json,
     descriptor_from_json,
     load_table,
@@ -372,6 +374,109 @@ class TestCounterexample:
         assert capsys.readouterr().out == ""
         assert not out.exists()
 
+    def test_single_certificate_at_the_digit_cap(self, capsys):
+        # Every input at MAX_CERTIFICATE_DIGITS digits, with coprime
+        # denominators: the margin's numerator has 4297 digits, under
+        # CPython's 4300-digit int-to-string limit.
+        top = 10 ** MAX_CERTIFICATE_DIGITS
+        q1, q2 = top - 1, top - 3
+        v1, v2 = Fraction(q1 // 3 + 1, q1), Fraction(2 * q2 // 5 + 1, q2)
+        n, m = -(top - 7), top - 9
+        assert {len(str(abs(x))) for x in (n, m, v1.numerator, v1.denominator,
+                                           v2.numerator, v2.denominator)} == {
+            MAX_CERTIFICATE_DIGITS}
+        code = main(["counterexample", f"--n={n}", f"--m={m}",
+                     f"--v1={v1.numerator}/{v1.denominator}",
+                     f"--v2={v2.numerator}/{v2.denominator}"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == contradiction_to_json(counterexample_certificate(n, m, v1, v2))
+        assert len(payload["margin"].split("/")[0]) == 4297
+
+    @pytest.mark.parametrize("option,value", [
+        ("n", str(10 ** MAX_CERTIFICATE_DIGITS)),
+        ("m", str(-10 ** MAX_CERTIFICATE_DIGITS)),
+        ("v1", f"1/{10 ** MAX_CERTIFICATE_DIGITS}"),
+        ("v2", f"{10 ** MAX_CERTIFICATE_DIGITS}/{3 * 10 ** MAX_CERTIFICATE_DIGITS + 1}"),
+    ], ids=["n", "m", "v1", "v2"])
+    def test_one_digit_past_the_cap_exits_two(self, capsys, option, value):
+        argv = {"n": "2", "m": "3", "v1": "1/3", "v2": "2/5", option: value}
+        code = main(["counterexample"] + [f"--{k}={v}" for k, v in argv.items()])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: --{option} must have at most {MAX_CERTIFICATE_DIGITS} digits\n")
+
+
+# counterexample option values.  A valid single certificate is perturbed in
+# at most one option: an integer with zero, a sign or a length on either side
+# of the digit cap and of CPython's 4300-digit limit, a rational outside
+# (0, 1/2) or malformed, or the option left out.
+VALID_INTS = st.integers(-10 ** 6, 10 ** 6).filter(bool).map(str)
+VALID_VALUES = st.builds(lambda p, q: f"{p}/{2 * p + q}",
+                         st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+DIGITS = st.sampled_from([1, 25, MAX_CERTIFICATE_DIGITS, MAX_CERTIFICATE_DIGITS + 1,
+                          4300, 4301, 4400])
+HOSTILE = {
+    "int": (st.builds(lambda digits, sign: sign + "9" * digits,
+                      DIGITS, st.sampled_from(["", "-"]))
+            | st.sampled_from(["0", "x", "", "1.0", "0x10"])),
+    "value": (st.sampled_from(["1/2", "0", "3/4", "-1/3", "7", "5/10"])
+              | st.builds(lambda digits: "1/" + "9" * digits, DIGITS)
+              | st.sampled_from(["1/0", " 1/3", "+1/3", "1/-3", "0.25", "\u0661/\u0663",
+                                 "", "1/3/5"])),
+}
+GRIDS = st.integers(-2, 30) | st.just(MAX_GRID + 1)
+
+
+@st.composite
+def counterexample_options(draw):
+    """Options for one call: a grid, a single certificate, or both mixed."""
+    mode = draw(st.sampled_from(["grid", "single", "mixed"]))
+    options = {}
+    if mode != "grid":
+        options = {"n": draw(VALID_INTS), "m": draw(VALID_INTS),
+                   "v1": draw(VALID_VALUES), "v2": draw(VALID_VALUES)}
+        key = draw(st.sampled_from([None, None, "n", "m", "v1", "v2"]))
+        if key is not None and draw(st.booleans()):
+            del options[key]
+        elif key is not None:
+            options[key] = draw(HOSTILE["int" if key in ("n", "m") else "value"])
+    if mode != "single":
+        if mode == "grid" or draw(st.booleans()):
+            options["grid"] = draw(GRIDS)
+        if draw(st.booleans()):
+            options["out"] = draw(st.sampled_from(["file", "dir"]))
+    return options
+
+
+@pytest.fixture(scope="module")
+def counterexample_outs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("counterexample")
+    return {"file": root / "certs.jsonl", "dir": root}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(options=counterexample_options())
+@example(options={"n": "9" * 4300, "m": "1", "v1": "1/3", "v2": "1/3"})
+@example(options={"n": "2", "m": "-3", "v1": "1/2", "v2": "1/3"})
+def test_counterexample_exit_codes(counterexample_outs, options):
+    if "out" in options:
+        options = {**options, "out": counterexample_outs[options["out"]]}
+    argv = ["counterexample"] + [f"--{key}={value}" for key, value in options.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert time.perf_counter() - start < 5
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    assert "set_int_max_str_digits" not in stderr.getvalue()
+    assert bool(stdout.getvalue()) == (code == 0)
+    if code == 0:
+        json.loads(stdout.getvalue())   # one JSON document, and nothing after it
+
 
 class TestFamily:
     def test_shared_block_and_files(self, tmp_path, capsys):
@@ -390,15 +495,19 @@ class TestFamily:
         tables = [load_table(out_dir / f"family_{i}.json") for i in range(3)]
         assert tables[0].anchors == tables[1].anchors == tables[2].anchors
 
-    def test_members_share_one_anchors_tuple(self, tmp_path, monkeypatch):
-        saved = []
-        monkeypatch.setattr(cli, "save_table", lambda table, path: saved.append(table))
+    def test_members_make_one_set_of_anchors(self, tmp_path, monkeypatch, capsys):
+        # Four members written to files and one shared block printed: the
+        # anchors are made once in all, not once per member.
+        grown = []
+        grow = AnchorTable.grow
+        monkeypatch.setattr(AnchorTable, "grow", lambda table: grown.append(grow(table)))
         norms = json.dumps([json.loads(NORM), {"type": "capped_linf", "scale": "3/1"}] * 2)
         code = main(["family", "--group", GROUP, "--norms", norms,
                      "--depth", "10", "--out-dir", str(tmp_path)])
         assert code == 0
-        assert len(saved) == 4
-        assert all(table.anchors is saved[0].anchors for table in saved)
+        assert len(json.loads(capsys.readouterr().out)["shared_anchors"]) == 10
+        assert len(list(tmp_path.glob("family_*.json"))) == 4
+        assert len(grown) == 10
 
     def test_members_past_cap_exit_two(self, tmp_path, capsys, monkeypatch):
         built = []

@@ -13,8 +13,9 @@ from monothetic import (
     counterexample_certificate,
     counterexample_scan,
 )
+from monothetic import counterexample
 from monothetic.cli import main
-from monothetic.counterexample import MAX_GRID, ContradictionReport, _identity_sides
+from monothetic.counterexample import _EXPECTED, _FIRST, _SECOND, MAX_GRID, ContradictionReport
 from monothetic.serialize import contradiction_to_json, dumps_stable
 from oracle import lattice_identity
 
@@ -53,14 +54,30 @@ class TestCertificate:
     @pytest.mark.parametrize("n", [1, -1, 2, -3, 7, -50, 10 ** 40, -(10 ** 40)])
     @pytest.mark.parametrize("m", [1, -1, 3, -2, 50, -7, 10 ** 25])
     def test_identity_matches_group_elements(self, n, m):
-        # The certificate's integer triples against the same identity built
-        # from group elements.
+        # The certificate's coefficient form, evaluated at (n, m), against the
+        # same identity built from group elements.
         combined, expected = lattice_identity(n, m)
         assert combined == expected
-        assert _identity_sides(n, m) == tuple(
+        first, second = at(_FIRST, n, m), at(_SECOND, n, m)
+        assert (tuple(a + b for a, b in zip(first, second)), at(_EXPECTED, n, m)) == tuple(
             x.h.coords() + (x.k,) for x in (combined, expected))
         report = counterexample_certificate(n, m, Fraction(1, 3), Fraction(2, 5))
         assert report.identity_verified
+
+    @pytest.mark.parametrize("coordinate", range(3))
+    @pytest.mark.parametrize("monomial", range(3))
+    def test_wrong_coefficient_fails_both_paths(self, monkeypatch, coordinate, monomial):
+        # A planted fault in one coefficient of m*(c^n - e1): both entry
+        # points refuse to certify, and the scan prints no cell.
+        wrong = [list(row) for row in _FIRST]
+        wrong[coordinate][monomial] += 1
+        monkeypatch.setattr(counterexample, "_FIRST", tuple(map(tuple, wrong)))
+        with pytest.raises(RuntimeError, match="identity"):
+            counterexample_certificate(2, 3, Fraction(1, 3), Fraction(2, 5))
+        emitted = []
+        with pytest.raises(RuntimeError, match="identity"):
+            counterexample_scan(4, lambda *cell: emitted.append(cell))
+        assert emitted == []
 
     def test_negative_powers_allowed(self):
         report = counterexample_certificate(-3, 2, Fraction(1, 4), Fraction(1, 3))
@@ -69,8 +86,7 @@ class TestCertificate:
 
     @given(n=powers, m=powers, v1=values, v2=values)
     def test_matches_fraction_reference(self, n, m, v1, v2):
-        # The certificate reduces the bound in integers; plain Fraction
-        # arithmetic is the reference, at v1 != v2 as well.
+        # Plain Fraction arithmetic is the reference, at v1 != v2 as well.
         required = abs(m) + abs(n)
         implied = abs(m) * v1 + abs(n) * v2
         assert counterexample_certificate(n, m, v1, v2) == ContradictionReport(
@@ -83,6 +99,11 @@ class TestCertificate:
             for m in range(1, 8):
                 report = counterexample_certificate(n, m, v, v)
                 assert report.margin > Fraction(n + m, 2)
+
+
+def at(form, n, m):
+    """A coefficient form's coordinates (e1, e2, c-power) at the cell (n, m)."""
+    return tuple(a * m + b * n + c * m * n for a, b, c in form)
 
 
 def streamed(limit):
@@ -149,6 +170,17 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 50])
+    @pytest.mark.parametrize("emit", [None, lambda n, m, report: None], ids=["bare", "emit"])
+    def test_one_identity_check_per_class(self, monkeypatch, limit, emit):
+        # The coefficient check covers every cell, so the scan runs it once
+        # per certificate, one per class n + m, and never per cell.
+        calls = []
+        check = counterexample._check_identity
+        monkeypatch.setattr(counterexample, "_check_identity", lambda: calls.append(check()))
+        assert counterexample_scan(limit, emit).certificate_count == limit * limit
+        assert 1 <= len(calls) <= 2 * limit - 1
 
     @pytest.mark.parametrize("limit", [0, MAX_GRID + 1])
     def test_bad_limit(self, limit):

@@ -42,3 +42,13 @@ def test_malformed_rejected(bad):
 def test_non_string_rejected():
     with pytest.raises(ValueError):
         parse_fraction(0.5)
+
+
+def test_digit_runs_capped_at_the_int_limit():
+    # 4300 digits is as many as int() reads from a string; one more is a
+    # malformed rational, not the interpreter's own conversion error.
+    top = "9" * 4300
+    assert parse_fraction(f"-{top}/{top}") == -1
+    for bad in ("9" * 4301, f"1/{'9' * 4301}", f"{'0' * 4301}/1"):
+        with pytest.raises(ValueError, match="malformed rational"):
+            parse_fraction(bad)
