@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import sys
 from decimal import Decimal
-from pathlib import Path
 
 from .construction import build_anchor_table, k_power
 from .counterexample import counterexample_certificate, counterexample_scan, worst_case_value
@@ -36,7 +34,7 @@ from .serialize import (
     ext_element_from_json,
     load_table,
     norm_spec_from_json,
-    norm_spec_to_json,
+    parse_json,
     save_table,
     scan_summary_to_json,
     suite_report_to_json,
@@ -60,26 +58,12 @@ EXIT_EXTEND = 3
 # before any work starts.
 MAX_SAMPLES = 20_000
 
-# Members are tables of one depth, and only the first makes the anchors that
-# are printed; each one written to --out-dir costs a header digest and a small
-# file, under 0.1 ms.  64 members at depth 10000 take 21.5 s with or without
-# --out-dir, nearly all of it the shared block (Python 3.11, 2 vCPUs).  Longer
-# families are refused before any work starts.
-MAX_FAMILY = 64
-
 # counterexample --n, --m and the numerators and denominators of --v1 and --v2
 # have at most D digits.  The required norm then has at most D + 1 digits, the
 # implied bound's numerator 3D + 1 and denominator 2D, and the margin's
 # numerator at most 3D + 2: 3D + 2 <= 4300, CPython's int-to-string limit,
 # gives D <= 1432.  Larger inputs are refused before any work starts.
 MAX_CERTIFICATE_DIGITS = 1432
-
-
-def _parse_json(label: str, text: str) -> object:
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TableFormatError(f"parse error in --{label}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -92,8 +76,8 @@ def _writing(path):
 
 
 def _cmd_build(args) -> int:
-    descriptor = descriptor_from_json(_parse_json("group", args.group))
-    spec = norm_spec_from_json(_parse_json("norm", args.norm))
+    descriptor = descriptor_from_json(parse_json(args.group, "--group"))
+    spec = norm_spec_from_json(parse_json(args.norm, "--norm"))
     table = build_anchor_table(descriptor, spec, args.depth)
     with _writing(args.out):
         save_table(table, args.out)
@@ -107,7 +91,7 @@ def _cmd_build(args) -> int:
 
 def _cmd_eval(args) -> int:
     table = load_table(args.table)
-    element = ext_element_from_json(table.descriptor, _parse_json("element", args.element))
+    element = ext_element_from_json(table.descriptor, parse_json(args.element, "--element"))
     result = evaluate(table, element, parse_fraction(args.epsilon))
     print(dumps_stable(eval_result_to_json(result)))
     return EXIT_OK
@@ -193,38 +177,6 @@ def _cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
-def _cmd_family(args) -> int:
-    descriptor = descriptor_from_json(_parse_json("group", args.group))
-    specs_payload = _parse_json("norms", args.norms)
-    if not isinstance(specs_payload, list) or not specs_payload:
-        raise DomainError("--norms must be a non-empty JSON array of norm specs")
-    if len(specs_payload) > MAX_FAMILY:
-        raise DomainError(
-            f"--norms must list at most {MAX_FAMILY} members, got {len(specs_payload)}"
-        )
-    # A member's file is its header, so only the first makes the anchors printed.
-    tables = [build_anchor_table(descriptor, norm_spec_from_json(p), args.depth)
-              for p in specs_payload]
-    if args.out_dir:
-        out_dir = Path(args.out_dir)
-        with _writing(out_dir):
-            out_dir.mkdir(parents=True, exist_ok=True)
-        for i, table in enumerate(tables):
-            path = out_dir / f"family_{i}.json"
-            with _writing(path):
-                save_table(table, path)
-    shared = [
-        {"n": a.index, "m": a.target_index, "j": a.precision_index, "k": Decimal(a.power)}
-        for a in tables[0].anchors
-    ]
-    print(dumps_stable({
-        "depth": args.depth,
-        "members": [norm_spec_to_json(t.spec) for t in tables],
-        "shared_anchors": shared,
-    }))
-    return EXIT_OK
-
-
 # One parser serves every call in a process: parse_args reads it and fills a
 # fresh namespace, so no option value carries over from one call to the next.
 @functools.lru_cache(maxsize=1)
@@ -276,13 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_counter.add_argument("--v1", default=None, help='assumed value "p/q" < 1/2')
     p_counter.add_argument("--v2", default=None, help='assumed value "p/q" < 1/2')
     p_counter.set_defaults(handler=_cmd_counterexample)
-
-    p_family = sub.add_parser("family", help="extend a finite family over shared data")
-    p_family.add_argument("--group", required=True)
-    p_family.add_argument("--norms", required=True, help="JSON array of norm specs")
-    p_family.add_argument("--depth", type=int, default=50)
-    p_family.add_argument("--out-dir", default=None, dest="out_dir")
-    p_family.set_defaults(handler=_cmd_family)
 
     return parser
 

@@ -44,17 +44,6 @@ def unpair_index(m: int, j: int) -> int:
     return (m + j - 1) * (m + j - 2) // 2 + m
 
 
-def _pairs():
-    """Every pair (target index, precision index) in :func:`pair_index` order.
-
-    Walks the anti-diagonals m + j = 2, 3, ... directly, so no pair costs an
-    ``isqrt``.
-    """
-    for total in itertools.count(2):
-        for m in range(1, total):
-            yield m, total - m
-
-
 def _recurrence():
     """(target index m, precision index j, power k) of anchors 1, 2, ... in order.
 
@@ -65,12 +54,15 @@ def _recurrence():
     lies on the anti-diagonal m + j, whose first pair (1, m + j - 1) carries
     the largest precision index yet, so J_n = m + j - 1.  Every step from a
     pair on anti-diagonal s therefore multiplies by the same a = s - 1, which
-    :func:`_diagonal_starts` uses to jump a whole anti-diagonal at once.
+    :func:`_diagonal_starts` uses to jump a whole anti-diagonal at once.  The
+    walk takes the anti-diagonals s = 2, 3, ... in :func:`pair_index` order,
+    so no pair costs an ``isqrt``.
     """
     power = 1
-    for m, j in _pairs():
-        yield m, j, power
-        power = power * (m + j - 1) + 1
+    for s in itertools.count(2):
+        for m in range(1, s):
+            yield m, s - m, power
+            power = power * (s - 1) + 1
 
 
 def k_sequence(length: int) -> tuple[int, ...]:
@@ -138,8 +130,8 @@ def restore_suffix_minima(floors: list[int], start: int, first: int = 0) -> None
 class Anchor(NamedTuple):
     """One declared value: the element c^power - target gets value 1/precision.
 
-    A named tuple, the cheapest record to make: a family or a full check of
-    a deep table makes thousands.
+    A named tuple, the cheapest record to make: a deep query or a full check
+    of a deep table makes thousands.
     """
 
     index: int
@@ -184,17 +176,6 @@ class AnchorTable:
         self.power_floors = [a.power for a in anchors]
         restore_suffix_minima(self.power_floors, 0)
         self.search_frames: dict = {}   # the evaluator's, which it keeps bounded
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AnchorTable):
-            return NotImplemented
-        return (
-            (self.descriptor, self.spec, self.depth) == (other.descriptor, other.spec, other.depth)
-            and self.anchors == other.anchors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.descriptor, self.spec, self.depth))
 
     def grow(self) -> None:
         """Make the next anchor; the caller checks that the table has one left."""

@@ -23,6 +23,14 @@ def format_fraction(value: Fraction) -> str:
 _RATIONAL = re.compile(r"(-?[0-9]{1,4300})(?:/([0-9]{1,4300}))?")
 
 
+def _quoted(text) -> str:
+    """``repr(text)``, or for a long input its first characters and its length."""
+    shown = repr(text)
+    if len(shown) <= 48:
+        return shown
+    return f"{shown[:32]}... ({len(str(text))} characters)"
+
+
 def parse_fraction(text: str) -> Fraction:
     """Parse ``"p/q"`` or a bare integer ``"p"`` into an exact Fraction.
 
@@ -32,8 +40,8 @@ def parse_fraction(text: str) -> Fraction:
     """
     match = _RATIONAL.fullmatch(text) if isinstance(text, str) else None
     if match is None:
-        raise ValueError(f"malformed rational {text!r}: expected \"p/q\" or \"p\"")
+        raise ValueError(f"malformed rational {_quoted(text)}: expected \"p/q\" or \"p\"")
     num, den = int(match[1]), int(match[2] or 1)
     if den == 0:
-        raise ValueError(f"denominator must be positive in {text!r}")
+        raise ValueError(f"denominator must be positive in {_quoted(text)}")
     return Fraction(num, den)

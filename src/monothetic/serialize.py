@@ -16,6 +16,7 @@ import dataclasses
 import decimal
 import hashlib
 import json
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -235,6 +236,24 @@ def _table_file(table: AnchorTable) -> dict:
     return {**header, "sha256": hashlib.sha256(dumps_stable(header).encode()).hexdigest()}
 
 
+def parse_json(text: str, source: str) -> Any:
+    """``json.loads``, with every refusal one :class:`TableFormatError` naming ``source``.
+
+    Besides malformed text, ``json.loads`` raises a plain ``ValueError`` for an
+    integer past CPython's int-from-string digit limit and ``RecursionError``
+    for arrays or objects nested too deeply.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except ValueError:
+        reason = f"an integer has more than {sys.get_int_max_str_digits()} digits"
+    except RecursionError:
+        reason = "arrays or objects nested too deeply"
+    raise TableFormatError(f"parse error in {source}: {reason}")
+
+
 def save_table(table: AnchorTable, path: str | Path) -> None:
     Path(path).write_text(dumps_stable(_table_file(table)) + "\n")
 
@@ -248,13 +267,12 @@ def load_table(path: str | Path) -> AnchorTable:
     disagreement is a corruption, not a value to be trusted.
     """
     try:
-        raw = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
     except OSError as exc:
         raise TableFormatError(
             f"parse error: cannot read {path}: {exc.strerror or exc}"
         ) from exc
-    except json.JSONDecodeError as exc:
-        raise TableFormatError(f"parse error: {exc}") from exc
+    raw = parse_json(text, str(path))
 
     if not isinstance(raw, dict):
         raise TableFormatError("parse error: table file must hold a JSON object")

@@ -13,7 +13,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from monothetic import (
-    AnchorTable,
     CappedWeightedL1,
     GroupDescriptor,
     TableFormatError,
@@ -21,11 +20,12 @@ from monothetic import (
     k_sequence,
 )
 from monothetic import cli
-from monothetic.cli import MAX_CERTIFICATE_DIGITS, MAX_FAMILY, MAX_SAMPLES, main
+from monothetic.cli import MAX_CERTIFICATE_DIGITS, MAX_SAMPLES, main
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.counterexample import MAX_GRID, counterexample_certificate
 from monothetic.evaluator import density_witness
 from monothetic.groups import MAX_COORDINATES
+from monothetic.verification import ALL_SUITES
 from monothetic.serialize import (
     contradiction_to_json,
     density_witness_to_json,
@@ -56,6 +56,12 @@ def edited_copy(source, target, **changes):
     raw.update(changes)
     target.write_text(json.dumps(raw))
     return target
+
+
+def assert_same_table(loaded, table):
+    assert (loaded.descriptor, loaded.spec, loaded.depth) == (
+        table.descriptor, table.spec, table.depth)
+    assert loaded.anchors == table.anchors
 
 
 @pytest.fixture()
@@ -478,57 +484,93 @@ def test_counterexample_exit_codes(counterexample_outs, options):
         json.loads(stdout.getvalue())   # one JSON document, and nothing after it
 
 
-class TestFamily:
-    def test_shared_block_and_files(self, tmp_path, capsys):
-        out_dir = tmp_path / "family"
-        norms = json.dumps([
-            {"type": "capped_l1", "weights": ["1/1"]},
-            {"type": "capped_linf", "scale": "3/1"},
-            {"type": "rational_rotation", "alpha": "1/3"},
-        ])
-        code = main(["family", "--group", GROUP, "--norms", norms,
-                     "--depth", "10", "--out-dir", str(out_dir)])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert len(payload["members"]) == 3
-        assert len(payload["shared_anchors"]) == 10
-        tables = [load_table(out_dir / f"family_{i}.json") for i in range(3)]
-        assert tables[0].anchors == tables[1].anchors == tables[2].anchors
+# eval, density and verify on a depth-50 Z^2 table.  A valid call is
+# perturbed in at most one option: a coordinate of 1-4400 digits or not an
+# integer at all, an index or count at zero, negative or past its cap, an
+# epsilon malformed or outside (0, 1), or a table that is missing or has N
+# written out in 5000 digits.
+FUZZ_DIGITS = st.sampled_from([1, 2, 25, 1000, 4300, 4301, 4400])
+SMALL_INTS = st.integers(-50, 50).map(str)
+COORDINATES = (st.builds(lambda digits, sign: sign + "9" * digits,
+                         FUZZ_DIGITS, st.sampled_from(["", "-"]))
+               | st.sampled_from(["0.5", "1e400", "-0.0", "true", "null", '"1"', "[]"]))
+INDICES = (st.integers(1, 6).map(str),
+           st.sampled_from(["0", "-1", "x", str(MAX_TABLE_DEPTH + 1), str(10 ** 30)]))
+# Each option's (valid, hostile) values.
+READER_OPTIONS = {
+    "table": (st.just("good"), st.sampled_from(["huge-depth", "missing"])),
+    "element": (st.builds(lambda h, k: f'{{"h":[{h[0]},{h[1]}],"k":{k}}}',
+                          st.tuples(SMALL_INTS, SMALL_INTS), SMALL_INTS),
+                st.builds(lambda h, k: f'{{"h":[{",".join(h)}],"k":{k}}}',
+                          st.lists(SMALL_INTS | COORDINATES, max_size=3),
+                          SMALL_INTS | COORDINATES)
+                | st.sampled_from(['{"h":[0,0]}', '{"k":1}', "[]", "5", "{nope",
+                                   "[" * 100_000])),
+    "m": INDICES, "j": INDICES, "max-m": INDICES, "max-j": INDICES,
+    "samples": (st.integers(1, 200).map(str),
+                st.sampled_from(["0", "-1", str(MAX_SAMPLES + 1), "1.5"])),
+    "epsilon": (st.sampled_from(["1/1024", "1/2", "1/3"]),
+                st.sampled_from(["0", "1", "-1/2", "3/2", "1/0", "0.1", "", " 1/2",
+                                 "1/" + "0" * 4300])
+                | st.builds(lambda digits: "1/" + "9" * digits, FUZZ_DIGITS)
+                | st.builds(lambda digits: "9" * digits, FUZZ_DIGITS)),
+}
 
-    def test_members_make_one_set_of_anchors(self, tmp_path, monkeypatch, capsys):
-        # Four members written to files and one shared block printed: the
-        # anchors are made once in all, not once per member.
-        grown = []
-        grow = AnchorTable.grow
-        monkeypatch.setattr(AnchorTable, "grow", lambda table: grown.append(grow(table)))
-        norms = json.dumps([json.loads(NORM), {"type": "capped_linf", "scale": "3/1"}] * 2)
-        code = main(["family", "--group", GROUP, "--norms", norms,
-                     "--depth", "10", "--out-dir", str(tmp_path)])
-        assert code == 0
-        assert len(json.loads(capsys.readouterr().out)["shared_anchors"]) == 10
-        assert len(list(tmp_path.glob("family_*.json"))) == 4
-        assert len(grown) == 10
 
-    def test_members_past_cap_exit_two(self, tmp_path, capsys, monkeypatch):
-        built = []
-        monkeypatch.setattr(cli, "build_anchor_table", lambda *args: built.append(args))
-        norms = json.dumps([json.loads(NORM)] * (MAX_FAMILY + 1))
-        code = main(["family", "--group", GROUP, "--norms", norms,
-                     "--out-dir", str(tmp_path / "family")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"at most {MAX_FAMILY} members" in captured.err
-        assert built == []
-        assert not (tmp_path / "family").exists()
+@st.composite
+def table_reader_calls(draw):
+    """One eval, density or verify call: the command and its options."""
+    command = draw(st.sampled_from(sorted(TABLE_READERS)))
+    keys = {"eval": ["table", "element"], "density": ["table", "m", "j"],
+            "verify": ["table", "samples", "max-m", "max-j"]}[command] + ["epsilon"]
+    hostile = draw(st.sampled_from([None] * len(keys) + keys))
+    options = {key: draw(READER_OPTIONS[key][key == hostile])
+               for key in keys}
+    if command == "verify":
+        options["suite"] = draw(st.sampled_from(ALL_SUITES + ("all",)))
+    return command, options
 
-    def test_powers_past_the_digit_limit(self, capsys):
-        code = main(["family", "--group", GROUP, "--norms", f"[{NORM}]", "--depth", "2700"])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out, parse_int=Decimal)
-        powers = k_sequence(2700)
-        assert [a["k"] for a in payload["shared_anchors"][-2:]] == [
-            Decimal(k) for k in powers[-2:]]
+
+@pytest.fixture(scope="module")
+def fuzz_tables(tmp_path_factory):
+    root = tmp_path_factory.mktemp("readers")
+    good = root / "good.json"
+    assert main(["build", "--group", '{"free_rank":2}',
+                 "--norm", '{"type":"capped_l1","weights":["1/1","1/2"]}',
+                 "--depth", "50", "--out", str(good)]) == 0
+    text = good.read_text()
+    assert '"N":50,' in text
+    huge = root / "huge-depth.json"
+    huge.write_text(text.replace('"N":50,', f'"N":{"9" * 5000},'))
+    return {"good": good, "huge-depth": huge, "missing": root / "missing.json"}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(call=table_reader_calls())
+@example(call=("eval", {"table": "good", "element": '{"h":[0,0],"k":' + "9" * 5000 + "}"}))
+@example(call=("eval", {"table": "huge-depth", "element": '{"h":[0,0],"k":1}'}))
+@example(call=("eval", {"table": "good", "element": "[" * 100_000}))
+@example(call=("eval", {"table": "good", "element": '{"h":[0,0],"k":1}', "epsilon": "9" * 5000}))
+@example(call=("density", {"table": "good", "m": "1", "j": "1", "epsilon": "1/" + "0" * 4300}))
+def test_table_reader_exit_codes(fuzz_tables, call):
+    command, options = call
+    options = {**options, "table": fuzz_tables[options["table"]]}
+    argv = [command] + [f"--{key}={value}" for key, value in options.items()]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert time.perf_counter() - start < 5
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
+    if code == 2:
+        assert out == "" and "error:" in err
+    else:
+        # One JSON document, on one line, and nothing after it.
+        assert out.count("\n") == 1 and out.endswith("\n")
+        json.loads(out, parse_int=Decimal)
 
 
 class TestSharedParser:
@@ -565,7 +607,7 @@ class TestPersistence:
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 50)
         path = tmp_path / "t.json"
         save_table(table, path)
-        assert load_table(path) == table
+        assert_same_table(load_table(path), table)
 
     def test_edited_power_rejected(self, tmp_path):
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 10)
@@ -584,7 +626,7 @@ class TestPersistence:
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 3000)
         path = tmp_path / "deep.json"
         save_table(table, path)
-        assert load_table(path) == table
+        assert_same_table(load_table(path), table)
 
     @pytest.mark.parametrize("version", [4, 2, 1])
     def test_version_mismatch(self, tmp_path, version):
@@ -648,7 +690,7 @@ class TestHostileInput:
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("case", ["table-array", "element-h-int", "empty-family"])
+    @pytest.mark.parametrize("case", ["table-array", "element-h-int"])
     def test_wrong_json_shape_exits_two(self, table_path, tmp_path, capsys, case):
         array = tmp_path / "array.json"
         array.write_text("[]")
@@ -657,8 +699,6 @@ class TestHostileInput:
                             "table file must hold a JSON object"),
             "element-h-int": (["eval", "--table", str(table_path), "--element", '{"h":3,"k":1}'],
                               "base element must be a JSON array"),
-            "empty-family": (["family", "--group", GROUP, "--norms", "[]"],
-                             "--norms must be a non-empty JSON array"),
         }[case]
         capsys.readouterr()
         assert main(argv) == 2
@@ -669,10 +709,8 @@ class TestHostileInput:
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("case", ["eval-table-dir", "build-out-missing-dir",
-                                      "counterexample-out-dir", "family-out-dir-file"])
+                                      "counterexample-out-dir"])
     def test_unusable_path_exits_two(self, tmp_path, capsys, case):
-        a_file = tmp_path / "a_file"
-        a_file.write_text("")
         argv, path = {
             "eval-table-dir": (["eval", "--table", str(tmp_path),
                                 "--element", '{"h":[0],"k":1}'], tmp_path),
@@ -681,8 +719,6 @@ class TestHostileInput:
                                       tmp_path / "missing" / "t.json"),
             "counterexample-out-dir": (["counterexample", "--grid", "2", "--out", str(tmp_path)],
                                        tmp_path),
-            "family-out-dir-file": (["family", "--group", GROUP, "--norms", f"[{NORM}]",
-                                     "--out-dir", str(a_file)], a_file),
         }[case]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -728,11 +764,49 @@ class TestHostileInput:
         assert f"at most {MAX_COORDINATES} coordinates" in captured.err
         assert not (tmp_path / "t.json").exists()
 
-    @pytest.mark.parametrize("command", ["build", "family"])
-    def test_depth_past_cap_exits_two(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("case", ["eval-element", "table-depth", "build-group"])
+    def test_integer_past_the_digit_limit_exits_two(self, table_path, tmp_path, capsys, case):
+        # json.loads refuses a 5000-digit integer with CPython's own
+        # ValueError; the error names the option or the file instead.
+        huge = "9" * 5000
+        bad_table = tmp_path / "huge.json"
+        bad_table.write_text(table_path.read_text().replace('"N":12,', f'"N":{huge},'))
+        argv, source = {
+            "eval-element": (["eval", "--table", str(table_path),
+                              "--element", f'{{"h":[0],"k":{huge}}}'], "--element"),
+            "table-depth": (["eval", "--table", str(bad_table),
+                             "--element", '{"h":[0],"k":1}'], str(bad_table)),
+            "build-group": (["build", "--group", f'{{"free_rank":{huge}}}', "--norm", NORM,
+                             "--out", str(tmp_path / "t.json")], "--group"),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: parse error in {source}: an integer has more than 4300 digits\n")
+
+    @pytest.mark.parametrize("epsilon", ["9" * 5000, "1/" + "0" * 4300], ids=["long", "zero-den"])
+    def test_long_epsilon_is_quoted_short(self, table_path, capsys, epsilon):
+        capsys.readouterr()
+        code = main(["eval", "--table", str(table_path), "--element", '{"h":[0],"k":1}',
+                     "--epsilon", epsilon])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert len(captured.err) <= 200
+        assert f"({len(epsilon)} characters)" in captured.err
+
+    def test_family_is_not_a_command(self, capsys):
+        assert main(["family", "--group", GROUP, "--norms", f"[{NORM}]"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'family'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_depth_past_cap_exits_two(self, tmp_path, capsys):
         argv = ["build", "--group", GROUP, "--norm", NORM, "--out", str(tmp_path / "t.json")]
-        if command == "family":
-            argv = ["family", "--group", GROUP, "--norms", f"[{NORM}]"]
         code = main(argv + ["--depth", str(MAX_TABLE_DEPTH + 1)])
         assert code == 2
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err

@@ -156,7 +156,10 @@ class TestBuildTable:
 
     def test_deterministic(self):
         spec = CappedWeightedL1(weights=(Fraction(1),))
-        assert build_anchor_table(Z, spec, 20) == build_anchor_table(Z, spec, 20)
+        first, second = build_anchor_table(Z, spec, 20), build_anchor_table(Z, spec, 20)
+        assert (first.descriptor, first.spec, first.depth) == (
+            second.descriptor, second.spec, second.depth)
+        assert first.anchors == second.anchors
 
     def test_precision_lcm_makes_no_anchor(self):
         # The closed form on a grown table against the lcm over a full copy.

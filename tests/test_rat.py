@@ -52,3 +52,15 @@ def test_digit_runs_capped_at_the_int_limit():
     for bad in ("9" * 4301, f"1/{'9' * 4301}", f"{'0' * 4301}/1"):
         with pytest.raises(ValueError, match="malformed rational"):
             parse_fraction(bad)
+
+
+@pytest.mark.parametrize("bad, quoted", [
+    ("abc", "'abc'"),
+    ("1/0", "'1/0'"),
+    ("x" * 46, repr("x" * 46)),
+    ("x" * 47, "'" + "x" * 31 + "... (47 characters)"),
+], ids=["short", "zero-denominator", "46-letters", "47-letters"])
+def test_error_quotes_a_long_input_by_its_start_and_length(bad, quoted):
+    with pytest.raises(ValueError) as info:
+        parse_fraction(bad)
+    assert f" {quoted}" in str(info.value)
