@@ -53,9 +53,10 @@ EXIT_USAGE = 2
 EXIT_EXTEND = 3
 
 
-# The truncation suite takes about 3.5-3.8 s at this many samples on a
-# depth-50 Z^2 table (Python 3.11, 2 vCPUs); larger requests are refused
-# before any work starts.
+# The truncation suite takes about 1.5-1.7 s at this many samples on a
+# depth-50 Z^2 table, the extension suite 0.1-0.2 s and the axioms suite
+# 0.03-0.04 s (Python 3.11, 2 vCPUs); larger requests are refused before any
+# work starts.
 MAX_SAMPLES = 20_000
 
 # counterexample --n, --m and the numerators and denominators of --v1 and --v2

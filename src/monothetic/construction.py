@@ -213,6 +213,16 @@ class AnchorTable:
         m, j = pair_index(self.depth)
         return math.lcm(*range(1, m + j))
 
+    @cached_property
+    def truncated_budget(self) -> Fraction:
+        """(over - 1)/over with over = L * D, L the precision lcm, D the spec's denominator.
+
+        Every anchor cost and base norm value is a multiple of 1/over, so this
+        is the largest cost below 1: the budget of ``evaluate_truncated``.
+        """
+        over = self.precision_lcm * self.spec.denominator(self.descriptor)
+        return Fraction(over - 1, over)
+
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:
             raise DomainError(f"anchor index {n} outside table of depth {self.depth}")

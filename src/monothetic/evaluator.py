@@ -135,11 +135,11 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     at a time in closed form (r steps at factor a take K to
     K*a^r + (a^r - 1)/(a - 1)) and makes no power sequence.
     """
-    if not ZERO < budget < ONE:
+    num, den = budget.numerator, budget.denominator
+    if not 0 < num < den:   # 0 < budget < 1, the denominator being positive
         raise DomainError("budget must lie strictly between 0 and 1")
     if k == 0:
         return 0
-    num, den = budget.numerator, budget.denominator
     bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
     floors = table.power_floors
     while (not floors or floors[-1] < bound) and len(floors) < table.depth:
@@ -311,7 +311,9 @@ def best_decomposition(
     if best is None:
         return None
     coefficients, shift = best
-    return Decomposition(coefficients, descriptor.element(shift), Fraction(best_total, scale * d))
+    r = descriptor.free_rank
+    residual = HElement(descriptor, shift[:r], shift[r:])
+    return Decomposition(coefficients, residual, Fraction(best_total, scale * d))
 
 
 def evaluate(
@@ -325,7 +327,7 @@ def evaluate(
     decompositions (including anchors beyond the truncation level), or an
     :class:`IntervalResult` certifying that the value lies in (1 - epsilon, 1].
     """
-    if not ZERO < epsilon < ONE:
+    if not 0 < epsilon.numerator < epsilon.denominator:
         raise DomainError("epsilon must lie strictly between 0 and 1")
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
@@ -351,12 +353,12 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
     (over - 1)/over.  Searching at that budget therefore finds every cost the
     capped value can take, and a miss means the value is 1.  At budget 1
     each anchor's cap would be its full j, which lets levels reach so far
-    that none can be skipped; at this budget it is j - 1.
+    that none can be skipped; at this budget it is j - 1.  The table keeps
+    that budget, :attr:`AnchorTable.truncated_budget`, made once.
     """
     if level < 0 or level > table.depth:
         raise DomainError("truncation level outside table depth")
-    over = table.precision_lcm * table.spec.denominator(table.descriptor)
-    found = best_decomposition(table, x, Fraction(over - 1, over), level)
+    found = best_decomposition(table, x, table.truncated_budget, level)
     return ONE if found is None else found.cost
 
 

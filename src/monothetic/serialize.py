@@ -267,11 +267,13 @@ def load_table(path: str | Path) -> AnchorTable:
     disagreement is a corruption, not a value to be trusted.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise TableFormatError(
             f"parse error: cannot read {path}: {exc.strerror or exc}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise TableFormatError(f"parse error: cannot read {path}: not UTF-8 text") from exc
     raw = parse_json(text, str(path))
 
     if not isinstance(raw, dict):

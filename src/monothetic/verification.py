@@ -2,7 +2,15 @@
 
 Each suite is deterministic given (table, seed): sampling is an affine scan
 over a small documented grid, so two runs always see the same inputs.
-Reports carry every violation with exact rationals.
+Reports carry every violation with exact rationals, by stream index.
+
+A suite keeps its memos for one call only.  The extension suite's stream
+repeats once it is longer than its grid, so the suite checks the first
+period and re-emits each finding at every index that holds the same sample.
+The axioms suite keeps each evaluation by raw coordinates and, by object id,
+each sampled single's findings and certified value and each base sum; a
+single's findings are emitted at every pair index that holds it.  The
+truncation suite checks every sample it is given.
 
 Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
 enumerated base elements, and the truncation suite probes levels up to the
@@ -76,6 +84,11 @@ def _clamped_pool(descriptor: GroupDescriptor, requested: int) -> int:
     return requested
 
 
+def _single_grid(descriptor: GroupDescriptor, count: int, k_range: int) -> int:
+    """Counters of the single-element stream of ``count`` samples: its period."""
+    return _clamped_pool(descriptor, count // 2 + 1) * (2 * k_range + 1)
+
+
 def sample_elements(
     descriptor: GroupDescriptor,
     count: int,
@@ -85,21 +98,18 @@ def sample_elements(
     """The documented single-element sample stream.
 
     With ``k_range=0`` the stream repeats after ``count // 2 + 1`` samples
-    (after the group order, if that is smaller).
+    (after the group order, if that is smaller).  A repeated sample is the
+    same object.
     """
-    pool = _clamped_pool(descriptor, count // 2 + 1)
     kspan = 2 * k_range + 1
-    grid = pool * kspan
-    built: dict[int, ExtElement] = {}   # a repeated counter gives the same element
-    out = []
-    for i in range(count):
-        c = (seed + i) % grid
-        x = built.get(c)
-        if x is None:
-            index, kslot = divmod(c, kspan)
-            x = built[c] = ExtElement(enumerate_h(descriptor, index + 1), kslot - k_range)
-        out.append(x)
-    return out
+    grid = _single_grid(descriptor, count, k_range)
+    first = []
+    for i in range(min(count, grid)):
+        index, kslot = divmod((seed + i) % grid, kspan)
+        first.append(ExtElement(enumerate_h(descriptor, index + 1), kslot - k_range))
+    if count <= grid:
+        return first
+    return (first * (count // grid + 1))[:count]
 
 
 def sample_pairs(
@@ -108,7 +118,11 @@ def sample_pairs(
     seed: int,
     k_range: int = 5,
 ) -> list[tuple[ExtElement, ExtElement]]:
-    """The documented pair sample stream (indices slowest, powers fastest)."""
+    """The documented pair sample stream (indices slowest, powers fastest).
+
+    Every pair is drawn from one list of the grid's single elements, so a
+    single that recurs is the same object.
+    """
     pool = _clamped_pool(descriptor, PAIR_INDEX_POOL)
     kspan = 2 * k_range + 1
     grid = kspan * kspan * pool * pool
@@ -138,23 +152,22 @@ def verify_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteR
     elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
     if not elements:
         raise DomainError("the extension suite needs at least one sample")
-    violations = []
-    # The stream repeats (see sample_elements), so each distinct element is
-    # checked once and its findings re-emitted at every index that holds it.
-    problems: dict[tuple, list] = {}
-    for i, x in enumerate(elements):
-        key = (x.h.free, x.h.torsion, x.k)
-        if key not in problems:
-            expected = base_norm(table.spec, x.h)
-            result = evaluate(table, x)
-            problems[key] = found = []
-            if not isinstance(result, ExactResult):
-                found.append(("extension-exact", f"h={x.h.coords()}", "exact result", "interval"))
-            elif result.value != expected:
-                found.append(("extension-value", f"h={x.h.coords()}",
-                              str(expected), str(result.value)))
-        violations.extend(Violation(i, *p) for p in problems[key])
-    return _report("extension", len(elements), violations, 0, start)
+    # The stream repeats (see sample_elements), so only its first period is
+    # checked, and each finding is re-emitted at every index that holds it.
+    count = len(elements)
+    period = min(count, _single_grid(table.descriptor, count, 0))
+    found = {}
+    for c, x in enumerate(elements[:period]):
+        expected = base_norm(table.spec, x.h)
+        result = evaluate(table, x)
+        if not isinstance(result, ExactResult):
+            found[c] = ("extension-exact", f"h={x.h.coords()}", "exact result", "interval")
+        elif result.value != expected:
+            found[c] = ("extension-value", f"h={x.h.coords()}", str(expected), str(result.value))
+    violations = [Violation(first + c, *problem)
+                  for first in range(0, count, period)
+                  for c, problem in found.items() if first + c < count]
+    return _report("extension", count, violations, 0, start)
 
 
 # --- norm axiom suite ------------------------------------------------------
@@ -191,13 +204,13 @@ def verify_norm_axioms(
         raise DomainError("the axioms suite needs at least one sample")
     budget = ONE - epsilon
     skipped = 0
-    # The memos are keyed by raw coordinates: hashing the frozen element
-    # dataclasses would cost more than the checks.  ``results`` holds each
-    # evaluation by (free, torsion, k), ``problems`` each single's symmetry and
-    # cap findings, and ``sums`` each base sum x.h + y.h by its two base parts.
+    # Evaluations are keyed by raw coordinates, (free, torsion, k): hashing
+    # the frozen element dataclasses would cost more than the checks.
+    # sample_pairs draws every pair from one list of single elements, so the
+    # other memos are keyed by object id.
     results: dict[tuple, EvalResult] = {}
-    problems: dict[tuple, list] = {}
-    sums: dict[tuple, HElement] = {}
+    singles: dict[int, tuple[list, Optional[Fraction]]] = {}
+    bases: dict[tuple, HElement] = {}
 
     def ev(h: HElement, k: int) -> EvalResult:
         key = (h.free, h.torsion, k)
@@ -205,23 +218,27 @@ def verify_norm_axioms(
             results[key] = evaluate(table, ExtElement(h, k), epsilon)
         return results[key]
 
+    def single(z: ExtElement) -> tuple[list, Optional[Fraction]]:
+        r, mirror = ev(z.h, z.k), ev(-z.h, -z.k)
+        found = []
+        if _certified_value(r) != _certified_value(mirror):
+            found.append(("symmetry", f"z=({z.h.coords()},{z.k})",
+                          _describe(r), _describe(mirror)))
+        if isinstance(r, ExactResult) and r.value > ONE:
+            found.append(("cap", f"z=({z.h.coords()},{z.k})", "<= 1", str(r.value)))
+        singles[id(z)] = entry = found, _certified_value(r)
+        return entry
+
     for i, (x, y) in enumerate(pairs):
-        for z in (x, y):
-            key = (z.h.free, z.h.torsion, z.k)
-            if key not in problems:
-                r, mirror = ev(z.h, z.k), ev(-z.h, -z.k)
-                problems[key] = found = []
-                if _certified_value(r) != _certified_value(mirror):
-                    found.append(("symmetry", f"z=({z.h.coords()},{z.k})",
-                                  _describe(r), _describe(mirror)))
-                if isinstance(r, ExactResult) and r.value > ONE:
-                    found.append(("cap", f"z=({z.h.coords()},{z.k})", "<= 1", str(r.value)))
-            violations.extend(Violation(i, *p) for p in problems[key])
-        base = (x.h.free, x.h.torsion, y.h.free, y.h.torsion)
-        if base not in sums:
-            sums[base] = x.h + y.h
-        rx, ry, rxy = ev(x.h, x.k), ev(y.h, y.k), ev(sums[base], x.k + y.k)
-        vx, vy = _certified_value(rx), _certified_value(ry)
+        found_x, vx = singles.get(id(x)) or single(x)
+        found_y, vy = singles.get(id(y)) or single(y)
+        if found_x or found_y:
+            violations.extend(Violation(i, *p) for p in found_x + found_y)
+        base = (id(x.h), id(y.h))
+        h = bases.get(base)
+        if h is None:
+            h = bases[base] = x.h + y.h
+        rxy = ev(h, x.k + y.k)
         if vx is None or vy is None:
             skipped += 1
             continue
@@ -294,15 +311,17 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
         result = evaluate(table, x)
         level = result.truncation_level
         top = min(table.depth, level + TRUNCATION_PROBE_EXTRA)
-        probes = sorted(set(range(0, top + 1)) | {table.depth})
+        probes = list(range(top + 1))
+        if top < table.depth:
+            probes.append(table.depth)
         values = [evaluate_truncated(table, x, n) for n in probes]
-        for (na, va), (nb, vb) in zip(zip(probes, values), zip(probes[1:], values[1:])):
-            if vb > va:
-                violations.append(
-                    Violation(i, "truncation-monotone",
-                              f"x=({x.h.coords()},{x.k}) N={na}->{nb}",
-                              f"<= {va}", str(vb))
-                )
+        rising = [b for b in range(1, len(values)) if values[b] > values[b - 1]]
+        for b in rising:
+            violations.append(
+                Violation(i, "truncation-monotone",
+                          f"x=({x.h.coords()},{x.k}) N={probes[b - 1]}->{probes[b]}",
+                          f"<= {values[b - 1]}", str(values[b]))
+            )
         if isinstance(result, ExactResult):
             for n, v in zip(probes, values):
                 if n >= level and v != result.value:
@@ -311,7 +330,8 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
                                   f"x=({x.h.coords()},{x.k}) N={n}",
                                   str(result.value), str(v))
                     )
-        else:
+        elif rising or values[-1] <= result.lower:
+            # Values that never rise all lie above the bound when the last does.
             for n, v in zip(probes, values):
                 if v <= result.lower:
                     violations.append(

@@ -10,9 +10,14 @@ import json
 import struct
 from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
-from monothetic import AnchorTable, ExtElement, GroupDescriptor, base_norm
+from monothetic import AnchorTable, DomainError, ExtElement, GroupDescriptor, base_norm
+from monothetic.construction import check_table_consistency
+from monothetic.evaluator import DEFAULT_EPSILON, EvalResult, ExactResult, evaluate
+from monothetic.groups import HElement
 from monothetic.serialize import descriptor_to_json, norm_spec_to_json
+from monothetic.verification import SuiteReport, Violation, sample_elements, sample_pairs
 
 ONE = Fraction(1)
 LATTICE = GroupDescriptor(free_rank=2)
@@ -109,3 +114,119 @@ def lattice_identity(n: int, m: int) -> tuple[ExtElement, ExtElement]:
     e1, e2 = LATTICE.element((1, 0)), LATTICE.element((0, 1))
     combined = ExtElement(-e1, n).scale(m) + ExtElement(e2, -m).scale(n)
     return combined, ExtElement(e1.scale(-m) + e2.scale(n), 0)
+
+
+# --- per-sample suite loops ---------------------------------------------------
+#
+# The extension and axioms suites in their per-sample form: one pass over
+# every sample, memoized by raw coordinates only, where the package checks the
+# extension stream's first period and keys the axioms memos by object id.
+# They read the package's sample streams and call ``evaluate`` through this
+# module's name, so a test can plant one fault in both.
+
+
+def _describe(result: EvalResult) -> str:
+    if isinstance(result, ExactResult):
+        return f"exact {result.value}"
+    return f"interval ({result.lower}, {result.upper}]"
+
+
+def _certified_value(result: EvalResult) -> Optional[Fraction]:
+    return result.value if isinstance(result, ExactResult) else None
+
+
+def _report(suite: str, samples: int, violations: list, skipped: int) -> SuiteReport:
+    return SuiteReport(suite, samples, tuple(violations), skipped, 0.0)
+
+
+def per_sample_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
+    elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
+    if not elements:
+        raise DomainError("the extension suite needs at least one sample")
+    violations = []
+    problems: dict[tuple, list] = {}
+    for i, x in enumerate(elements):
+        key = (x.h.free, x.h.torsion, x.k)
+        if key not in problems:
+            expected = base_norm(table.spec, x.h)
+            result = evaluate(table, x)
+            problems[key] = found = []
+            if not isinstance(result, ExactResult):
+                found.append(("extension-exact", f"h={x.h.coords()}", "exact result", "interval"))
+            elif result.value != expected:
+                found.append(("extension-value", f"h={x.h.coords()}",
+                              str(expected), str(result.value)))
+        violations.extend(Violation(i, *p) for p in problems[key])
+    return _report("extension", len(elements), violations, 0)
+
+
+def per_sample_axioms(
+    table: AnchorTable,
+    sample_count: int,
+    seed: int,
+    epsilon: Fraction = DEFAULT_EPSILON,
+    k_range: int = 5,
+) -> SuiteReport:
+    violations = [
+        Violation(-1, "table-invariant", problem, "recurrence holds", "mismatch")
+        for problem in check_table_consistency(table)
+    ]
+    zero = ExtElement(table.descriptor.zero(), 0)
+    rzero = evaluate(table, zero, epsilon)
+    if not (isinstance(rzero, ExactResult) and rzero.value == 0):
+        violations.append(Violation(-1, "zero", "0", "0/1", _describe(rzero)))
+
+    pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
+    if not pairs:
+        raise DomainError("the axioms suite needs at least one sample")
+    budget = ONE - epsilon
+    skipped = 0
+    results: dict[tuple, EvalResult] = {}
+    problems: dict[tuple, list] = {}
+    sums: dict[tuple, HElement] = {}
+
+    def ev(h: HElement, k: int) -> EvalResult:
+        key = (h.free, h.torsion, k)
+        if key not in results:
+            results[key] = evaluate(table, ExtElement(h, k), epsilon)
+        return results[key]
+
+    for i, (x, y) in enumerate(pairs):
+        for z in (x, y):
+            key = (z.h.free, z.h.torsion, z.k)
+            if key not in problems:
+                r, mirror = ev(z.h, z.k), ev(-z.h, -z.k)
+                problems[key] = found = []
+                if _certified_value(r) != _certified_value(mirror):
+                    found.append(("symmetry", f"z=({z.h.coords()},{z.k})",
+                                  _describe(r), _describe(mirror)))
+                if isinstance(r, ExactResult) and r.value > ONE:
+                    found.append(("cap", f"z=({z.h.coords()},{z.k})", "<= 1", str(r.value)))
+            violations.extend(Violation(i, *p) for p in problems[key])
+        base = (x.h.free, x.h.torsion, y.h.free, y.h.torsion)
+        if base not in sums:
+            sums[base] = x.h + y.h
+        rx, ry, rxy = ev(x.h, x.k), ev(y.h, y.k), ev(sums[base], x.k + y.k)
+        vx, vy = _certified_value(rx), _certified_value(ry)
+        if vx is None or vy is None:
+            skipped += 1
+            continue
+        if isinstance(rxy, ExactResult):
+            if rxy.value > vx + vy:
+                violations.append(
+                    Violation(
+                        i, "triangle",
+                        f"x=({x.h.coords()},{x.k}) y=({y.h.coords()},{y.k})",
+                        f"<= {vx + vy}", str(rxy.value),
+                    )
+                )
+        else:
+            if min(ONE, vx + vy) <= budget:
+                violations.append(
+                    Violation(
+                        i, "triangle",
+                        f"x=({x.h.coords()},{x.k}) y=({y.h.coords()},{y.k})",
+                        f"min(1, {vx + vy}) > {budget}", "interval certificate",
+                    )
+                )
+    return _report("axioms", len(pairs), violations, skipped)

@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -798,6 +801,15 @@ class TestHostileInput:
         assert len(captured.err) <= 200
         assert f"({len(epsilon)} characters)" in captured.err
 
+    def test_table_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        code = main(["eval", "--table", str(path), "--element", '{"h":[0],"k":1}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: parse error: cannot read {path}: not UTF-8 text\n"
+
     def test_family_is_not_a_command(self, capsys):
         assert main(["family", "--group", GROUP, "--norms", f"[{NORM}]"]) == 2
         captured = capsys.readouterr()
@@ -810,6 +822,45 @@ class TestHostileInput:
         code = main(argv + ["--depth", str(MAX_TABLE_DEPTH + 1)])
         assert code == 2
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
+
+
+def run_command(argv, **env):
+    """``monothetic`` in a fresh interpreter, with ``env`` added to the environment."""
+    source = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "monothetic.cli", *argv], capture_output=True,
+        env={**os.environ, "PYTHONPATH": path, **env}, timeout=120,
+    )
+
+
+class TestEnvironment:
+    def test_lowered_int_digit_limit_is_a_usage_error(self, table_path):
+        run = run_command(["eval", "--table", str(table_path), "--element", '{"h":[0],"k":1}',
+                           "--epsilon", "1/" + "9" * 1000], PYTHONINTMAXSTRDIGITS="640")
+        assert run.returncode == 2
+        assert run.stdout == b""
+        assert run.stderr.decode() == (
+            "error: rational '1/99999999999999999999999999999... (1002 characters) has a "
+            "part of more than 640 digits, this interpreter's int-from-string limit\n")
+
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # The suites keep their memos in dicts; no output may follow hash order.
+        table = tmp_path / "z2.json"
+        assert main(["build", "--group", '{"free_rank":2}', "--norm",
+                     '{"type":"capped_l1","weights":["1/1","1/2"]}', "--depth", "50",
+                     "--out", str(table)]) == 0
+        commands = [
+            ["verify", "--table", str(table), "--suite", "all", "--samples", "300"],
+            ["eval", "--table", str(table), "--element", '{"h":[1,-2],"k":7}'],
+            ["counterexample", "--grid", "7"],
+        ]
+        for argv in commands:
+            runs = [run_command(argv, PYTHONHASHSEED=seed) for seed in ("0", "1", "12345")]
+            for run in runs:
+                assert run.returncode in (0, 1, 2, 3)
+                assert b"Traceback" not in run.stderr
+            assert runs[0].stdout and {run.stdout for run in runs} == {runs[0].stdout}
 
 
 # SHA-256 of the whole construction a build at these depths makes, one per

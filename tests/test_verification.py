@@ -434,6 +434,23 @@ class TestTruncationSuite:
             ("truncation-interval", f"> {budget}", str(budget))
         }
 
+    def test_interval_probe_below_the_bound_is_reported_when_values_rise(
+            self, monkeypatch, quarter_table):
+        # Zero at level 1 puts a probe of every interval sample on its bound,
+        # and the next probe rises from it, so the last probe stays above.
+        truncated = verification.evaluate_truncated
+        monkeypatch.setattr(verification, "evaluate_truncated",
+                            lambda table, x, level: Fraction(0) if level == 1
+                            else truncated(table, x, level))
+        intervals = {i for i, x in enumerate(sample_elements(Z, 20, seed=42))
+                     if not isinstance(evaluate(quarter_table, x), ExactResult)}
+        assert intervals
+        report = verify_truncation(quarter_table, 20, seed=42)
+        assert {v.sample_index for v in report.violations
+                if v.check == "truncation-interval"} == intervals
+        assert all(v.inputs.endswith("N=1") and v.got == "0" for v in report.violations
+                   if v.check == "truncation-interval")
+
     def test_levels_come_from_the_results(self, lattice_table):
         # Interval results carry their level too: truncation_index runs only
         # inside evaluate, once per sample with a nonzero c-power.  Calls are
