@@ -41,6 +41,7 @@ from .evaluator import (
     density_witness,
     evaluate,
     evaluate_truncated,
+    truncated_values,
     truncation_index,
 )
 from .groups import (

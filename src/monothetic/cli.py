@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import os
 import sys
 from decimal import Decimal
 
@@ -53,18 +54,26 @@ EXIT_USAGE = 2
 EXIT_EXTEND = 3
 
 
-# The truncation suite takes about 1.5-1.7 s at this many samples on a
-# depth-50 Z^2 table, the extension suite 0.1-0.2 s and the axioms suite
-# 0.03-0.04 s (Python 3.11, 2 vCPUs); larger requests are refused before any
-# work starts.
+# The truncation suite takes about 1.1-1.2 s at this many samples on a
+# depth-50 Z^2 table, the extension suite 0.1-0.25 s and the axioms suite
+# 0.03-0.05 s (three seeds, Python 3.11, 2 vCPUs); larger requests are refused
+# before any work starts.
 MAX_SAMPLES = 20_000
 
-# counterexample --n, --m and the numerators and denominators of --v1 and --v2
-# have at most D digits.  The required norm then has at most D + 1 digits, the
-# implied bound's numerator 3D + 1 and denominator 2D, and the margin's
-# numerator at most 3D + 2: 3D + 2 <= 4300, CPython's int-to-string limit,
-# gives D <= 1432.  Larger inputs are refused before any work starts.
-MAX_CERTIFICATE_DIGITS = 1432
+
+def certificate_digits() -> int:
+    """The most digits counterexample's --n, --m and the parts of --v1 and --v2 may have.
+
+    With at most D digits in each, the required norm has at most D + 1
+    digits, the implied bound's numerator 3D + 1 and denominator 2D, and the
+    margin's numerator at most 3D + 2.  So 3D + 2 must not pass the
+    interpreter's int-to-string limit, read when the command runs: D = 1432
+    at CPython's default 4300 digits, 212 under ``PYTHONINTMAXSTRDIGITS=640``.
+    With the limit off (0) the default's cap stays, as a bound on the work.
+    Larger inputs are refused before any work starts.
+    """
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    return (limit - 2) // 3
 
 
 @contextlib.contextmanager
@@ -169,10 +178,11 @@ def _cmd_counterexample(args) -> int:
     if args.n is None or args.m is None or args.v1 is None or args.v2 is None:
         raise DomainError("single-certificate mode needs --n, --m, --v1, and --v2")
     v1, v2 = parse_fraction(args.v1), parse_fraction(args.v2)
+    digits = certificate_digits()
     for option, parts in (("n", [args.n]), ("m", [args.m]),
                           ("v1", v1.as_integer_ratio()), ("v2", v2.as_integer_ratio())):
-        if max(map(abs, parts)) >= 10 ** MAX_CERTIFICATE_DIGITS:
-            raise DomainError(f"--{option} must have at most {MAX_CERTIFICATE_DIGITS} digits")
+        if max(map(abs, parts)) >= 10 ** digits:
+            raise DomainError(f"--{option} must have at most {digits} digits")
     report = counterexample_certificate(args.n, args.m, v1, v2)
     print(dumps_stable(contradiction_to_json(report)))
     return EXIT_OK
@@ -234,6 +244,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()   # a reader that has gone away shows here, not at exit
+    except BrokenPipeError as exc:
+        # As for an --out path that cannot be written.  Python flushes stdout
+        # again at exit, so it is pointed at the null device first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return code
+
+
+def _run(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

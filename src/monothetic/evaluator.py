@@ -152,20 +152,22 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     return bisect_left(floors, bound, 0, len(floors) - 1) + 1
 
 
-# Frames kept per table.  A frame lives as long as its table and can hold
-# megabytes of multi-kilodigit products, so a library caller that cycles
-# through many budgets on one long-lived table must not pile them up.  No
-# benchmark workload uses more than 2 budgets on one table.
+# Frames kept per table.  A frame lives as long as its table.  Its size is
+# bounded by the largest |k| searched on a grown table at a budget below 1,
+# and by the deepest cap otherwise; either can mean megabytes of
+# multi-kilodigit products, so a library caller that cycles through many
+# budgets on one long-lived table must not pile them up.  No benchmark
+# workload uses more than 2 budgets on one table.
 FRAMES_PER_TABLE = 4
 
 
 class _SearchFrame:
     """Integer set-up of the budget-limited search on one table.
 
-    Built once per (table, budget) and grown to the deepest index cap asked
-    so far, never past it: each reach entry multiplies out a power that can
-    run to thousands of digits.  The lists are indexed by level n, entry 0
-    standing for "no anchors":
+    Built once per (table, budget) and grown only as far as searches need
+    (see :func:`_search_start`): each reach entry multiplies out a power that
+    can run to thousands of digits.  The lists are indexed by level n, entry
+    0 standing for "no anchors":
 
     - units[n]: L // j_n, the cost over L of one unit of anchor n;
     - caps[n]: floor(budget * j_n), since a larger |m_n| busts the budget on
@@ -177,10 +179,18 @@ class _SearchFrame:
       A target with |target| < gap[m] forces multiplicity 0 at anchor m, and
       the floors are non-decreasing even on a tampered table, so they can be
       bisected for the next level that allows a nonzero multiplicity.
+
+    ``lazy`` marks a table grown from the recurrence at a budget below 1.
+    There caps[n] <= j_n - 1 <= J_{n+1} - 1 and K_{n+1} = J_{n+1} * K_n + 1,
+    so gap[n+1] - gap[n] = K_{n+1} - (caps[n] + 1) * K_n >= 1: the gaps rise
+    strictly, every floor is its own gap, and no level past the first whose
+    gap exceeds |k| can take a nonzero multiplicity.  Such a frame is grown
+    only to that level, so its size is bounded by |k|, not by the depth.
     """
 
     def __init__(self, table: AnchorTable, budget: Fraction):
         self.num, self.den = budget.numerator, budget.denominator
+        self.lazy = self.num < self.den and table._source is not None
         self.scale = lcm(self.den, table.precision_lcm)
         self.budget_scaled = self.num * (self.scale // self.den)
         table.spec.check_shape(table.descriptor)
@@ -204,9 +214,19 @@ class _SearchFrame:
         restore_suffix_minima(self.floors, start, 1)
 
 
-def _search_frame(
-    table: AnchorTable, budget: Fraction, anchors: list, index_cap: int
-) -> _SearchFrame:
+def _search_start(
+    table: AnchorTable, budget: Fraction, k: int, index_cap: int
+) -> tuple[_SearchFrame, int]:
+    """The (table, budget) frame and the level a search over anchors 1..index_cap starts at.
+
+    The start is bisect_right(floors, |k|, 1, index_cap + 1) - 1, the deepest
+    level n <= index_cap whose floor is at most |k|: every level above it
+    forces multiplicity 0.  It is taken after the frame has grown as far as
+    the search needs: a lazy frame (see :class:`_SearchFrame`) one level at a
+    time until its last gap exceeds |k|, any other to ``index_cap``.  The
+    start is its own start, so a search to level n and a search to its start
+    visit the same nodes.
+    """
     frames = table.search_frames
     key = (budget.numerator, budget.denominator)   # cheaper to hash than a Fraction
     frame = frames.get(key)
@@ -214,9 +234,19 @@ def _search_frame(
         if len(frames) >= FRAMES_PER_TABLE:
             del frames[next(iter(frames))]
         frame = frames[key] = _SearchFrame(table, budget)
-    if index_cap >= len(frame.units):
-        frame.grow(anchors, index_cap)
-    return frame
+    target = abs(k)
+    floors = frame.floors
+    top = len(floors) - 1   # the deepest level the search may start at
+    if top >= index_cap:
+        top = index_cap
+    elif not frame.lazy:
+        frame.grow(table.prefix(index_cap), index_cap)
+        top = index_cap
+    else:
+        while top < index_cap and floors[-1] <= target:
+            top += 1
+            frame.grow(table.prefix(top), top)
+    return frame, bisect_right(floors, target, 1, top + 1) - 1
 
 
 def best_decomposition(
@@ -228,7 +258,10 @@ def best_decomposition(
     """Exact minimum-cost decomposition within the budget, or None.
 
     Depth-first search over multiplicity vectors for anchors 1..index_cap,
-    assigning the deepest anchor first.  Per-anchor budget caps and the
+    assigning the deepest anchor first.  It starts at the level
+    :func:`_search_start` gives, so on a table grown from the recurrence at a
+    budget below 1 the frame it needs is bounded by |x.k|, not by
+    ``index_cap``.  Per-anchor budget caps and the
     reach of the leftover caps bound each level's multiplicities.  A branch
     is then tested once against the budget and once against the incumbent:
     on its cost when no c-power is left to cover, otherwise on the admissible
@@ -253,8 +286,8 @@ def best_decomposition(
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
-    anchors = table.prefix(index_cap)
-    frame = _search_frame(table, budget, anchors, index_cap)
+    frame, start = _search_start(table, budget, x.k, index_cap)
+    anchors = table.prefix(start)
     scale, budget_scaled, d = frame.scale, frame.budget_scaled, frame.denominator
     units, caps, reach, widest, floors = (
         frame.units, frame.caps, frame.reach, frame.widest, frame.floors)
@@ -267,7 +300,6 @@ def best_decomposition(
     def descend(n: int, target: int, shift: tuple[int, ...], running: int,
                 coeffs: list[tuple[int, int]]) -> None:
         nonlocal best, best_total
-        n = bisect_right(floors, abs(target), 1, n + 1) - 1
         if n == 0:
             if target:
                 return
@@ -298,15 +330,17 @@ def best_decomposition(
                 lower = cost * width + abs(rest) * scale
                 if lower > budget_wide or best is not None and lower * d >= best_total * width:
                     continue
+            # The next level below n that allows a nonzero multiplicity.
+            land = bisect_right(floors, abs(rest), 1, n) - 1
             if mult != 0:
                 coeffs.append((anchor.index, mult))
                 moved = tuple(s + mult * t for s, t in zip(shift, anchor.target.coords()))
-                descend(n - 1, rest, moved, cost, coeffs)
+                descend(land, rest, moved, cost, coeffs)
                 coeffs.pop()
             else:
-                descend(n - 1, rest, shift, cost, coeffs)
+                descend(land, rest, shift, cost, coeffs)
 
-    descend(index_cap, x.k, x.h.coords(), 0, [])
+    descend(start, x.k, x.h.coords(), 0, [])
     del descend   # it refers to itself through its cell: free the search now, not at a gc
     if best is None:
         return None
@@ -360,6 +394,32 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
         raise DomainError("truncation level outside table depth")
     found = best_decomposition(table, x, table.truncated_budget, level)
     return ONE if found is None else found.cost
+
+
+def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> list[Fraction]:
+    """``[evaluate_truncated(table, x, n) for n in levels]``, one search per start level.
+
+    A truncated search to level n is the search from its start level (see
+    :func:`_search_start`), which is its own start, so every level gets the
+    value of one :func:`evaluate_truncated` call at its start; the values are
+    kept by start for this call only.  The floors never decrease, so once the
+    deepest level's start s is taken, level n starts at min(n, s).
+    """
+    if not levels:
+        return []
+    top = max(levels)
+    if min(levels) < 0 or top > table.depth:
+        raise DomainError("truncation level outside table depth")
+    deepest = _search_start(table, table.truncated_budget, x.k, top)[1]
+    by_start: dict[int, Fraction] = {}
+    values = []
+    for n in levels:
+        start = min(n, deepest)
+        value = by_start.get(start)
+        if value is None:
+            value = by_start[start] = evaluate_truncated(table, x, start)
+        values.append(value)
+    return values
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ period and re-emits each finding at every index that holds the same sample.
 The axioms suite keeps each evaluation by raw coordinates and, by object id,
 each sampled single's findings and certified value and each base sum; a
 single's findings are emitted at every pair index that holds it.  The
-truncation suite checks every sample it is given.
+truncation suite checks every sample it is given, and for each sample runs
+one truncated search per distinct start level (see
+:func:`~monothetic.evaluator.truncated_values`), not one per probe.
 
 Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
 enumerated base elements, and the truncation suite probes levels up to the
@@ -33,7 +35,7 @@ from .evaluator import (
     ExactResult,
     density_witness,
     evaluate,
-    evaluate_truncated,
+    truncated_values,
 )
 from .groups import ExtElement, GroupDescriptor, HElement, base_norm, enumerate_h
 from .rat import ONE, ZERO
@@ -301,6 +303,11 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
     depth.  Together with monotonicity and the certified lower bound this pins
     every deeper level as well: a non-increasing sequence that already equals
     the certified value cannot move again.
+
+    Every sample is checked.  Its probe values come from
+    :func:`~monothetic.evaluator.truncated_values`, which searches once per
+    distinct start level and keeps the values for that sample only: every
+    probe at or above the sample's start level shares one search.
     """
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed)
@@ -314,7 +321,7 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
         probes = list(range(top + 1))
         if top < table.depth:
             probes.append(table.depth)
-        values = [evaluate_truncated(table, x, n) for n in probes]
+        values = truncated_values(table, x, probes)
         rising = [b for b in range(1, len(values)) if values[b] > values[b - 1]]
         for b in rising:
             violations.append(

@@ -14,10 +14,22 @@ from typing import Optional
 
 from monothetic import AnchorTable, DomainError, ExtElement, GroupDescriptor, base_norm
 from monothetic.construction import check_table_consistency
-from monothetic.evaluator import DEFAULT_EPSILON, EvalResult, ExactResult, evaluate
+from monothetic.evaluator import (
+    DEFAULT_EPSILON,
+    EvalResult,
+    ExactResult,
+    evaluate,
+    evaluate_truncated,
+)
 from monothetic.groups import HElement
 from monothetic.serialize import descriptor_to_json, norm_spec_to_json
-from monothetic.verification import SuiteReport, Violation, sample_elements, sample_pairs
+from monothetic.verification import (
+    TRUNCATION_PROBE_EXTRA,
+    SuiteReport,
+    Violation,
+    sample_elements,
+    sample_pairs,
+)
 
 ONE = Fraction(1)
 LATTICE = GroupDescriptor(free_rank=2)
@@ -120,7 +132,9 @@ def lattice_identity(n: int, m: int) -> tuple[ExtElement, ExtElement]:
 #
 # The extension and axioms suites in their per-sample form: one pass over
 # every sample, memoized by raw coordinates only, where the package checks the
-# extension stream's first period and keys the axioms memos by object id.
+# extension stream's first period and keys the axioms memos by object id.  The
+# truncation suite in its per-probe form: one ``evaluate_truncated`` call per
+# probe level, where the package searches once per distinct start level.
 # They read the package's sample streams and call ``evaluate`` through this
 # module's name, so a test can plant one fault in both.
 
@@ -230,3 +244,43 @@ def per_sample_axioms(
                     )
                 )
     return _report("axioms", len(pairs), violations, skipped)
+
+
+def per_probe_truncation(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
+    elements = sample_elements(table.descriptor, sample_count, seed)
+    if not elements:
+        raise DomainError("the truncation suite needs at least one sample")
+    violations = []
+    for i, x in enumerate(elements):
+        result = evaluate(table, x)
+        level = result.truncation_level
+        top = min(table.depth, level + TRUNCATION_PROBE_EXTRA)
+        probes = list(range(top + 1))
+        if top < table.depth:
+            probes.append(table.depth)
+        values = [evaluate_truncated(table, x, n) for n in probes]
+        rising = [b for b in range(1, len(values)) if values[b] > values[b - 1]]
+        for b in rising:
+            violations.append(
+                Violation(i, "truncation-monotone",
+                          f"x=({x.h.coords()},{x.k}) N={probes[b - 1]}->{probes[b]}",
+                          f"<= {values[b - 1]}", str(values[b]))
+            )
+        if isinstance(result, ExactResult):
+            for n, v in zip(probes, values):
+                if n >= level and v != result.value:
+                    violations.append(
+                        Violation(i, "truncation-stabilized",
+                                  f"x=({x.h.coords()},{x.k}) N={n}",
+                                  str(result.value), str(v))
+                    )
+        elif rising or values[-1] <= result.lower:
+            # Values that never rise all lie above the bound when the last does.
+            for n, v in zip(probes, values):
+                if v <= result.lower:
+                    violations.append(
+                        Violation(i, "truncation-interval",
+                                  f"x=({x.h.coords()},{x.k}) N={n}",
+                                  f"> {result.lower}", str(v))
+                    )
+    return _report("truncation", len(elements), violations, 0)

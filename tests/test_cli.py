@@ -23,7 +23,7 @@ from monothetic import (
     k_sequence,
 )
 from monothetic import cli
-from monothetic.cli import MAX_CERTIFICATE_DIGITS, MAX_SAMPLES, main
+from monothetic.cli import MAX_SAMPLES, certificate_digits, main
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.counterexample import MAX_GRID, counterexample_certificate
 from monothetic.evaluator import density_witness
@@ -40,6 +40,10 @@ from monothetic.serialize import (
 from oracle import construction_digest
 
 Z = GroupDescriptor(free_rank=1)
+
+# The counterexample digit cap under CPython's default int-to-string limit,
+# which the tests run with.
+MAX_CERTIFICATE_DIGITS = certificate_digits()
 
 GROUP = '{"free_rank":1}'
 NORM = '{"type":"capped_l1","weights":["1/1"]}'
@@ -824,14 +828,40 @@ class TestHostileInput:
         assert str(MAX_TABLE_DEPTH) in capsys.readouterr().err
 
 
-def run_command(argv, **env):
-    """``monothetic`` in a fresh interpreter, with ``env`` added to the environment."""
+def run_python(args, stdout=subprocess.PIPE, **env):
+    """A fresh interpreter given ``args``, with ``env`` added to the environment."""
     source = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "monothetic.cli", *argv], capture_output=True,
+        [sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
         env={**os.environ, "PYTHONPATH": path, **env}, timeout=120,
     )
+
+
+def run_command(argv, stdout=subprocess.PIPE, **env):
+    """``monothetic`` in a fresh interpreter, with ``env`` added to the environment."""
+    return run_python(["-m", "monothetic.cli", *argv], stdout, **env)
+
+
+# Runs each argv list of its JSON argument through ``main`` in one process and
+# prints [exit code, stderr] per call; a call that raises ends it with a
+# traceback on its own stderr.
+MAIN_EACH = """
+import contextlib, io, json, sys
+from monothetic.cli import main
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    runs.append([code, err.getvalue()])
+print(json.dumps(runs))
+"""
+
+# A certificate whose fields pass 640 digits when printed, and whose inputs
+# do not.
+WIDE_CERTIFICATE = ["counterexample", "--n", "7" * 600, "--m", "7" * 600,
+                    "--v1", "1/" + "3" * 630, "--v2", "1/3"]
 
 
 class TestEnvironment:
@@ -843,6 +873,57 @@ class TestEnvironment:
         assert run.stderr.decode() == (
             "error: rational '1/99999999999999999999999999999... (1002 characters) has a "
             "part of more than 640 digits, this interpreter's int-from-string limit\n")
+
+    def test_certificate_cap_follows_the_lowered_limit(self):
+        # 3 * 212 + 2 = 638 digits is the widest field the cap lets through.
+        run = run_command(WIDE_CERTIFICATE, PYTHONINTMAXSTRDIGITS="640")
+        assert run.returncode == 2
+        assert run.stdout == b""
+        assert run.stderr.decode() == "error: --n must have at most 212 digits\n"
+        assert b"set_int_max_str_digits" not in run.stderr
+
+    @pytest.mark.parametrize("limit", ["0", "640", "4300"])
+    def test_every_command_keeps_the_exit_code_contract(self, tmp_path, limit):
+        # k_last at depth 2500 has 4080 digits; the element's k and the
+        # epsilon pass 640 digits, and WIDE_CERTIFICATE's fields do when
+        # printed.
+        table = str(tmp_path / "z2.json")
+        commands = [
+            ["build", "--group", '{"free_rank":2}', "--depth", "2500", "--out", table,
+             "--norm", '{"type":"capped_l1","weights":["1/3","1/5"]}'],
+            ["eval", "--table", table, "--element", '{"h":[1,-2],"k":%s}' % ("9" * 700)],
+            ["eval", "--table", table, "--element", '{"h":[1,-2],"k":3}',
+             "--epsilon", "1/" + "9" * 1000],
+            ["density", "--table", table, "--m", "30", "--j", "30"],
+            ["verify", "--table", table, "--suite", "all", "--samples", "40"],
+            ["counterexample", "--grid", "7"],
+            WIDE_CERTIFICATE,
+        ]
+        run = run_python(["-c", MAIN_EACH, json.dumps(commands)], PYTHONINTMAXSTRDIGITS=limit)
+        assert b"Traceback" not in run.stderr
+        assert run.returncode == 0
+        runs = json.loads(run.stdout)
+        assert len(runs) == len(commands)
+        for code, stderr in runs:
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("argv", [
+        WIDE_CERTIFICATE[:-4] + ["--v1", "1/3", "--v2", "1/3"],
+        ["build", "--group", GROUP, "--norm", NORM, "--depth", "10000", "--out", "TABLE"],
+    ], ids=["flushed-at-the-end", "written-by-the-command"])
+    def test_closed_stdout_is_a_usage_error(self, tmp_path, argv):
+        # The certificate's 3113 bytes wait in stdout's buffer until main
+        # flushes it; k_last at depth 10000 is written while build prints.
+        argv = [str(tmp_path / "t.json") if arg == "TABLE" else arg for arg in argv]
+        read, write = os.pipe()
+        os.close(read)   # the reader is gone before the command writes
+        try:
+            run = run_command(argv, stdout=write)
+        finally:
+            os.close(write)
+        assert run.returncode == 2
+        assert run.stderr.decode() == "error: cannot write stdout: Broken pipe\n"
 
     def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
         # The suites keep their memos in dicts; no output may follow hash order.

@@ -32,6 +32,7 @@ from monothetic import (
     k_sequence,
     load_table,
     save_table,
+    truncated_values,
     truncation_index,
 )
 from monothetic import construction
@@ -580,6 +581,122 @@ class TestEvaluateTruncated:
         x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
         assert best_decomposition(table, x, ONE, 2).cost == Fraction(5, 6)
         assert evaluate_truncated(table, x, 2) == Fraction(5, 6)
+
+
+# Fresh tables of every norm kind, by name; "tampered" is the depth-30 Z table
+# whose anchor 20 has anchor 19's power, given as an explicit anchor tuple.
+SHAPES = {
+    "capped_l1": (Z2, CappedWeightedL1((Fraction(1, 3), Fraction(1, 5)))),
+    "capped_linf": (GroupDescriptor(free_rank=3), CappedLInf(scale=Fraction(1, 2))),
+    "cyclic_scaled": (Z5_9_7, CyclicScaled()),
+    "rotation": (Z, RationalRotation(Fraction(3, 7))),
+}
+
+
+def fresh_table(shape, depth):
+    if shape == "tampered":
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
+        return with_powers(table, {20: table.anchor(19).power})
+    return build_anchor_table(*SHAPES[shape], depth)
+
+
+PICKS = st.tuples(
+    st.one_of(st.integers(-60, 60), st.integers(-(10 ** 40), 10 ** 40)),
+    st.integers(1, 6),
+    st.none() | st.integers(1, 400),
+)
+
+
+def picked_element(table, pick):
+    """c^k plus base element h, or anchor a's element plus h."""
+    k, h, a = pick
+    x = ExtElement(enumerate_h(table.descriptor, h), k)
+    if a is not None:
+        x = table.anchor_element(min(a, table.depth)) + ExtElement(x.h, 0)
+    return x
+
+
+class TestSearchStart:
+    """Searches start at the first level that can move; grown tables grow
+    their frames only until a gap exceeds |k|."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES) + ["tampered"]),
+        depth=st.integers(1, 400),
+        pick=PICKS,
+        levels=st.lists(st.integers(0, 400), max_size=12),
+        warm=st.lists(PICKS, max_size=3),
+    )
+    @example(shape="capped_l1", depth=400, pick=(3, 1, None), levels=[400, 0, 5, 400], warm=[])
+    @example(shape="tampered", depth=30, pick=(0, 5, None), levels=list(range(31)), warm=[])
+    def test_truncated_values_equal_one_call_per_level(self, shape, depth, pick, levels, warm):
+        table = fresh_table(shape, depth)
+        levels = [min(n, table.depth) for n in levels]
+        # Warm frames: other searches on the same table first, at both budgets.
+        for other in warm:
+            y = picked_element(table, other)
+            evaluate_truncated(table, y, table.depth)
+            outcome(evaluate, table, y)
+        x = picked_element(table, pick)
+        cold = fresh_table(shape, depth)
+        assert truncated_values(table, x, levels) == [
+            evaluate_truncated(cold, x, n) for n in levels]
+
+    def test_truncated_values_rejects_a_level_past_the_table(self, unit_table):
+        with pytest.raises(DomainError):
+            truncated_values(unit_table, ExtElement(Z.zero(), 1), [0, unit_table.depth + 1])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.sampled_from(sorted(SHAPES)),
+        depth=st.integers(1, 400),
+        pick=PICKS,
+        cap=st.integers(0, 400),
+        budget=st.sampled_from(["truncated", ONE - Fraction(1, 1024),
+                                ONE - Fraction(1, 2 ** 30), ONE]),
+    )
+    def test_lazy_growth_finds_the_full_growth_decomposition(
+            self, shape, depth, pick, cap, budget):
+        grown = fresh_table(shape, depth)
+        full = with_powers(grown, {})   # given its anchors: frames grow in full
+        x = picked_element(grown, pick)
+        cap = min(cap, depth)
+        if budget == "truncated":
+            budget = grown.truncated_budget
+        lazy = best_decomposition(grown, x, budget, cap)
+        assert lazy == best_decomposition(full, x, budget, cap)
+        assert lazy is None or lazy.check_against(grown, x)
+
+    def test_frames_grow_with_k_not_with_the_depth(self):
+        grown = fresh_table("capped_l1", 400)
+        full = with_powers(grown, {})
+        budget = grown.truncated_budget
+        key = (budget.numerator, budget.denominator)
+        for k in (0, 3, 10 ** 12):
+            x = ExtElement(Z2.element((1, -2)), k)
+            assert evaluate_truncated(grown, x, 400) == evaluate_truncated(full, x, 400)
+            levels = len(grown.search_frames[key].units) - 1
+            assert levels < 40
+            # The frame stops at the first level whose gap exceeds |k|.
+            assert grown.search_frames[key].floors[-1] > k >= grown.search_frames[key].floors[-2]
+        assert len(full.search_frames[key].units) == 401
+        # A k = 0 search at the table's depth grows one level and starts at level 0.
+        zero = fresh_table("capped_l1", 400)
+        evaluate_truncated(zero, ExtElement(Z2.element((1, -2)), 0), 400)
+        assert len(zero.search_frames[key].units) == 2
+
+    def test_gaps_rise_strictly_up_to_the_depth_cap(self):
+        # gap[n] = K_n - reach[n-1] and reach[n] = reach[n-1] + caps[n] * K_n.
+        # At a budget below 1, caps[n] <= j_n - 1, and gap[n+1] - gap[n] =
+        # K_{n+1} - (caps[n] + 1) * K_n only grows as caps[n] shrinks, so the
+        # largest caps, j_n - 1, pin every such budget.
+        reach, gap = 0, None
+        recurrence = construction._recurrence()
+        for _, j, power in itertools.islice(recurrence, MAX_TABLE_DEPTH):
+            previous, gap = gap, power - reach
+            assert previous is None or gap >= previous + 1
+            reach += (j - 1) * power
 
 
 class TestBruteForceOracle:

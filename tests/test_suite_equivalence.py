@@ -1,7 +1,8 @@
 """The suites report exactly what their per-sample loops in ``tests/oracle.py`` do.
 
-The package checks the extension stream's first period only and keeps its
-axioms memos by object id; the oracle loops walk every sample.  A planted fault makes the
+The package checks the extension stream's first period only, keeps its
+axioms memos by object id and runs one truncated search per start level; the
+oracle loops walk every sample and every probe.  A planted fault makes the
 reports carry violations, so their indices are compared, not only empty lists.
 """
 
@@ -48,6 +49,7 @@ TABLES = {
 SUITES = {
     "extension": (verification.verify_extension, oracle.per_sample_extension),
     "axioms": (verification.verify_norm_axioms, oracle.per_sample_axioms),
+    "truncation": (verification.verify_truncation, oracle.per_probe_truncation),
 }
 
 
@@ -79,7 +81,7 @@ def planted(fault):
     return perturbed
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     table=st.sampled_from(sorted(TABLES)),
     suite=st.sampled_from(sorted(SUITES)),

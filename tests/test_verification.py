@@ -405,13 +405,13 @@ class TestTruncationSuite:
 
     def test_rising_truncated_value_breaks_monotonicity(self, monkeypatch, quarter_table):
         # Every sample's probes end at the table depth, where the value rises.
-        truncated = verification.evaluate_truncated
+        truncated = verification.truncated_values
 
-        def raised(table, x, level):
-            value = truncated(table, x, level)
-            return value + 1 if level == table.depth else value
+        def raised(table, x, levels):
+            return [value + 1 if level == table.depth else value
+                    for level, value in zip(levels, truncated(table, x, levels))]
 
-        monkeypatch.setattr(verification, "evaluate_truncated", raised)
+        monkeypatch.setattr(verification, "truncated_values", raised)
         report = verify_truncation(quarter_table, 20, seed=42)
         monotone = [v for v in report.violations if v.check == "truncation-monotone"]
         assert [v.sample_index for v in monotone] == list(range(20))
@@ -422,9 +422,10 @@ class TestTruncationSuite:
         # non-increasing and leaves exact values (at most the budget) alone,
         # but puts every probe of an interval sample on its lower bound.
         budget = Fraction(1023, 1024)
-        truncated = verification.evaluate_truncated
-        monkeypatch.setattr(verification, "evaluate_truncated",
-                            lambda table, x, level: min(budget, truncated(table, x, level)))
+        truncated = verification.truncated_values
+        monkeypatch.setattr(verification, "truncated_values",
+                            lambda table, x, levels: [min(budget, value)
+                                                      for value in truncated(table, x, levels)])
         intervals = {i for i, x in enumerate(sample_elements(Z, 20, seed=42))
                      if not isinstance(evaluate(quarter_table, x), ExactResult)}
         assert intervals
@@ -438,10 +439,11 @@ class TestTruncationSuite:
             self, monkeypatch, quarter_table):
         # Zero at level 1 puts a probe of every interval sample on its bound,
         # and the next probe rises from it, so the last probe stays above.
-        truncated = verification.evaluate_truncated
-        monkeypatch.setattr(verification, "evaluate_truncated",
-                            lambda table, x, level: Fraction(0) if level == 1
-                            else truncated(table, x, level))
+        truncated = verification.truncated_values
+        monkeypatch.setattr(verification, "truncated_values",
+                            lambda table, x, levels: [Fraction(0) if level == 1 else value
+                                                      for level, value
+                                                      in zip(levels, truncated(table, x, levels))])
         intervals = {i for i, x in enumerate(sample_elements(Z, 20, seed=42))
                      if not isinstance(evaluate(quarter_table, x), ExactResult)}
         assert intervals
