@@ -17,13 +17,7 @@ from decimal import Decimal
 
 from .construction import build_anchor_table, k_power
 from .counterexample import counterexample_certificate, counterexample_scan, worst_case_value
-from .errors import (
-    DomainError,
-    ExtendTableError,
-    HypothesisNotMetError,
-    ShapeError,
-    TableFormatError,
-)
+from .errors import DomainError, ExtendTableError, HypothesisNotMetError
 from .evaluator import DEFAULT_EPSILON, density_witness, evaluate
 from .rat import format_fraction, parse_fraction
 from .serialize import (
@@ -269,7 +263,7 @@ def _run(argv) -> int:
     except HypothesisNotMetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    except (DomainError, ShapeError, TableFormatError, ValueError) as exc:
+    except ValueError as exc:   # DomainError, ShapeError and TableFormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -114,19 +114,6 @@ def k_power(n: int) -> int:
             return _steps(power, a, n - first)
 
 
-def restore_suffix_minima(floors: list[int], start: int, first: int = 0) -> None:
-    """Make floors[first:] suffix minima again after entries were appended at ``start``.
-
-    floors[first:start] must hold suffix minima of themselves already.  The
-    walk back from the end stops at the first of them it does not lower.
-    """
-    for i in range(len(floors) - 2, first - 1, -1):
-        if floors[i] > floors[i + 1]:
-            floors[i] = floors[i + 1]
-        elif i < start:
-            break
-
-
 class Anchor(NamedTuple):
     """One declared value: the element c^power - target gets value 1/precision.
 
@@ -145,16 +132,23 @@ class Anchor(NamedTuple):
         return Fraction(1, self.precision_index)
 
 
+# The powers grow super-exponentially (k_2500 has 4080 decimal digits), so a
+# depth read from a table file or the command line is capped before any work.
+MAX_TABLE_DEPTH = 10_000
+
+
 class AnchorTable:
     """Construction state shared by every evaluation query.
 
-    The header (descriptor, spec and depth N) fixes the table.  Anchors are
-    made from the recurrence when a query first reaches them, never past N,
-    and kept as a prefix: each carries its pair, power and target, and its
-    value 1/j follows from the pair.  A table given an explicit tuple of
-    anchors, such as a tampered one, is a prefix that is already full.  The
-    prefix, its ``power_floors`` and ``search_frames`` (the evaluator's
-    cache) grow in place, so use one table from one thread at a time.
+    The header (descriptor, spec and depth N) fixes the table, and the
+    constructor refuses a depth outside 1..``MAX_TABLE_DEPTH`` and a spec
+    that does not fit the descriptor.  Anchors are made from the recurrence
+    when a query first reaches them, never past N, and kept as a prefix:
+    each carries its pair, power and target, and its value 1/j follows from
+    the pair.  A table given an explicit tuple of anchors, such as a tampered
+    one, is a prefix that is already full.  The prefix, its ``power_floors``
+    and ``search_frames`` (the evaluator's cache) grow in place, so use one
+    table from one thread at a time.
     """
 
     def __init__(self, descriptor: GroupDescriptor, spec: NormSpec,
@@ -162,19 +156,23 @@ class AnchorTable:
         """Pass ``anchors`` for a table given in full, or ``depth`` for one to grow."""
         if anchors and depth is not None:
             raise DomainError("give a table its anchors or its depth, not both")
+        self.depth = len(anchors) if depth is None else depth
+        if self.depth < 1:
+            raise DomainError("table depth must be >= 1")
+        if self.depth > MAX_TABLE_DEPTH:
+            raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {self.depth}")
+        spec.check_shape(descriptor)
         self.descriptor = descriptor
         self.spec = spec
-        self.depth = len(anchors) if depth is None else depth
         self._source = None if depth is None else _recurrence()
         self._targets: dict[int, HElement] = {}   # by m: about 70 at depth 2500
         self._made = list(anchors)
-        self._full = tuple(anchors) if depth is None else None
         # Suffix minima of the made powers: entry i (from 0) is the least of
         # K[i+1], ...  Non-decreasing on every table, so it can be bisected
-        # even when a tampered table's powers are not; on a grown table it
-        # equals the powers.
-        self.power_floors = [a.power for a in anchors]
-        restore_suffix_minima(self.power_floors, 0)
+        # even when a tampered table's powers are not.  A grown table's
+        # powers rise strictly, so there they are the powers themselves.
+        self.power_floors = list(itertools.accumulate(
+            (a.power for a in reversed(anchors)), min))[::-1]
         self.search_frames: dict = {}   # the evaluator's, which it keeps bounded
 
     def grow(self) -> None:
@@ -185,7 +183,6 @@ class AnchorTable:
             target = self._targets[m] = _target_element(self.descriptor, m)
         self._made.append(Anchor(len(self._made) + 1, m, j, power, target))
         self.power_floors.append(power)
-        restore_suffix_minima(self.power_floors, len(self.power_floors) - 1)
 
     def prefix(self, n: int) -> list[Anchor]:
         """The anchors made so far, at least 1..n of them (n <= depth); read only."""
@@ -196,9 +193,7 @@ class AnchorTable:
     @property
     def anchors(self) -> tuple[Anchor, ...]:
         """Every anchor 1..N, made first where it is not yet."""
-        if self._full is None:
-            self._full = tuple(self.prefix(self.depth))
-        return self._full
+        return tuple(self.prefix(self.depth))
 
     @cached_property
     def precision_lcm(self) -> int:
@@ -243,11 +238,6 @@ def _target_element(descriptor: GroupDescriptor, target_index: int) -> HElement:
     return enumerate_h(descriptor, target_index)
 
 
-# The powers grow super-exponentially (k_2500 has 4080 decimal digits), so a
-# depth read from a table file or the command line is capped before any work.
-MAX_TABLE_DEPTH = 10_000
-
-
 def require_depth(table: AnchorTable, n: int) -> None:
     """Raise unless the table reaches anchor n.
 
@@ -285,12 +275,10 @@ def first_index_reaching(bound: int) -> int:
 def build_anchor_table(
     descriptor: GroupDescriptor, spec: NormSpec, depth: int
 ) -> AnchorTable:
-    """The depth-N table for (descriptor, spec); its anchors are made as queries reach them."""
-    if depth < 1:
-        raise DomainError("table depth must be >= 1")
-    if depth > MAX_TABLE_DEPTH:
-        raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
-    spec.check_shape(descriptor)
+    """The depth-N table for (descriptor, spec); its anchors are made as queries reach them.
+
+    The constructor checks the depth and the spec's shape.
+    """
     return AnchorTable(descriptor, spec, depth=depth)
 
 

@@ -18,12 +18,9 @@ class ExtendTableError(Exception):
     callers can rebuild at that depth and retry.
     """
 
-    def __init__(self, required_depth: int, message: str | None = None):
+    def __init__(self, required_depth: int):
         self.required_depth = required_depth
-        super().__init__(
-            message
-            or f"anchor table too shallow; extend to depth {required_depth}"
-        )
+        super().__init__(f"anchor table too shallow; extend to depth {required_depth}")
 
 
 class TableFormatError(ValueError):

@@ -42,7 +42,6 @@ from .construction import (
     AnchorTable,
     first_index_reaching,
     require_depth,
-    restore_suffix_minima,
     unpair_index,
 )
 from .errors import DomainError, ShapeError
@@ -174,7 +173,8 @@ class _SearchFrame:
       its own;
     - reach[n]: the largest |sum of c-powers| anchors 1..n reach under caps;
     - widest[n]: max j*k over anchors 1..n, so covering r units of c-power
-      with them costs at least r / widest[n] (nothing can when it is 0);
+      with them costs at least r / widest[n]; widest[0] = 1, since a branch
+      at level 1, where reach[0] = 0, leaves no c-power to cover;
     - floors[n]: the minimum of gap[n..] with gap[m] = K_m - reach[m-1].
       A target with |target| < gap[m] forces multiplicity 0 at anchor m, and
       the floors are non-decreasing even on a tampered table, so they can be
@@ -193,12 +193,11 @@ class _SearchFrame:
         self.lazy = self.num < self.den and table._source is not None
         self.scale = lcm(self.den, table.precision_lcm)
         self.budget_scaled = self.num * (self.scale // self.den)
-        table.spec.check_shape(table.descriptor)
         self.denominator = table.spec.denominator(table.descriptor)
         self.units = [0]
         self.caps = [0]
         self.reach = [0]
-        self.widest = [0]
+        self.widest = [1]
         self.floors = [0]
 
     def grow(self, anchors, size: int) -> None:
@@ -211,7 +210,14 @@ class _SearchFrame:
             self.floors.append(k - self.reach[-1])
             self.reach.append(self.reach[-1] + cap * k)
             self.widest.append(max(self.widest[-1], j * k))
-        restore_suffix_minima(self.floors, start, 1)
+        # Make floors[1:] suffix minima again, walking back from the end until
+        # a floor made before this call is not lowered.
+        floors = self.floors
+        for i in range(len(floors) - 2, 0, -1):
+            if floors[i] > floors[i + 1]:
+                floors[i] = floors[i + 1]
+            elif i < start:
+                break
 
 
 def _search_start(
@@ -261,15 +267,17 @@ def best_decomposition(
     assigning the deepest anchor first.  It starts at the level
     :func:`_search_start` gives, so on a table grown from the recurrence at a
     budget below 1 the frame it needs is bounded by |x.k|, not by
-    ``index_cap``.  Per-anchor budget caps and the
-    reach of the leftover caps bound each level's multiplicities.  A branch
-    is then tested once against the budget and once against the incumbent:
-    on its cost when no c-power is left to cover, otherwise on the admissible
-    bound cost + |rest| / widest[n-1], which exceeds the cost.  Levels whose
-    only multiplicity is 0 are skipped in one bisection with no test of
-    their own: every anchor at or below the level landed on covers c-power
-    at no less than 1/widest[land] per unit, so the tests there cut whatever
-    a skipped level's test, on a widest no narrower, would.  Branches
+    ``index_cap``.  Per-anchor budget caps and the reach of the leftover caps
+    bound each level's multiplicities.  A branch is then tested once, on the
+    admissible bound cost + |rest| / widest[n-1], which no leaf below it
+    undercuts and which is the cost itself when no c-power is left to cover.
+    It is tested against a bar: the budget until a leaf within it is found,
+    then that incumbent's cost.  A bound equal to the budget passes; one equal
+    to the incumbent's cost does not.  Levels whose only multiplicity is 0
+    are skipped in one bisection with no test of their own: every anchor at
+    or below the level landed on covers c-power at no less than
+    1/widest[land] per unit, so the tests there cut whatever a skipped
+    level's test, on a widest no narrower, would.  Branches
     enumerate multiplicities in ascending order, so the first minimum found
     is the lexicographically smallest coefficient vector read from the
     deepest anchor down; later ties never replace it.
@@ -293,27 +301,26 @@ def best_decomposition(
         frame.units, frame.caps, frame.reach, frame.widest, frame.floors)
     descriptor = x.descriptor
     scaled_value = table.spec.scaled_value
-    leaf_limit = budget_scaled * d
     best: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = None
-    best_total = 0   # the incumbent's cost, over L*D
+    bar = budget_scaled * d   # over L*D: the budget, then the incumbent's cost
+    tie = 0   # 1 once there is an incumbent, which a tie does not replace
 
     def descend(n: int, target: int, shift: tuple[int, ...], running: int,
                 coeffs: list[tuple[int, int]]) -> None:
-        nonlocal best, best_total
+        nonlocal best, bar, tie
         if n == 0:
             if target:
                 return
             total = running * d + min(scaled_value(shift, descriptor), d) * scale
-            if total <= leaf_limit and (best is None or total < best_total):
+            if total + tie <= bar:
                 best = (tuple(reversed(coeffs)), shift)
-                best_total = total
+                bar, tie = total, 1
             return
         anchor = anchors[n - 1]
         unit = units[n]
         cap = caps[n]
         below = reach[n - 1]
         width = widest[n - 1]
-        budget_wide = budget_scaled * width
         power = anchor.power
         lo = -((below - target) // power)   # ceil((target - below) / power)
         hi = (target + below) // power
@@ -322,14 +329,9 @@ def best_decomposition(
         for mult in range(lo, hi + 1):
             cost = running + abs(mult) * unit
             rest = target - mult * power
-            if rest == 0:
-                if cost > budget_scaled or best is not None and cost * d >= best_total:
-                    continue
-            else:
-                # (cost/L + |rest|/width) * L * width, against budget and incumbent.
-                lower = cost * width + abs(rest) * scale
-                if lower > budget_wide or best is not None and lower * d >= best_total * width:
-                    continue
+            # (cost/L + |rest|/width) * L * D * width, against the bar.
+            if (cost * width + abs(rest) * scale) * d + tie > bar * width:
+                continue
             # The next level below n that allows a nonzero multiplicity.
             land = bisect_right(floors, abs(rest), 1, n) - 1
             if mult != 0:
@@ -347,7 +349,7 @@ def best_decomposition(
     coefficients, shift = best
     r = descriptor.free_rank
     residual = HElement(descriptor, shift[:r], shift[r:])
-    return Decomposition(coefficients, residual, Fraction(best_total, scale * d))
+    return Decomposition(coefficients, residual, Fraction(bar, scale * d))
 
 
 def evaluate(

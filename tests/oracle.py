@@ -95,6 +95,21 @@ def brute_force_eval(
     return min(ONE, _bounded_sums(table, max_summands, radius).get(x, ONE))
 
 
+def tampered(table: AnchorTable, **edits: dict) -> AnchorTable:
+    """A copy of ``table`` given its anchors in full, with some fields rewritten.
+
+    Each keyword names an ``Anchor`` field and maps anchor numbers to new
+    values: ``tampered(table, power={3: 3}, precision_index={5: 1})``.  With
+    no edits it is the same table given explicitly, whose search frames grow
+    in full.
+    """
+    anchors = list(table.anchors)
+    for field, values in edits.items():
+        for n, value in values.items():
+            anchors[n - 1] = anchors[n - 1]._replace(**{field: value})
+    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
+
+
 def construction_digest(table: AnchorTable) -> str:
     """SHA-256 over a whole table: header, then every anchor with its target.
 

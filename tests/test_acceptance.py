@@ -11,7 +11,6 @@ from fractions import Fraction
 import pytest
 
 from monothetic import (
-    AnchorTable,
     CappedLInf,
     CappedWeightedL1,
     ExactResult,
@@ -30,7 +29,7 @@ from monothetic import (
     verify_truncation,
 )
 from monothetic.verification import sample_elements
-from oracle import brute_force_eval
+from oracle import brute_force_eval, tampered
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -137,16 +136,11 @@ def test_criterion_4_norm_axioms(quarter_table, linf_table):
     # convicted structurally, the collapsed mid-table powers by a sampled
     # triangle violation.
     base = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 16)
-    anchors = list(base.anchors)
-    anchors[2] = anchors[2]._replace(power=3)
-    literal = AnchorTable(base.descriptor, base.spec, tuple(anchors))
+    literal = tampered(base, power={3: 3})
     report = verify_norm_axioms(literal, 500, 42, k_range=3)
     assert not report.passed
 
-    anchors = list(base.anchors)
-    anchors[3] = anchors[3]._replace(power=1)
-    anchors[4] = anchors[4]._replace(power=1)
-    semantic = AnchorTable(base.descriptor, base.spec, tuple(anchors))
+    semantic = tampered(base, power={4: 1, 5: 1})
     report = verify_norm_axioms(semantic, 500, 42, k_range=3)
     assert not report.passed
     assert any(v.check == "triangle" for v in report.violations)

@@ -821,6 +821,25 @@ class TestHostileInput:
         assert "invalid choice: 'family'" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("case", ["depth-0", "depth-past-cap", "file-shape"])
+    def test_invalid_table_messages(self, table_path, tmp_path, capsys, case):
+        # build and a table file's header meet the same checks in the
+        # AnchorTable constructor; these are their exact messages.
+        build = ["build", "--group", GROUP, "--norm", NORM, "--out", str(tmp_path / "t.json")]
+        shape = edited_copy(table_path, tmp_path / "shape.json",
+                            spec={"type": "capped_l1", "weights": ["1/1", "1/1"]})
+        argv, message = {
+            "depth-0": (build + ["--depth", "0"], "table depth must be >= 1"),
+            "depth-past-cap": (build + ["--depth", str(MAX_TABLE_DEPTH + 1)],
+                               f"table depth must be <= {MAX_TABLE_DEPTH}, "
+                               f"got {MAX_TABLE_DEPTH + 1}"),
+            "file-shape": (["eval", "--table", str(shape), "--element", '{"h":[0],"k":1}'],
+                           "capped_l1 has 2 weights for rank 1"),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_depth_past_cap_exits_two(self, tmp_path, capsys):
         argv = ["build", "--group", GROUP, "--norm", NORM, "--out", str(tmp_path / "t.json")]
         code = main(argv + ["--depth", str(MAX_TABLE_DEPTH + 1)])

@@ -12,6 +12,7 @@ from monothetic import (
     CappedWeightedL1,
     DomainError,
     GroupDescriptor,
+    ShapeError,
     build_anchor_table,
     check_table_consistency,
     k_sequence,
@@ -19,6 +20,7 @@ from monothetic import (
     unpair_index,
 )
 from monothetic.construction import MAX_TABLE_DEPTH, first_index_reaching, k_power
+from oracle import tampered
 
 Z = GroupDescriptor(free_rank=1)
 
@@ -185,6 +187,23 @@ class TestBuildTable:
         with pytest.raises(DomainError):
             build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 0)
 
+    def test_the_constructor_refuses_an_empty_or_too_deep_table(self):
+        # An empty table would fail only at its first query, on its empty
+        # power floors.
+        spec = CappedWeightedL1(weights=(Fraction(1),))
+        for kwargs in ({}, {"depth": 0}, {"depth": -3}):
+            with pytest.raises(DomainError, match=r"^table depth must be >= 1$"):
+                AnchorTable(Z, spec, **kwargs)
+        too_deep = MAX_TABLE_DEPTH + 1
+        with pytest.raises(DomainError,
+                           match=rf"^table depth must be <= {MAX_TABLE_DEPTH}, got {too_deep}$"):
+            AnchorTable(Z, spec, depth=too_deep)
+
+    def test_the_constructor_checks_the_shape_of_an_explicit_table(self, unit_table):
+        spec = CappedWeightedL1(weights=(Fraction(1), Fraction(1)))
+        with pytest.raises(ShapeError, match=r"^capped_l1 has 2 weights for rank 1$"):
+            AnchorTable(Z, spec, unit_table.anchors)
+
     def test_anchor_index_domain(self, unit_table):
         for n in (0, unit_table.depth + 1):
             with pytest.raises(DomainError):
@@ -213,21 +232,12 @@ class TestConsistencyCheck:
         assert check_table_consistency(unit_table) == []
 
     def test_detects_tampered_power(self, unit_table):
-        from monothetic import AnchorTable
-
-        anchors = list(unit_table.anchors)
-        anchors[2] = anchors[2]._replace(power=3)
-        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        bad = tampered(unit_table, power={3: 3})
         problems = check_table_consistency(bad)
         assert any("power" in p for p in problems)
 
     def test_detects_edited_index_and_target(self, unit_table):
-        from monothetic import AnchorTable
-
-        anchors = list(unit_table.anchors)
-        anchors[3] = anchors[3]._replace(index=9)
-        anchors[6] = anchors[6]._replace(target=anchors[5].target)
-        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        bad = tampered(unit_table, index={4: 9}, target={7: unit_table.anchor(6).target})
         assert check_table_consistency(bad) == [
             "anchor 4: stored index 9",
             "anchor 7: target does not match enumeration",
@@ -237,12 +247,7 @@ class TestConsistencyCheck:
         # Edited precision indices are pair defects only: the growth law takes
         # J_n from the recurrence's pairs, so a raised stored j (9 at anchor
         # 7) does not make the unchanged powers after it look too small.
-        from monothetic import AnchorTable
-
-        anchors = list(unit_table.anchors)
-        for n, j in ((5, 1), (7, 9), (12, 2)):
-            anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
-        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        bad = tampered(unit_table, precision_index={5: 1, 7: 9, 12: 2})
         assert check_table_consistency(bad) == [
             "anchor 5: pair (2,1) != (2,2)",
             "anchor 7: pair (1,9) != (1,4)",
@@ -250,10 +255,6 @@ class TestConsistencyCheck:
         ]
 
     def test_growth_law_flags_a_collapsed_power(self, unit_table):
-        from monothetic import AnchorTable
-
-        anchors = list(unit_table.anchors)
-        anchors[5] = anchors[5]._replace(power=anchors[4].power * 2)
-        bad = AnchorTable(unit_table.descriptor, unit_table.spec, tuple(anchors))
+        bad = tampered(unit_table, power={6: unit_table.anchor(5).power * 2})
         # K_6 = 68 is not above K_5 * J_6 = 34 * 3.
         assert "anchor 6: growth law violated against anchor 5" in check_table_consistency(bad)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from monothetic import (
     Anchor,
-    AnchorTable,
     CappedLInf,
     CappedWeightedL1,
     CyclicScaled,
@@ -38,7 +37,7 @@ from monothetic import (
 from monothetic import construction
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.evaluator import FRAMES_PER_TABLE
-from oracle import brute_force_eval
+from oracle import brute_force_eval, tampered
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -171,12 +170,12 @@ class TestTruncationIndex:
             return level
 
         # The tampered copies have powers that are not monotone.
-        tampered = [
-            with_powers(quarter_table, {20: quarter_table.anchor(19).power, 30: 5}),
-            with_powers(unit_table, {3: 1, 7: 2, 9: 10 ** 9}),
+        copies = [
+            tampered(quarter_table, power={20: quarter_table.anchor(19).power, 30: 5}),
+            tampered(unit_table, power={3: 1, 7: 2, 9: 10 ** 9}),
         ]
         rng = random.Random(20161213)
-        for table in (unit_table, quarter_table, *tampered):
+        for table in (unit_table, quarter_table, *copies):
             powers = [a.power for a in table.anchors]
             for _ in range(2000):
                 budget = Fraction(rng.randint(1, 2047), 2048)
@@ -313,6 +312,18 @@ class TestBestDecomposition:
         assert found.coefficients == ((1, -1), (2, -1))
         assert tuple(dict(found.coefficients).get(n, 0) for n in (3, 2, 1)) == vector
 
+    def test_a_tie_keeps_the_first_minimum(self, quarter_table):
+        # Anchor 3 made a copy of anchor 2: its element is one unit of either,
+        # at cost 1/2.  Multiplicity 0 at anchor 3 is tried first, so anchor 2
+        # is found first, and the equal cost through anchor 3 must not replace it.
+        a = quarter_table.anchor(2)
+        table = tampered(quarter_table, power={3: a.power}, target={3: a.target},
+                         precision_index={3: a.precision_index})
+        x = table.anchor_element(3)
+        for budget in (Fraction(1), table.truncated_budget):
+            found = best_decomposition(table, x, budget, table.depth)
+            assert (found.coefficients, found.cost) == (((2, 1),), Fraction(1, 2))
+
 
 class TestEvaluate:
     def test_zero(self, unit_table):
@@ -437,14 +448,6 @@ class TestEvaluate:
         assert evaluate(quarter_table, x) == evaluate(quarter_table, x)
 
 
-def with_powers(table, replacements):
-    """A copy of ``table`` with some anchor powers rewritten."""
-    anchors = list(table.anchors)
-    for index, power in replacements.items():
-        anchors[index - 1] = anchors[index - 1]._replace(power=power)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
-
-
 def near_anchor_elements(table, top):
     return [
         table.anchor_element(a) + table.anchor_element(b).scale(sign)
@@ -494,9 +497,9 @@ class TestSearchFrames:
             for e in epsilons:
                 for x in elements:
                     evaluate(quarter_table, x, e)
-            copy = with_powers(quarter_table, replacements)
+            copy = tampered(quarter_table, power=replacements)
             warm = [evaluate(copy, x, e) for e in epsilons for x in elements]
-            cold = with_powers(quarter_table, replacements)
+            cold = tampered(quarter_table, power=replacements)
             assert warm == [evaluate(cold, x, e) for e in epsilons for x in elements]
             # Witnesses must add up under the copy's own powers.
             for x, result in zip(elements * len(epsilons), warm):
@@ -547,12 +550,9 @@ class TestEvaluateTruncated:
         tables = []
         for base in bases:
             tables.append(base)
-            tables.append(with_powers(base, {4: 1, 5: 1}))
-            tables.append(with_powers(base, {6: 3 * base.anchor(6).power}))
-            anchors = list(base.anchors)
-            for n, j in ((5, 1), (7, 9), (10, 2)):
-                anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
-            tables.append(AnchorTable(base.descriptor, base.spec, tuple(anchors)))
+            tables.append(tampered(base, power={4: 1, 5: 1}))
+            tables.append(tampered(base, power={6: 3 * base.anchor(6).power}))
+            tables.append(tampered(base, precision_index={5: 1, 7: 9, 10: 2}))
         costs_of_one = 0
         for table in tables:
             elements = [table.anchor_element(1), -table.anchor_element(1)]
@@ -596,7 +596,7 @@ SHAPES = {
 def fresh_table(shape, depth):
     if shape == "tampered":
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
-        return with_powers(table, {20: table.anchor(19).power})
+        return tampered(table, power={20: table.anchor(19).power})
     return build_anchor_table(*SHAPES[shape], depth)
 
 
@@ -659,7 +659,7 @@ class TestSearchStart:
     def test_lazy_growth_finds_the_full_growth_decomposition(
             self, shape, depth, pick, cap, budget):
         grown = fresh_table(shape, depth)
-        full = with_powers(grown, {})   # given its anchors: frames grow in full
+        full = tampered(grown)   # given its anchors: frames grow in full
         x = picked_element(grown, pick)
         cap = min(cap, depth)
         if budget == "truncated":
@@ -670,7 +670,7 @@ class TestSearchStart:
 
     def test_frames_grow_with_k_not_with_the_depth(self):
         grown = fresh_table("capped_l1", 400)
-        full = with_powers(grown, {})
+        full = tampered(grown)
         budget = grown.truncated_budget
         key = (budget.numerator, budget.denominator)
         for k in (0, 3, 10 ** 12):

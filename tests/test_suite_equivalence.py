@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import monothetic.verification as verification
 import oracle
 from monothetic import (
-    AnchorTable,
     CappedWeightedL1,
     CyclicScaled,
     ExtendTableError,
@@ -34,9 +33,7 @@ def _tampered():
     # Anchor 20 given anchor 19's power: h = +-4 at k = 0 then costs 5/6 at
     # the full depth against a base norm of 1.
     table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
-    anchors = list(table.anchors)
-    anchors[19] = anchors[19]._replace(power=anchors[18].power)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
+    return oracle.tampered(table, power={20: table.anchor(19).power})
 
 
 TABLES = {

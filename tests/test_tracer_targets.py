@@ -5,12 +5,24 @@ rename in the package would otherwise surface only in a traced benchmark run.
 """
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+
+import pytest
 
 import monothetic.cli  # noqa: F401  every traced module must be imported
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# The arguments the tracer's hooks read by position (by name when passed by
+# keyword): (traced function, position, parameter name).  A moved parameter
+# would feed the wrong value to the level and byte counters, with no error.
+ARGUMENTS_READ = [
+    ("evaluator.best_decomposition", 3, "index_cap"),
+    ("serialize.load_table", 0, "path"),
+    ("serialize.save_table", 1, "path"),
+]
 
 
 def load_tracer():
@@ -40,3 +52,11 @@ def test_every_traced_name_resolves_to_a_wrapper():
     for target in targets:
         module_name, func_name = target.rsplit(".", 1)
         assert getattr(sys.modules[f"monothetic.{module_name}"], func_name) is originals[target]
+
+
+@pytest.mark.parametrize("target, position, name", ARGUMENTS_READ)
+def test_arguments_read_by_position_keep_their_place(target, position, name):
+    assert f'_arg(args, kwargs, {position}, "{name}")' in TRACER.read_text()
+    module_name, func_name = target.rsplit(".", 1)
+    func = getattr(sys.modules[f"monothetic.{module_name}"], func_name)
+    assert list(inspect.signature(func).parameters)[position] == name

@@ -9,7 +9,6 @@ import pytest
 import monothetic.evaluator as evaluator
 import monothetic.verification as verification
 from monothetic import (
-    AnchorTable,
     CappedWeightedL1,
     CyclicScaled,
     DomainError,
@@ -28,19 +27,12 @@ from monothetic import (
 from monothetic.evaluator import ExactResult
 from monothetic.serialize import suite_report_to_json
 from monothetic.verification import PAIR_INDEX_POOL, Violation, sample_elements, sample_pairs
+from oracle import tampered
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
 Z5 = GroupDescriptor(free_rank=0, torsion_moduli=(5,))
 Z6 = GroupDescriptor(free_rank=0, torsion_moduli=(6,))
-
-
-def tamper_powers(table, replacements):
-    """Test fixture: rewrite anchor powers, keeping everything else."""
-    anchors = list(table.anchors)
-    for index, power in replacements.items():
-        anchors[index - 1] = anchors[index - 1]._replace(power=power)
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
 
 
 class TestSamplers:
@@ -175,7 +167,7 @@ class TestAxiomSuite:
     def test_literal_lowered_power_fixture_fails(self, unit_table):
         # Lowering the third power violates the growth recurrence; the suite's
         # structural cross-check must reject the table.
-        bad = tamper_powers(unit_table, {3: 3})
+        bad = tampered(unit_table, power={3: 3})
         report = verify_norm_axioms(bad, 100, seed=42)
         assert not report.passed
         assert any(v.check == "table-invariant" for v in report.violations)
@@ -184,14 +176,14 @@ class TestAxiomSuite:
         # Collapsing two mid-table powers onto the generator itself prices
         # cheap shortcuts through the anchors and the sampled triangle
         # casework catches the resulting inconsistency.
-        bad = tamper_powers(unit_table, {4: 1, 5: 1})
+        bad = tampered(unit_table, power={4: 1, 5: 1})
         report = verify_norm_axioms(bad, 500, seed=42, k_range=3)
         assert not report.passed
         triangle = [v for v in report.violations if v.check == "triangle"]
         assert triangle, [v.check for v in report.violations]
 
     def test_violations_sorted_by_sample(self, unit_table):
-        bad = tamper_powers(unit_table, {3: 3, 4: 1, 5: 1})
+        bad = tampered(unit_table, power={3: 3, 4: 1, 5: 1})
         report = verify_norm_axioms(bad, 500, seed=42, k_range=3)
         indices = [v.sample_index for v in report.violations]
         assert indices == sorted(indices)
@@ -355,9 +347,7 @@ class TestDensitySuite:
         # Anchor 5 serves (target 2, precision 2), the fifth demand of the
         # 3 x 3 box; declaring it at precision 1 breaks exactly that demand.
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 20)
-        anchors = list(table.anchors)
-        anchors[4] = anchors[4]._replace(precision_index=1)
-        bad = AnchorTable(table.descriptor, table.spec, tuple(anchors))
+        bad = tampered(table, precision_index={5: 1})
         report = verify_density(bad, 3, 3)
         assert [(v.sample_index, v.inputs) for v in report.violations] == [
             (5, "target=2 precision=2")
@@ -374,7 +364,7 @@ class TestTruncationSuite:
         # truncation level is the maximal admissible index), so the truncated
         # diagnostics stay internally consistent; convicting this fixture is
         # the axiom suite's job.
-        bad = tamper_powers(unit_table, {4: 1, 5: 1})
+        bad = tampered(unit_table, power={4: 1, 5: 1})
         report = verify_truncation(bad, 60, seed=42)
         assert report.passed
 
@@ -382,7 +372,7 @@ class TestTruncationSuite:
         # A lowered final power leaves the table unable to exhibit any
         # truncation level, which surfaces as an extend-table error rather
         # than a silent wrong certificate.
-        bad = tamper_powers(unit_table, {unit_table.depth: 2})
+        bad = tampered(unit_table, power={unit_table.depth: 2})
         with pytest.raises(ExtendTableError):
             verify_truncation(bad, 60, seed=42)
 
@@ -395,7 +385,7 @@ class TestTruncationSuite:
         # Anchors 19 and 20 then cancel their c-powers, so h = +-4 at k = 0
         # costs 1/3 + 1/2 = 5/6 at the full depth, below its certified 1.
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
-        bad = tamper_powers(table, {20: table.anchor(19).power})
+        bad = tampered(table, power={20: table.anchor(19).power})
         report = verify_truncation(bad, 200, seed=42)
         assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
                 for v in report.violations] == [
