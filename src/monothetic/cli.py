@@ -48,10 +48,10 @@ EXIT_USAGE = 2
 EXIT_EXTEND = 3
 
 
-# The truncation suite takes about 1.1-1.2 s at this many samples on a
-# depth-50 Z^2 table, the extension suite 0.1-0.25 s and the axioms suite
-# 0.03-0.05 s (three seeds, Python 3.11, 2 vCPUs); larger requests are refused
-# before any work starts.
+# The truncation suite takes about 0.6-1.1 s at this many samples on a
+# depth-50 Z^2 table, the extension suite 0.07-0.25 s and the axioms suite
+# 0.03-0.07 s (seeds 0, 42 and 1234, in-process, Python 3.11, 2 noisy vCPUs);
+# larger requests are refused before any work starts.
 MAX_SAMPLES = 20_000
 
 
@@ -79,6 +79,13 @@ def _writing(path):
         raise DomainError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _require_positive(*options: tuple[str, int]) -> None:
+    """Refuse a count or index option below 1 before the table is loaded."""
+    for flag, value in options:
+        if value < 1:
+            raise DomainError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_build(args) -> int:
     descriptor = descriptor_from_json(parse_json(args.group, "--group"))
     spec = norm_spec_from_json(parse_json(args.norm, "--norm"))
@@ -102,6 +109,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    _require_positive(("--m", args.m), ("--j", args.j))
     table = load_table(args.table)
     witness = density_witness(table, args.m, args.j, parse_fraction(args.epsilon))
     payload = density_witness_to_json(witness)
@@ -111,8 +119,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise DomainError(f"--samples must be >= 1, got {args.samples}")
+    _require_positive(("--samples", args.samples), ("--max-m", args.max_m),
+                      ("--max-j", args.max_j))
     if args.samples > MAX_SAMPLES:
         raise DomainError(f"--samples must be <= {MAX_SAMPLES}, got {args.samples}")
     table = load_table(args.table)

@@ -371,7 +371,8 @@ def evaluate(
         value = base_norm(table.spec, x.h)
         witness = Decomposition((), x.h, value)
         return ExactResult(value, witness, 0)
-    budget = ONE - epsilon
+    # 1 - epsilon, made from epsilon's integers: already in lowest terms.
+    budget = Fraction(epsilon.denominator - epsilon.numerator, epsilon.denominator)
     level = truncation_index(table, x.k, budget)
     found = best_decomposition(table, x, budget, level)
     if found is None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -279,7 +280,7 @@ class CappedWeightedL1:
         return self._scaled_weights[0]
 
     def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
-        return sum(w * abs(v) for w, v in zip(self._scaled_weights[1], coords))
+        return sum(map(operator.mul, self._scaled_weights[1], map(abs, coords)))
 
 
 @dataclass(frozen=True)
@@ -303,7 +304,7 @@ class CappedLInf:
         return self.scale.denominator
 
     def scaled_value(self, coords: Sequence[int], descriptor: GroupDescriptor) -> int:
-        return self.scale.numerator * max(abs(v) for v in coords)
+        return self.scale.numerator * max(map(abs, coords))
 
 
 @lru_cache(maxsize=64)

@@ -7,12 +7,16 @@ Reports carry every violation with exact rationals, by stream index.
 A suite keeps its memos for one call only.  The extension suite's stream
 repeats once it is longer than its grid, so the suite checks the first
 period and re-emits each finding at every index that holds the same sample.
+It compares each value with the base norm as an integer over the spec's
+denominator D, and makes a ``Fraction`` only for a finding.
 The axioms suite keeps each evaluation by raw coordinates and, by object id,
 each sampled single's findings and certified value and each base sum; a
 single's findings are emitted at every pair index that holds it.  The
 truncation suite checks every sample it is given, and for each sample runs
 one truncated search per distinct start level (see
-:func:`~monothetic.evaluator.truncated_values`), not one per probe.
+:func:`~monothetic.evaluator.truncated_values`), not one per probe.  Probes
+that share a search share its value object, so no two of them are compared
+for a rise.
 
 Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
 enumerated base elements, and the truncation suite probes levels up to the
@@ -37,7 +41,7 @@ from .evaluator import (
     evaluate,
     truncated_values,
 )
-from .groups import ExtElement, GroupDescriptor, HElement, base_norm, enumerate_h
+from .groups import ExtElement, GroupDescriptor, HElement, enumerate_h
 from .rat import ONE, ZERO
 
 
@@ -151,21 +155,28 @@ def _report(suite: str, samples: int, violations: list, skipped: int, start: flo
 def verify_extension(table: AnchorTable, sample_count: int, seed: int) -> SuiteReport:
     """The extended norm restricted to the base group equals the base norm."""
     start = time.perf_counter()
-    elements = sample_elements(table.descriptor, sample_count, seed, k_range=0)
+    spec, descriptor = table.spec, table.descriptor
+    elements = sample_elements(descriptor, sample_count, seed, k_range=0)
     if not elements:
         raise DomainError("the extension suite needs at least one sample")
     # The stream repeats (see sample_elements), so only its first period is
     # checked, and each finding is re-emitted at every index that holds it.
     count = len(elements)
-    period = min(count, _single_grid(table.descriptor, count, 0))
+    period = min(count, _single_grid(descriptor, count, 0))
+    # base_norm(spec, h) is min(scaled value, D) / D, and the table's
+    # constructor has checked the spec's shape: compare it in integers.
+    d = spec.denominator(descriptor)
     found = {}
     for c, x in enumerate(elements[:period]):
-        expected = base_norm(table.spec, x.h)
         result = evaluate(table, x)
         if not isinstance(result, ExactResult):
             found[c] = ("extension-exact", f"h={x.h.coords()}", "exact result", "interval")
-        elif result.value != expected:
-            found[c] = ("extension-value", f"h={x.h.coords()}", str(expected), str(result.value))
+            continue
+        expected = min(spec.scaled_value(x.h.coords(), descriptor), d)
+        value = result.value
+        if value.numerator * d != expected * value.denominator:
+            found[c] = ("extension-value", f"h={x.h.coords()}",
+                        str(Fraction(expected, d)), str(value))
     violations = [Violation(first + c, *problem)
                   for first in range(0, count, period)
                   for c, problem in found.items() if first + c < count]
@@ -322,7 +333,9 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
         if top < table.depth:
             probes.append(table.depth)
         values = truncated_values(table, x, probes)
-        rising = [b for b in range(1, len(values)) if values[b] > values[b - 1]]
+        # Probes that share a search share its value object: no rise there.
+        rising = [b for b in range(1, len(values))
+                  if values[b] is not values[b - 1] and values[b] > values[b - 1]]
         for b in rising:
             violations.append(
                 Violation(i, "truncation-monotone",

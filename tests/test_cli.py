@@ -235,6 +235,16 @@ class TestDensity:
         assert payload["bound"] == "1/2"
         assert payload["certified"] is True
 
+    @pytest.mark.parametrize("option, value", [("m", 0), ("j", 0), ("m", -3), ("j", -1)])
+    def test_index_below_one_is_refused_before_the_table(self, tmp_path, capsys,
+                                                         option, value):
+        # The table file does not exist: the option is refused before it is read.
+        indices = {"m": 1, "j": 1, option: value}
+        code = main(["density", "--table", str(tmp_path / "missing.json"),
+                     "--m", str(indices["m"]), "--j", str(indices["j"])])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --{option} must be >= 1, got {value}\n")
+
     def test_power_past_the_digit_limit(self, tmp_path, capsys):
         # (m, j) = (1, 73) is anchor 2629, whose power has 4319 digits.
         path = tmp_path / "t.json"
@@ -294,6 +304,27 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--samples" in captured.err
+
+    @pytest.mark.parametrize("suite", ["all", "extension", "density"])
+    @pytest.mark.parametrize("option, value", [("max-m", 0), ("max-j", 0), ("max-m", -2)])
+    def test_density_index_below_one_is_refused_before_the_table(
+            self, tmp_path, capsys, suite, option, value):
+        # Refused whichever suites run, as --samples is, and before the table
+        # file (which does not exist) is read.
+        code = main(["verify", "--table", str(tmp_path / "missing.json"), "--suite", suite,
+                     "--samples", str(MAX_SAMPLES), f"--{option}", str(value)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: --{option} must be >= 1, got {value}\n")
+
+    def test_density_index_below_one_exits_two_on_a_shallow_table(self, tmp_path, capsys):
+        # The axioms suite runs first and would ask for depth 9 (exit 3); the
+        # index is refused before any suite runs.
+        path = tmp_path / "shallow.json"
+        assert main(["build", "--group", GROUP, "--norm", NORM, "--depth", "2",
+                     "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--table", str(path), "--max-m", "0"]) == 2
+        assert capsys.readouterr() == ("", "error: --max-m must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("value", ["0", "2", "65", "abc"])
     def test_mono_threads_is_ignored(self, tmp_path, capsys, monkeypatch, value):

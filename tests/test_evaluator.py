@@ -34,7 +34,7 @@ from monothetic import (
     truncated_values,
     truncation_index,
 )
-from monothetic import construction
+from monothetic import construction, evaluator
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.evaluator import FRAMES_PER_TABLE
 from oracle import brute_force_eval, tampered
@@ -348,6 +348,32 @@ class TestEvaluate:
         assert isinstance(result, IntervalResult)
         assert result.lower == Fraction(1023, 1024)
         assert result.upper == 1
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(epsilon=st.integers(2, 2 ** 40).flatmap(
+        lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))))
+    @example(epsilon=Fraction(1, 2 ** 40))
+    @example(epsilon=Fraction(2 ** 40 - 1, 2 ** 40))
+    def test_budget_is_one_minus_epsilon(self, lattice_table, epsilon):
+        # evaluate makes its budget from epsilon's integers.  c^(+-1) has
+        # norm 1, so every epsilon from 2^-40 up gives an interval, whose
+        # lower end is the budget; the search must have been handed it too.
+        budgets = []
+        search = evaluator.best_decomposition
+
+        def recorded(table, x, budget, index_cap):
+            budgets.append(budget)
+            return search(table, x, budget, index_cap)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluator, "best_decomposition", recorded)
+            for k in (1, -1):
+                result = evaluate(lattice_table, ExtElement(Z2.zero(), k), epsilon)
+                assert isinstance(result, IntervalResult)
+                assert type(result.lower) is Fraction
+                assert result.lower == ONE - epsilon
+            evaluate(lattice_table, lattice_table.anchor_element(3), epsilon)
+        assert budgets == [ONE - epsilon] * 3
 
     def test_epsilon_domain(self, unit_table):
         with pytest.raises(DomainError):

@@ -1,9 +1,12 @@
 """The suites report exactly what their per-sample loops in ``tests/oracle.py`` do.
 
-The package checks the extension stream's first period only, keeps its
-axioms memos by object id and runs one truncated search per start level; the
-oracle loops walk every sample and every probe.  A planted fault makes the
-reports carry violations, so their indices are compared, not only empty lists.
+The package checks the extension stream's first period only and compares
+its base norms in integers, keeps its axioms memos by object id and runs one
+truncated search per start level; the oracle loops walk every sample and
+every probe, and compare ``base_norm`` fractions.  The tables cover every
+norm in the menu, a pseudonorm that vanishes off zero among them.  A planted
+fault makes the reports carry violations, so their indices are compared, not
+only empty lists.
 """
 
 from dataclasses import replace
@@ -15,10 +18,12 @@ from hypothesis import given, settings, strategies as st
 import monothetic.verification as verification
 import oracle
 from monothetic import (
+    CappedLInf,
     CappedWeightedL1,
     CyclicScaled,
     ExtendTableError,
     GroupDescriptor,
+    RationalRotation,
     build_anchor_table,
     evaluate,
 )
@@ -26,6 +31,7 @@ from monothetic.evaluator import ExactResult
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
+Z3 = GroupDescriptor(free_rank=3)
 Z5 = GroupDescriptor(free_rank=0, torsion_moduli=(5,))
 
 
@@ -39,6 +45,9 @@ def _tampered():
 TABLES = {
     "Z2": build_anchor_table(Z2, CappedWeightedL1(weights=(Fraction(1), Fraction(1))), 50),
     "Z5": build_anchor_table(Z5, CyclicScaled(), 30),
+    "Z3-linf": build_anchor_table(Z3, CappedLInf(scale=Fraction(1, 2)), 30),
+    # A pseudonorm: zero on every multiple of 7.
+    "Z-rotation": build_anchor_table(Z, RationalRotation(alpha=Fraction(3, 7)), 30),
     "tampered": _tampered(),
 }
 
