@@ -145,34 +145,24 @@ class AnchorTable:
     that does not fit the descriptor.  Anchors are made from the recurrence
     when a query first reaches them, never past N, and kept as a prefix:
     each carries its pair, power and target, and its value 1/j follows from
-    the pair.  A table given an explicit tuple of anchors, such as a tampered
-    one, is a prefix that is already full.  The prefix, its ``power_floors``
-    and ``search_frames`` (the evaluator's cache) grow in place, so use one
-    table from one thread at a time.
+    the pair.  The prefix, its ``powers`` and ``search_frames`` (the
+    evaluator's cache) grow in place, so use one table from one thread at a
+    time.
     """
 
-    def __init__(self, descriptor: GroupDescriptor, spec: NormSpec,
-                 anchors: tuple[Anchor, ...] = (), depth: int | None = None):
-        """Pass ``anchors`` for a table given in full, or ``depth`` for one to grow."""
-        if anchors and depth is not None:
-            raise DomainError("give a table its anchors or its depth, not both")
-        self.depth = len(anchors) if depth is None else depth
-        if self.depth < 1:
+    def __init__(self, descriptor: GroupDescriptor, spec: NormSpec, depth: int):
+        if depth < 1:
             raise DomainError("table depth must be >= 1")
-        if self.depth > MAX_TABLE_DEPTH:
-            raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {self.depth}")
+        if depth > MAX_TABLE_DEPTH:
+            raise DomainError(f"table depth must be <= {MAX_TABLE_DEPTH}, got {depth}")
         spec.check_shape(descriptor)
+        self.depth = depth
         self.descriptor = descriptor
         self.spec = spec
-        self._source = None if depth is None else _recurrence()
+        self._source = _recurrence()
         self._targets: dict[int, HElement] = {}   # by m: about 70 at depth 2500
-        self._made = list(anchors)
-        # Suffix minima of the made powers: entry i (from 0) is the least of
-        # K[i+1], ...  Non-decreasing on every table, so it can be bisected
-        # even when a tampered table's powers are not.  A grown table's
-        # powers rise strictly, so there they are the powers themselves.
-        self.power_floors = list(itertools.accumulate(
-            (a.power for a in reversed(anchors)), min))[::-1]
+        self._made: list[Anchor] = []
+        self.powers: list[int] = []   # of the made anchors: they rise strictly
         self.search_frames: dict = {}   # the evaluator's, which it keeps bounded
 
     def grow(self) -> None:
@@ -182,7 +172,7 @@ class AnchorTable:
         if target is None:
             target = self._targets[m] = _target_element(self.descriptor, m)
         self._made.append(Anchor(len(self._made) + 1, m, j, power, target))
-        self.power_floors.append(power)
+        self.powers.append(power)
 
     def prefix(self, n: int) -> list[Anchor]:
         """The anchors made so far, at least 1..n of them (n <= depth); read only."""
@@ -199,12 +189,10 @@ class AnchorTable:
     def precision_lcm(self) -> int:
         """lcm of every anchor's precision index j: anchor costs 1/j are multiples of 1/L.
 
-        A grown table needs none of its anchors for it: its pairs 1..N hold
-        every j up to m + j - 1 for pair N = (m, j), the first pair of that
-        anti-diagonal having the largest.
+        It needs none of the anchors: pairs 1..N hold every j up to m + j - 1
+        for pair N = (m, j), the first pair of that anti-diagonal having the
+        largest.
         """
-        if self._source is None:
-            return math.lcm(*{a.precision_index for a in self._made})
         m, j = pair_index(self.depth)
         return math.lcm(*range(1, m + j))
 
@@ -214,9 +202,11 @@ class AnchorTable:
 
         Every anchor cost and base norm value is a multiple of 1/over, so this
         is the largest cost below 1: the budget of ``evaluate_truncated``.
+        Any budget from it up to 1, 1 excluded, finds the same costs, so where
+        over is 1 and that cost is 0, which no search takes, it is 1/2.
         """
         over = self.precision_lcm * self.spec.denominator(self.descriptor)
-        return Fraction(over - 1, over)
+        return Fraction(over - 1, over) if over > 1 else Fraction(1, 2)
 
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:
@@ -279,7 +269,7 @@ def build_anchor_table(
 
     The constructor checks the depth and the spec's shape.
     """
-    return AnchorTable(descriptor, spec, depth=depth)
+    return AnchorTable(descriptor, spec, depth)
 
 
 def check_table_consistency(table: AnchorTable) -> list[str]:

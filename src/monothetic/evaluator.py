@@ -39,6 +39,7 @@ from math import lcm
 from typing import Optional, Union
 
 from .construction import (
+    Anchor,
     AnchorTable,
     first_index_reaching,
     require_depth,
@@ -119,11 +120,11 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
 
     The test runs on integers: with budget = num/den, an integer power K
     satisfies K < |k|*den/(den - num) exactly when K < ceil(|k|*den/(den - num)),
-    and the largest such index is found by bisecting ``table.power_floors``.
-    The table first makes anchors until the last power made reaches that
-    bound, or until none is left: the recurrence puts every power not yet
-    made above the last one made, so none of them can change a comparison
-    with the bound.
+    and the largest such index is found by bisecting ``table.powers``.  The
+    table first makes anchors until the last power made reaches that bound,
+    or until none is left: the recurrence puts every power not yet made
+    above the last one made, so none of them can change a comparison with
+    the bound.
 
     When the table cannot exhibit the level, i.e. when even its deepest power
     is below |k|/(1 - budget), it raises through :func:`require_depth` for the
@@ -140,23 +141,23 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     if k == 0:
         return 0
     bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
-    floors = table.power_floors
-    while (not floors or floors[-1] < bound) and len(floors) < table.depth:
+    powers = table.powers
+    while (not powers or powers[-1] < bound) and len(powers) < table.depth:
         table.grow()
-    if floors[-1] < bound:
-        # Raises, since the depth it is given is past the table's.  A tampered
-        # table's powers can fall short of the recurrence's, hence the max.
-        require_depth(table, max(first_index_reaching(bound), table.depth + 1))
-    # floors[i] < bound iff some K[n-1] with n - 2 >= i is below the bound.
-    return bisect_left(floors, bound, 0, len(floors) - 1) + 1
+    if powers[-1] < bound:
+        # Raises: K_N is below the bound, so the first power reaching it lies
+        # past the depth.
+        require_depth(table, first_index_reaching(bound))
+    # powers[i] = K[i+1] < bound iff level i + 2 is admissible; the last
+    # power made reaches the bound.
+    return bisect_left(powers, bound) + 1
 
 
 # Frames kept per table.  A frame lives as long as its table.  Its size is
-# bounded by the largest |k| searched on a grown table at a budget below 1,
-# and by the deepest cap otherwise; either can mean megabytes of
-# multi-kilodigit products, so a library caller that cycles through many
-# budgets on one long-lived table must not pile them up.  No benchmark
-# workload uses more than 2 budgets on one table.
+# bounded by the largest |k| searched on the table at its budget, which can
+# mean megabytes of multi-kilodigit products, so a library caller that cycles
+# through many budgets on one long-lived table must not pile them up.  No
+# benchmark workload uses more than 2 budgets on one table.
 FRAMES_PER_TABLE = 4
 
 
@@ -175,22 +176,21 @@ class _SearchFrame:
     - widest[n]: max j*k over anchors 1..n, so covering r units of c-power
       with them costs at least r / widest[n]; widest[0] = 1, since a branch
       at level 1, where reach[0] = 0, leaves no c-power to cover;
-    - floors[n]: the minimum of gap[n..] with gap[m] = K_m - reach[m-1].
-      A target with |target| < gap[m] forces multiplicity 0 at anchor m, and
-      the floors are non-decreasing even on a tampered table, so they can be
-      bisected for the next level that allows a nonzero multiplicity.
+    - gaps[n]: K_n - reach[n-1].  A target with |target| < gaps[n] forces
+      multiplicity 0 at anchor n.
 
-    ``lazy`` marks a table grown from the recurrence at a budget below 1.
-    There caps[n] <= j_n - 1 <= J_{n+1} - 1 and K_{n+1} = J_{n+1} * K_n + 1,
-    so gap[n+1] - gap[n] = K_{n+1} - (caps[n] + 1) * K_n >= 1: the gaps rise
-    strictly, every floor is its own gap, and no level past the first whose
-    gap exceeds |k| can take a nonzero multiplicity.  Such a frame is grown
-    only to that level, so its size is bounded by |k|, not by the depth.
+    The gaps rise strictly.  The budget is below 1, so caps[n] <= j_n - 1 <=
+    J_{n+1} - 1, and K_{n+1} = J_{n+1} * K_n + 1, so gaps[n+1] - gaps[n] =
+    K_{n+1} - (caps[n] + 1) * K_n >= 1.  They can therefore be bisected for
+    the next level that allows a nonzero multiplicity, and no level past the
+    first whose gap exceeds |k| can take one.  A frame is grown only to that
+    level, so its size is bounded by |k|, not by the depth.
     """
 
     def __init__(self, table: AnchorTable, budget: Fraction):
         self.num, self.den = budget.numerator, budget.denominator
-        self.lazy = self.num < self.den and table._source is not None
+        if not 0 < self.num < self.den:
+            raise DomainError("budget must lie strictly between 0 and 1")
         self.scale = lcm(self.den, table.precision_lcm)
         self.budget_scaled = self.num * (self.scale // self.den)
         self.denominator = table.spec.denominator(table.descriptor)
@@ -198,26 +198,17 @@ class _SearchFrame:
         self.caps = [0]
         self.reach = [0]
         self.widest = [1]
-        self.floors = [0]
+        self.gaps = [0]
 
-    def grow(self, anchors, size: int) -> None:
-        start = len(self.units)
-        for a in anchors[start - 1: size]:
-            j, k = a.precision_index, a.power
-            cap = self.num * j // self.den
-            self.units.append(self.scale // j)
-            self.caps.append(cap)
-            self.floors.append(k - self.reach[-1])
-            self.reach.append(self.reach[-1] + cap * k)
-            self.widest.append(max(self.widest[-1], j * k))
-        # Make floors[1:] suffix minima again, walking back from the end until
-        # a floor made before this call is not lowered.
-        floors = self.floors
-        for i in range(len(floors) - 2, 0, -1):
-            if floors[i] > floors[i + 1]:
-                floors[i] = floors[i + 1]
-            elif i < start:
-                break
+    def grow(self, anchor: Anchor) -> None:
+        """Add the next level, whose anchor is given."""
+        j, k = anchor.precision_index, anchor.power
+        cap = self.num * j // self.den
+        self.units.append(self.scale // j)
+        self.caps.append(cap)
+        self.gaps.append(k - self.reach[-1])
+        self.reach.append(self.reach[-1] + cap * k)
+        self.widest.append(max(self.widest[-1], j * k))
 
 
 def _search_start(
@@ -225,34 +216,32 @@ def _search_start(
 ) -> tuple[_SearchFrame, int]:
     """The (table, budget) frame and the level a search over anchors 1..index_cap starts at.
 
-    The start is bisect_right(floors, |k|, 1, index_cap + 1) - 1, the deepest
-    level n <= index_cap whose floor is at most |k|: every level above it
-    forces multiplicity 0.  It is taken after the frame has grown as far as
-    the search needs: a lazy frame (see :class:`_SearchFrame`) one level at a
-    time until its last gap exceeds |k|, any other to ``index_cap``.  The
-    start is its own start, so a search to level n and a search to its start
-    visit the same nodes.
+    The frame, made on first use, refuses a budget outside (0, 1).  It first
+    grows one level at a time until its last gap exceeds |k| or it reaches
+    ``index_cap`` (see :class:`_SearchFrame`).  The start is then
+    bisect_right(gaps, |k|, 1, stop) - 1 with stop = min(index_cap, the
+    frame's last level) + 1: the deepest level n <= index_cap whose gap is
+    at most |k|, every level above it forcing multiplicity 0.  The start is its
+    own start, so a search to level n and a search to its start visit the
+    same nodes.
     """
     frames = table.search_frames
     key = (budget.numerator, budget.denominator)   # cheaper to hash than a Fraction
     frame = frames.get(key)
     if frame is None:
+        frame = _SearchFrame(table, budget)   # refuses a budget outside (0, 1)
         if len(frames) >= FRAMES_PER_TABLE:
             del frames[next(iter(frames))]
-        frame = frames[key] = _SearchFrame(table, budget)
+        frames[key] = frame
     target = abs(k)
-    floors = frame.floors
-    top = len(floors) - 1   # the deepest level the search may start at
-    if top >= index_cap:
-        top = index_cap
-    elif not frame.lazy:
-        frame.grow(table.prefix(index_cap), index_cap)
-        top = index_cap
-    else:
-        while top < index_cap and floors[-1] <= target:
-            top += 1
-            frame.grow(table.prefix(top), top)
-    return frame, bisect_right(floors, target, 1, top + 1) - 1
+    gaps = frame.gaps
+    stop = len(gaps)   # one past the deepest level the search may start at
+    while stop <= index_cap and gaps[-1] <= target:
+        frame.grow(table.anchor(stop))
+        stop += 1
+    if stop > index_cap:
+        stop = index_cap + 1
+    return frame, bisect_right(gaps, target, 1, stop) - 1
 
 
 def best_decomposition(
@@ -263,12 +252,12 @@ def best_decomposition(
 ) -> Optional[Decomposition]:
     """Exact minimum-cost decomposition within the budget, or None.
 
-    Depth-first search over multiplicity vectors for anchors 1..index_cap,
-    assigning the deepest anchor first.  It starts at the level
-    :func:`_search_start` gives, so on a table grown from the recurrence at a
-    budget below 1 the frame it needs is bounded by |x.k|, not by
-    ``index_cap``.  Per-anchor budget caps and the reach of the leftover caps
-    bound each level's multiplicities.  A branch is then tested once, on the
+    The budget must lie strictly between 0 and 1.  Depth-first search over
+    multiplicity vectors for anchors 1..index_cap, assigning the deepest
+    anchor first.  It starts at the level :func:`_search_start` gives, so the
+    frame it needs is bounded by |x.k|, not by ``index_cap``.  Per-anchor
+    budget caps and the reach of the leftover caps bound each level's
+    multiplicities.  A branch is then tested once, on the
     admissible bound cost + |rest| / widest[n-1], which no leaf below it
     undercuts and which is the cost itself when no c-power is left to cover.
     It is tested against a bar: the budget until a leaf within it is found,
@@ -297,8 +286,8 @@ def best_decomposition(
     frame, start = _search_start(table, budget, x.k, index_cap)
     anchors = table.prefix(start)
     scale, budget_scaled, d = frame.scale, frame.budget_scaled, frame.denominator
-    units, caps, reach, widest, floors = (
-        frame.units, frame.caps, frame.reach, frame.widest, frame.floors)
+    units, caps, reach, widest, gaps = (
+        frame.units, frame.caps, frame.reach, frame.widest, frame.gaps)
     descriptor = x.descriptor
     scaled_value = table.spec.scaled_value
     best: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = None
@@ -333,7 +322,7 @@ def best_decomposition(
             if (cost * width + abs(rest) * scale) * d + tie > bar * width:
                 continue
             # The next level below n that allows a nonzero multiplicity.
-            land = bisect_right(floors, abs(rest), 1, n) - 1
+            land = bisect_right(gaps, abs(rest), 1, n) - 1
             if mult != 0:
                 coeffs.append((anchor.index, mult))
                 moved = tuple(s + mult * t for s, t in zip(shift, anchor.target.coords()))
@@ -388,9 +377,7 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
     Every cost is a multiple of 1/over with over = L * D (L the lcm of every
     anchor's j, D the spec's denominator), so a cost below 1 is at most
     (over - 1)/over.  Searching at that budget therefore finds every cost the
-    capped value can take, and a miss means the value is 1.  At budget 1
-    each anchor's cap would be its full j, which lets levels reach so far
-    that none can be skipped; at this budget it is j - 1.  The table keeps
+    capped value can take, and a miss means the value is 1.  The table keeps
     that budget, :attr:`AnchorTable.truncated_budget`, made once.
     """
     if level < 0 or level > table.depth:
@@ -405,8 +392,8 @@ def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> li
     A truncated search to level n is the search from its start level (see
     :func:`_search_start`), which is its own start, so every level gets the
     value of one :func:`evaluate_truncated` call at its start; the values are
-    kept by start for this call only.  The floors never decrease, so once the
-    deepest level's start s is taken, level n starts at min(n, s).
+    kept by start for this call only.  The gaps rise, so once the deepest
+    level's start s is taken, level n starts at min(n, s).
     """
     if not levels:
         return []

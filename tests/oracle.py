@@ -96,18 +96,23 @@ def brute_force_eval(
 
 
 def tampered(table: AnchorTable, **edits: dict) -> AnchorTable:
-    """A copy of ``table`` given its anchors in full, with some fields rewritten.
+    """A table of the same depth whose made prefix is ``table``'s anchors, some fields rewritten.
 
     Each keyword names an ``Anchor`` field and maps anchor numbers to new
-    values: ``tampered(table, power={3: 3}, precision_index={5: 1})``.  With
-    no edits it is the same table given explicitly, whose search frames grow
-    in full.
+    values: ``tampered(table, power={3: 3}, precision_index={5: 1})``.  The
+    copy's made prefix and ``powers`` are replaced in full, so it makes no
+    anchor of its own, and it is searched as any table is.  The search is
+    exact only on the recurrence's powers, so what such a table must fail is
+    ``check_table_consistency``.
     """
     anchors = list(table.anchors)
     for field, values in edits.items():
         for n, value in values.items():
             anchors[n - 1] = anchors[n - 1]._replace(**{field: value})
-    return AnchorTable(table.descriptor, table.spec, tuple(anchors))
+    copy = AnchorTable(table.descriptor, table.spec, table.depth)
+    copy._made = anchors
+    copy.powers = [a.power for a in anchors]
+    return copy
 
 
 def construction_digest(table: AnchorTable) -> str:

@@ -6,10 +6,12 @@ tolerances are the stated wall-clock budgets.
 """
 
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import monothetic.verification as verification
 from monothetic import (
     CappedLInf,
     CappedWeightedL1,
@@ -132,19 +134,25 @@ def test_criterion_4_norm_axioms(quarter_table, linf_table):
         assert report.passed, report.violations[:3]
         assert report.samples == 500
 
-    # The corrupted fixtures must fail: the literal lowered third power is
-    # convicted structurally, the collapsed mid-table powers by a sampled
-    # triangle violation.
+    # The corrupted fixtures must fail: the literal lowered third power and
+    # the collapsed mid-table powers are convicted structurally.
     base = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 16)
-    literal = tampered(base, power={3: 3})
-    report = verify_norm_axioms(literal, 500, 42, k_range=3)
-    assert not report.passed
+    for fixture in (tampered(base, power={3: 3}), tampered(base, power={4: 1, 5: 1})):
+        report = verify_norm_axioms(fixture, 500, 42, k_range=3)
+        assert any(v.check == "table-invariant" for v in report.violations)
 
-    semantic = tampered(base, power={4: 1, 5: 1})
-    report = verify_norm_axioms(semantic, 500, 42, k_range=3)
-    assert not report.passed
+    # A planted fault, a sum valued above its summands, breaks the triangle.
+    def raised(table, x, *args):
+        result = evaluate(table, x, *args)
+        if x.k == 0 and abs(x.h.free[0]) == 2:
+            return replace(result, value=Fraction(3, 4))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "evaluate", raised)
+        report = verify_norm_axioms(quarter_table, 500, 42, k_range=3)
     assert any(v.check == "triangle" for v in report.violations)
-    _pass(4, "axioms clean on two norms; corrupted fixtures convicted",
+    _pass(4, "axioms clean on two norms; corrupted fixtures and a planted fault convicted",
           time.perf_counter() - start, 60)
 
 

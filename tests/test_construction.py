@@ -1,5 +1,7 @@
 """Pairing, power recurrence, and anchor tables."""
 
+import inspect
+import math
 from bisect import bisect_left
 from fractions import Fraction
 
@@ -164,14 +166,14 @@ class TestBuildTable:
         assert first.anchors == second.anchors
 
     def test_precision_lcm_makes_no_anchor(self):
-        # The closed form on a grown table against the lcm over a full copy.
+        # The closed form against the lcm over the anchors' precision indices.
         spec = CappedWeightedL1(weights=(Fraction(1),))
         for depth in range(1, 400):
             table = build_anchor_table(Z, spec, depth)
             assert table.prefix(0) == []
             value = table.precision_lcm
             assert table.prefix(0) == []
-            assert value == AnchorTable(Z, spec, table.anchors).precision_lcm
+            assert value == math.lcm(*(a.precision_index for a in table.anchors))
 
     def test_powers_independent_of_norm(self):
         a = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 25)
@@ -188,21 +190,23 @@ class TestBuildTable:
             build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1),)), 0)
 
     def test_the_constructor_refuses_an_empty_or_too_deep_table(self):
-        # An empty table would fail only at its first query, on its empty
-        # power floors.
+        # A table takes its header only; an empty one would fail only at its
+        # first query, on its empty powers.
+        assert list(inspect.signature(AnchorTable).parameters) == ["descriptor", "spec", "depth"]
         spec = CappedWeightedL1(weights=(Fraction(1),))
-        for kwargs in ({}, {"depth": 0}, {"depth": -3}):
+        for depth in (0, -3):
             with pytest.raises(DomainError, match=r"^table depth must be >= 1$"):
-                AnchorTable(Z, spec, **kwargs)
+                AnchorTable(Z, spec, depth)
         too_deep = MAX_TABLE_DEPTH + 1
         with pytest.raises(DomainError,
                            match=rf"^table depth must be <= {MAX_TABLE_DEPTH}, got {too_deep}$"):
-            AnchorTable(Z, spec, depth=too_deep)
+            AnchorTable(Z, spec, too_deep)
+        assert AnchorTable(Z, spec, MAX_TABLE_DEPTH).prefix(0) == []
 
-    def test_the_constructor_checks_the_shape_of_an_explicit_table(self, unit_table):
+    def test_the_constructor_checks_the_shape(self):
         spec = CappedWeightedL1(weights=(Fraction(1), Fraction(1)))
         with pytest.raises(ShapeError, match=r"^capped_l1 has 2 weights for rank 1$"):
-            AnchorTable(Z, spec, unit_table.anchors)
+            AnchorTable(Z, spec, 12)
 
     def test_anchor_index_domain(self, unit_table):
         for n in (0, unit_table.depth + 1):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = "3392 lines sha256 66e9fa5fec2c9e92d0036c4b80ff94cea41e7a18c86eb251ce2fbd43432565d1"
+PINNED = "3392 lines sha256 695516de368a433489cf3b0cf5cb520d5b4b0c06675466df27047887fbafe408"
 
 
 def test_differential_output_is_unchanged():

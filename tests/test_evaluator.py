@@ -33,6 +33,7 @@ from monothetic import (
     save_table,
     truncated_values,
     truncation_index,
+    verify_truncation,
 )
 from monothetic import construction, evaluator
 from monothetic.construction import MAX_TABLE_DEPTH
@@ -55,11 +56,12 @@ def exhaustive_min_decomposition(table, x, budget, index_cap):
     caps = [
         (budget.numerator * a.precision_index) // budget.denominator for a in anchors
     ]
+    powers = [a.power for a in reversed(anchors)]
     best = None
     for vector in itertools.product(*[range(-c, c + 1) for c in reversed(caps)]):
-        coeffs = list(zip(range(index_cap, 0, -1), vector))
-        if sum(m * table.anchor(n).power for n, m in coeffs) != x.k:
+        if sum(m * k for m, k in zip(vector, powers)) != x.k:
             continue
+        coeffs = list(zip(range(index_cap, 0, -1), vector))
         shift = x.descriptor.zero()
         cost = Fraction(0)
         for n, m in coeffs:
@@ -169,13 +171,8 @@ class TestTruncationIndex:
                     level = n
             return level
 
-        # The tampered copies have powers that are not monotone.
-        copies = [
-            tampered(quarter_table, power={20: quarter_table.anchor(19).power, 30: 5}),
-            tampered(unit_table, power={3: 1, 7: 2, 9: 10 ** 9}),
-        ]
         rng = random.Random(20161213)
-        for table in (unit_table, quarter_table, *copies):
+        for table in (unit_table, quarter_table):
             powers = [a.power for a in table.anchors]
             for _ in range(2000):
                 budget = Fraction(rng.randint(1, 2047), 2048)
@@ -255,7 +252,7 @@ class TestBestDecomposition:
 
     @pytest.mark.parametrize(
         "budget",
-        [Fraction(1, 2), Fraction(5, 7), Fraction(1023, 1024), ONE],
+        [Fraction(1, 2), Fraction(5, 7), Fraction(1023, 1024), "truncated"],
         ids=str,
     )
     @pytest.mark.parametrize("torsion", [False, True], ids=["quarter", "z5z9z7"])
@@ -271,6 +268,9 @@ class TestBestDecomposition:
         else:
             table = quarter_table
             offsets = [Z.element((v,)) for v in (-1, 0, 2)]
+        if budget == "truncated":
+            # The largest cost below 1: every cap is j - 1.
+            budget = table.truncated_budget
         elements = [ExtElement(h, k) for h in offsets for k in range(-5, 6)]
         elements += [
             table.anchor_element(a) + table.anchor_element(b).scale(sign)
@@ -280,12 +280,7 @@ class TestBestDecomposition:
         ]
         for x in elements:
             # Caps keep the unpruned enumeration small: it grows like prod(2j+1).
-            if x.k == 0:
-                level = 0
-            elif budget == ONE:
-                level = 5
-            else:
-                level = min(8, truncation_index(table, x.k, budget))
+            level = min(8, truncation_index(table, x.k, budget))
             found = best_decomposition(table, x, budget, level)
             oracle = exhaustive_min_decomposition(table, x, budget, level)
             if oracle is None:
@@ -297,32 +292,45 @@ class TestBestDecomposition:
             assert tuple(dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)) == vector
             assert found.check_against(table, x)
 
+    # On the recurrence's first 14 anchors no two anchor vectors of cost
+    # below 1 share a c-power, so no search there meets a second leaf within
+    # its budget.  The two tests below therefore give anchor 3 anchor 2's
+    # power and precision.
+
     def test_incumbent_prune_is_exact(self):
-        # At budget 2 over anchors 1..3, c^-3 is a2 - a3 with residual -target_3
-        # (cost 3/2 + 1/7), found first, or -a1 - a2 with residual 0 (cost 3/2).
-        # L = 2, and the second branch's running cost 3/L lies less than 1/L
-        # below that incumbent: an incumbent test off by one unit of 1/L would
-        # prune the true minimum.
-        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 7),)), 8)
-        x = ExtElement(Z.zero(), -3)
-        budget = Fraction(2)
+        # At budget 3/4, c^2 - e1 is a2 with residual -e1 (cost 1/2 + 1/7),
+        # found first, or a3 with residual 0 (cost 1/2).  L = lcm(4, 2) = 4,
+        # and the second branch's running cost 2/L lies less than 1/L below
+        # that incumbent: an incumbent test off by one unit of 1/L would prune
+        # the true minimum.
+        grown = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 7),)), 3)
+        table = tampered(grown, power={3: 2}, precision_index={3: 2})
+        x = ExtElement(Z.element((-1,)), 2)
+        budget = Fraction(3, 4)
         found = best_decomposition(table, x, budget, 3)
         cost, vector = exhaustive_min_decomposition(table, x, budget, 3)
-        assert found.cost == cost == Fraction(3, 2)
-        assert found.coefficients == ((1, -1), (2, -1))
+        assert found.cost == cost == Fraction(1, 2)
+        assert found.coefficients == ((3, 1),)
         assert tuple(dict(found.coefficients).get(n, 0) for n in (3, 2, 1)) == vector
 
     def test_a_tie_keeps_the_first_minimum(self, quarter_table):
         # Anchor 3 made a copy of anchor 2: its element is one unit of either,
         # at cost 1/2.  Multiplicity 0 at anchor 3 is tried first, so anchor 2
-        # is found first, and the equal cost through anchor 3 must not replace it.
+        # is found first, and the equal cost through anchor 3 must not replace
+        # it.  The unpruned enumeration keeps the same vector at budget 1.
         a = quarter_table.anchor(2)
         table = tampered(quarter_table, power={3: a.power}, target={3: a.target},
                          precision_index={3: a.precision_index})
         x = table.anchor_element(3)
-        for budget in (Fraction(1), table.truncated_budget):
-            found = best_decomposition(table, x, budget, table.depth)
-            assert (found.coefficients, found.cost) == (((2, 1),), Fraction(1, 2))
+        found = best_decomposition(table, x, table.truncated_budget, table.depth)
+        assert (found.coefficients, found.cost) == (((2, 1),), Fraction(1, 2))
+        assert exhaustive_min_decomposition(table, x, ONE, 4) == (Fraction(1, 2), (0, 0, 1, 0))
+
+    def test_refuses_a_budget_outside_zero_one(self, unit_table):
+        x = ExtElement(Z.zero(), 2)
+        for budget in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="^budget must lie strictly between 0 and 1$"):
+                best_decomposition(unit_table, x, budget, 3)
 
 
 class TestEvaluate:
@@ -565,33 +573,57 @@ class TestEvaluateTruncated:
             assert evaluate_truncated(quarter_table, x, n) == result.value
 
     def test_equals_the_budget_one_search_at_every_level(self, unit_table, quarter_table):
-        # evaluate_truncated searches just below 1; the capped budget-1 search
-        # is the definition it must match, costs of exactly 1 included.
-        bases = [
+        # evaluate_truncated searches just below 1; the capped budget-1
+        # minimum is the definition it must match, costs of exactly 1
+        # included.  The unpruned enumeration grows like prod(2j + 1), so
+        # levels stop at 6.
+        tables = [
             unit_table,
             quarter_table,
             build_anchor_table(Z5_9_7, CyclicScaled(), 24),
             build_anchor_table(Z, RationalRotation(Fraction(3, 7)), 24),
         ]
-        tables = []
-        for base in bases:
-            tables.append(base)
-            tables.append(tampered(base, power={4: 1, 5: 1}))
-            tables.append(tampered(base, power={6: 3 * base.anchor(6).power}))
-            tables.append(tampered(base, precision_index={5: 1, 7: 9, 10: 2}))
-        costs_of_one = 0
+        # Past level 6 the deeper levels are checked against level 6 where
+        # the deepest search starts by then, since a search to level n is the
+        # search from its start.
+        costs_of_one = deep_checked = 0
         for table in tables:
             elements = [table.anchor_element(1), -table.anchor_element(1)]
             elements += near_anchor_elements(table, 12)
             elements += [ExtElement(enumerate_h(table.descriptor, h), k)
                          for h in (1, 2, 5) for k in (-3, 0, 2, 7)]
             for x in elements:
-                for n in range(table.depth + 1):
-                    found = best_decomposition(table, x, ONE, n)
-                    expected = ONE if found is None else min(ONE, found.cost)
+                for n in range(7):
+                    found = exhaustive_min_decomposition(table, x, ONE, n)
+                    expected = ONE if found is None else found[0]
                     assert evaluate_truncated(table, x, n) == expected, (x, n)
-                    costs_of_one += found is not None and found.cost == ONE
+                    costs_of_one += expected == ONE and found is not None
+                start = evaluator._search_start(
+                    table, table.truncated_budget, x.k, table.depth)[1]
+                if start <= 6:
+                    for n in range(7, table.depth + 1):
+                        assert evaluate_truncated(table, x, n) == expected, (x, n)
+                        deep_checked += 1
         assert costs_of_one > 0
+        assert deep_checked > 0
+
+    def test_depth_one_integer_costs(self):
+        # L = 1 and D = 1, so every cost is an integer and (over - 1)/over
+        # would be 0, a budget no search takes.  The value is 0 for an h of
+        # base norm 0 and k = 0, and 1 for every other element.
+        table = build_anchor_table(Z, CappedWeightedL1((Fraction(1),)), 1)
+        assert 0 < table.truncated_budget < 1
+        for h in (1, 2, 3):
+            for k in (-1, 0, 1, 3):
+                x = ExtElement(enumerate_h(Z, h), k)
+                expected = Fraction(0) if (h, k) == (1, 0) else ONE
+                for n in (0, 1):
+                    assert evaluate_truncated(table, x, n) == expected, (x, n)
+                assert truncated_values(table, x, [0, 1]) == [expected, expected]
+        # The suite reaches its own verdict: level 1 certifies no k != 0.
+        with pytest.raises(ExtendTableError) as err:
+            verify_truncation(table, 20, 5)
+        assert err.value.required_depth > 1
 
     def test_rejects_bad_level_and_shape(self, unit_table):
         with pytest.raises(DomainError):
@@ -605,12 +637,12 @@ class TestEvaluateTruncated:
         # or one that left out D, would miss it.
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 2)
         x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
-        assert best_decomposition(table, x, ONE, 2).cost == Fraction(5, 6)
+        assert exhaustive_min_decomposition(table, x, ONE, 2)[0] == Fraction(5, 6)
         assert evaluate_truncated(table, x, 2) == Fraction(5, 6)
 
 
 # Fresh tables of every norm kind, by name; "tampered" is the depth-30 Z table
-# whose anchor 20 has anchor 19's power, given as an explicit anchor tuple.
+# whose anchor 20 has anchor 19's power, made by `oracle.tampered`.
 SHAPES = {
     "capped_l1": (Z2, CappedWeightedL1((Fraction(1, 3), Fraction(1, 5)))),
     "capped_linf": (GroupDescriptor(free_rank=3), CappedLInf(scale=Fraction(1, 2))),
@@ -673,6 +705,19 @@ class TestSearchStart:
         with pytest.raises(DomainError):
             truncated_values(unit_table, ExtElement(Z.zero(), 1), [0, unit_table.depth + 1])
 
+    @staticmethod
+    def fully_grown(shape, depth, budget):
+        """A fresh table whose frame at ``budget`` reaches its depth.
+
+        A search for c^{K_N} at cap N grows the frame until a gap exceeds
+        K_N, and no gap up to level N does.
+        """
+        table = fresh_table(shape, depth)
+        x = ExtElement(table.descriptor.zero(), table.anchor(depth).power)
+        best_decomposition(table, x, budget, depth)
+        assert len(table.search_frames[(budget.numerator, budget.denominator)].units) == depth + 1
+        return table
+
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         shape=st.sampled_from(sorted(SHAPES)),
@@ -680,24 +725,33 @@ class TestSearchStart:
         pick=PICKS,
         cap=st.integers(0, 400),
         budget=st.sampled_from(["truncated", ONE - Fraction(1, 1024),
-                                ONE - Fraction(1, 2 ** 30), ONE]),
+                                ONE - Fraction(1, 2 ** 30), Fraction(5, 7)]),
     )
     def test_lazy_growth_finds_the_full_growth_decomposition(
             self, shape, depth, pick, cap, budget):
         grown = fresh_table(shape, depth)
-        full = tampered(grown)   # given its anchors: frames grow in full
         x = picked_element(grown, pick)
         cap = min(cap, depth)
         if budget == "truncated":
             budget = grown.truncated_budget
+        full = self.fully_grown(shape, depth, budget)
         lazy = best_decomposition(grown, x, budget, cap)
         assert lazy == best_decomposition(full, x, budget, cap)
         assert lazy is None or lazy.check_against(grown, x)
+        # At caps small enough to enumerate, the unpruned minimum.
+        small = min(cap, 5)
+        found = best_decomposition(grown, x, budget, small)
+        oracle = exhaustive_min_decomposition(grown, x, budget, small)
+        assert (found is None) == (oracle is None)
+        if found is not None:
+            assert found.cost == oracle[0]
+            assert tuple(dict(found.coefficients).get(n, 0)
+                         for n in range(small, 0, -1)) == oracle[1]
 
     def test_frames_grow_with_k_not_with_the_depth(self):
         grown = fresh_table("capped_l1", 400)
-        full = tampered(grown)
         budget = grown.truncated_budget
+        full = self.fully_grown("capped_l1", 400, budget)
         key = (budget.numerator, budget.denominator)
         for k in (0, 3, 10 ** 12):
             x = ExtElement(Z2.element((1, -2)), k)
@@ -705,8 +759,7 @@ class TestSearchStart:
             levels = len(grown.search_frames[key].units) - 1
             assert levels < 40
             # The frame stops at the first level whose gap exceeds |k|.
-            assert grown.search_frames[key].floors[-1] > k >= grown.search_frames[key].floors[-2]
-        assert len(full.search_frames[key].units) == 401
+            assert grown.search_frames[key].gaps[-1] > k >= grown.search_frames[key].gaps[-2]
         # A k = 0 search at the table's depth grows one level and starts at level 0.
         zero = fresh_table("capped_l1", 400)
         evaluate_truncated(zero, ExtElement(Z2.element((1, -2)), 0), 400)

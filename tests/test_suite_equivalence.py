@@ -36,8 +36,8 @@ Z5 = GroupDescriptor(free_rank=0, torsion_moduli=(5,))
 
 
 def _tampered():
-    # Anchor 20 given anchor 19's power: h = +-4 at k = 0 then costs 5/6 at
-    # the full depth against a base norm of 1.
+    # Anchor 20 given anchor 19's power, which only the axioms suite's
+    # table-invariant check is sure to report.
     table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
     return oracle.tampered(table, power={20: table.anchor(19).power})
 

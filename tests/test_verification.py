@@ -1,4 +1,4 @@
-"""Property suites: pass on honest tables, fail on tampered ones."""
+"""Property suites: pass on honest tables, fail on tampered ones and on planted faults."""
 
 import sys
 from dataclasses import replace
@@ -120,6 +120,23 @@ class TestExtensionSuite:
         b = verify_extension(quarter_table, 50, seed=1)
         assert suite_report_to_json(a) == suite_report_to_json(b)
 
+    def test_interval_on_the_base_group_breaks_exactness(self, monkeypatch, quarter_table):
+        # h = -2 at k = 0 certified only as c^1's interval.  The 20-sample
+        # stream repeats after 11, so it is reported twice.
+        interval = evaluate(quarter_table, ExtElement(Z.zero(), 1))
+        assert not isinstance(interval, ExactResult)
+        target = enumerate_h(Z, 5)
+
+        def patched(table, x, *args):
+            return interval if x.h == target else evaluate(table, x, *args)
+
+        monkeypatch.setattr(verification, "evaluate", patched)
+        report = verify_extension(quarter_table, 20, seed=0)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations] == [
+            (i, "extension-exact", "h=(-2,)", "exact result", "interval") for i in (4, 15)
+        ]
+
 
 SAMPLED_SUITES = pytest.mark.parametrize(
     "suite", [verify_extension, verify_norm_axioms, verify_truncation],
@@ -172,15 +189,34 @@ class TestAxiomSuite:
         assert not report.passed
         assert any(v.check == "table-invariant" for v in report.violations)
 
-    def test_semantic_fixture_breaks_triangle(self, unit_table):
-        # Collapsing two mid-table powers onto the generator itself prices
-        # cheap shortcuts through the anchors and the sampled triangle
-        # casework catches the resulting inconsistency.
+    def test_semantic_fixture_fails_the_table_invariant(self, unit_table):
+        # Collapsing two mid-table powers onto the generator itself breaks
+        # the recurrence; the search is exact only on the recurrence's powers.
         bad = tampered(unit_table, power={4: 1, 5: 1})
         report = verify_norm_axioms(bad, 500, seed=42, k_range=3)
-        assert not report.passed
-        triangle = [v for v in report.violations if v.check == "triangle"]
-        assert triangle, [v.check for v in report.violations]
+        assert [v.inputs for v in report.violations if v.check == "table-invariant"] == [
+            "anchor 4: power 1 != 11",
+            "anchor 4: growth law violated against anchor 3",
+            "anchor 5: power 1 != 34",
+            "anchor 5: growth law violated against anchor 4",
+        ]
+
+    def test_exact_sum_above_its_summands_breaks_triangle(self, monkeypatch, quarter_table):
+        # Raising h = +-2 at k = 0 from 1/2 to 3/4 keeps symmetry and the cap,
+        # but 1 + 1 then costs more than its summands' 1/4 + 1/4.
+        def raised(table, x, *args):
+            result = evaluate(table, x, *args)
+            if x.k == 0 and abs(x.h.free[0]) == 2:
+                return replace(result, value=Fraction(3, 4))
+            return result
+
+        monkeypatch.setattr(verification, "evaluate", raised)
+        report = verify_norm_axioms(quarter_table, 16, seed=0, k_range=0)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations] == [
+            (5, "triangle", "x=((1,),0) y=((1,),0)", "<= 1/2", "3/4"),
+            (10, "triangle", "x=((-1,),0) y=((-1,),0)", "<= 1/2", "3/4"),
+        ]
 
     def test_violations_sorted_by_sample(self, unit_table):
         bad = tampered(unit_table, power={3: 3, 4: 1, 5: 1})
@@ -343,6 +379,23 @@ class TestDensitySuite:
             verify_density(unit_table, 5, 5)
         assert err.value.required_depth == 41
 
+    def test_witness_above_its_bound_is_reported(self, monkeypatch, quarter_table):
+        # Demand (2, 2), the fifth of the 3 x 3 box, certified at 1 > 1/2.
+        witness = verification.density_witness
+
+        def raised(table, m, j, *args):
+            found = witness(table, m, j, *args)
+            if (m, j) != (2, 2):
+                return found
+            return replace(found, certificate=replace(found.certificate, value=Fraction(1)))
+
+        monkeypatch.setattr(verification, "density_witness", raised)
+        report = verify_density(quarter_table, 3, 3)
+        assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
+                for v in report.violations] == [
+            (5, "density", "target=2 precision=2", "<= 1/2", "exact 1")
+        ]
+
     def test_demands_numbered_from_one_target_major(self):
         # Anchor 5 serves (target 2, precision 2), the fifth demand of the
         # 3 x 3 box; declaring it at precision 1 breaks exactly that demand.
@@ -368,25 +421,43 @@ class TestTruncationSuite:
         report = verify_truncation(bad, 60, seed=42)
         assert report.passed
 
-    def test_cheap_last_anchor_demands_deeper_table(self, unit_table):
-        # A lowered final power leaves the table unable to exhibit any
-        # truncation level, which surfaces as an extend-table error rather
-        # than a silent wrong certificate.
-        bad = tampered(unit_table, power={unit_table.depth: 2})
-        with pytest.raises(ExtendTableError):
-            verify_truncation(bad, 60, seed=42)
+    def test_cheap_last_anchor_fails_the_table_invariant(self, unit_table):
+        depth = unit_table.depth
+        bad = tampered(unit_table, power={depth: 2})
+        report = verify_norm_axioms(bad, 60, seed=42)
+        assert [v.inputs for v in report.violations if v.check == "table-invariant"] == [
+            f"anchor {depth}: power 2 != {unit_table.anchor(depth).power}",
+            f"anchor {depth}: growth law violated against anchor {depth - 1}",
+        ]
 
     def test_torsion_table(self):
         table = build_anchor_table(Z6, CyclicScaled(), 12)
         report = verify_truncation(table, 30, seed=2)
         assert report.passed
 
-    def test_anchor_given_its_predecessors_power_breaks_stabilization(self):
-        # Anchors 19 and 20 then cancel their c-powers, so h = +-4 at k = 0
-        # costs 1/3 + 1/2 = 5/6 at the full depth, below its certified 1.
+    def test_anchor_given_its_predecessors_power_fails_the_table_invariant(self):
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
         bad = tampered(table, power={20: table.anchor(19).power})
-        report = verify_truncation(bad, 200, seed=42)
+        report = verify_norm_axioms(bad, 200, seed=42)
+        assert [v.inputs for v in report.violations if v.check == "table-invariant"] == [
+            f"anchor 20: power {table.anchor(19).power} != {table.anchor(20).power}",
+            "anchor 20: growth law violated against anchor 19",
+        ]
+
+    def test_truncated_value_below_the_certified_one_breaks_stabilization(
+            self, monkeypatch):
+        # h = +-4 at k = 0 given 5/6 at the full depth, below its certified 1,
+        # as a search through two anchors of equal power would find.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
+        truncated = verification.truncated_values
+
+        def lowered(table, x, levels):
+            return [Fraction(5, 6) if x.k == 0 and abs(x.h.free[0]) == 4
+                    and level == table.depth else value
+                    for level, value in zip(levels, truncated(table, x, levels))]
+
+        monkeypatch.setattr(verification, "truncated_values", lowered)
+        report = verify_truncation(table, 200, seed=42)
         assert [(v.sample_index, v.check, v.inputs, v.expected, v.got)
                 for v in report.violations] == [
             (40, "truncation-stabilized", "x=((4,),0) N=30", "1", "5/6"),
