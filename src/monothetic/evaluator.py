@@ -20,6 +20,42 @@ globally exact.  For x with zero c-power every anchor-using decomposition
 costs more than 1, which certifies that the extension restricts to the base
 norm on the base group.
 
+The same growth law, K_n = J_n * K_{n-1} + 1 with J_n the largest j among
+anchors 1..n-1, gives each search at most one leaf.  Write
+C(v) = sum |v_i|/j_i for the anchor cost of a multiplicity vector v, and
+W_p = max_{i<=p} j_i*K_i, so that W_p <= J_{p+1} * K_p = K_{p+1} - 1.
+
+Lemma.  Every nonzero integer vector d with sum d_i*K_i = 0 has C(d) > 2.
+
+(a) Anchors 1..p give c-power r only at cost at least |r|/W_p, since
+    |r| <= sum |v_i|*K_i = sum (|v_i|/j_i) * j_i*K_i <= C(v) * W_p.
+(b) Let n be d's deepest nonzero index and, negating d if need be, d_n > 0;
+    n >= 2, since d_1*K_1 = 0 forces d_1 = 0.  Anchors 1..n-1 give
+    -d_n*K_n, so by (a) C(d) >= d_n/j_n + d_n*K_n/(K_n - 1) > d_n + d_n/j_n,
+    which is above 2 unless d_n = 1.
+(c) A vector v of c-power +-1 has C(v) >= 1.  If its deepest nonzero index
+    q is 1, v = +-e_1 at cost 1 (j_1 = 1).  Otherwise anchors 1..q-1 give at
+    least |v_q|*K_q - 1 >= K_q - 1 >= W_{q-1}, at cost at least 1 by (a).
+(d) Let d_n = 1 and g = J_n + d_{n-1}.  Then anchors 1..n-2 give
+    -(g*K_{n-1} + 1).  For n = 2 that forces g = -1, so d_1 = -2 and
+    C(d) = 5/2.  For n >= 3, note j_{n-1} <= J_n.
+    - If g = 0, by (c) C(d) >= 1/j_n + J_n/j_{n-1} + 1 > 2.
+    - If g != 0, by (a) anchors 1..n-2 cost at least
+      (|g|*K_{n-1} - 1)/(K_{n-1} - 1) >= |g|, so
+      C(d) >= 1/j_n + |d_{n-1}|/j_{n-1} + |g|.  Anchor n is pair
+      (m, s - m) on anti-diagonal s.  For m >= 2 anchor n-1 is on it too,
+      so J_n = s - 1 > j_n; with |d_{n-1}| >= J_n - |g|,
+      C(d) >= 1/j_n + 1 + |g|*(1 - 1/J_n) >= 2 + 1/j_n - 1/J_n > 2.
+      For m = 1 and s >= 4 (n = 2 is s = 3), anchor n-1 is (s - 2, 1), so
+      j_{n-1} = 1, J_n = s - 2 >= 2, and
+      C(d) >= 1/j_n + |d_{n-1}| + |g| >= 1/j_n + |g - d_{n-1}| = 1/j_n + J_n.
+
+So two distinct anchor vectors of cost at most 1 and one c-power would differ
+by a relation of cost at most 2: no two share a c-power.  A leaf of a search
+below budget 1 is such a vector, so a search meets at most one.  The bound is
+sharp: for anchor n = pair (2, s - 2), K_n = (s - 1)*K_{n-1} + K_1 is a
+relation of cost 1/(s - 2) + 1 + 1 = 2 + 1/(s - 2).
+
 The search itself runs on integers.  Every anchor value 1/j and the budget
 have denominators dividing L = lcm(budget denominator, j of every anchor in
 the table), so running anchor costs are exact integers over L; every base
@@ -257,26 +293,29 @@ def best_decomposition(
     anchor first.  It starts at the level :func:`_search_start` gives, so the
     frame it needs is bounded by |x.k|, not by ``index_cap``.  Per-anchor
     budget caps and the reach of the leftover caps bound each level's
-    multiplicities.  A branch is then tested once, on the
+    multiplicities.  A branch is then tested once against the budget, on the
     admissible bound cost + |rest| / widest[n-1], which no leaf below it
-    undercuts and which is the cost itself when no c-power is left to cover.
-    It is tested against a bar: the budget until a leaf within it is found,
-    then that incumbent's cost.  A bound equal to the budget passes; one equal
-    to the incumbent's cost does not.  Levels whose only multiplicity is 0
+    undercuts and which is the cost itself when no c-power is left to cover;
+    a bound equal to the budget passes.  Levels whose only multiplicity is 0
     are skipped in one bisection with no test of their own: every anchor at
     or below the level landed on covers c-power at no less than
     1/widest[land] per unit, so the tests there cut whatever a skipped
-    level's test, on a widest no narrower, would.  Branches
-    enumerate multiplicities in ascending order, so the first minimum found
-    is the lexicographically smallest coefficient vector read from the
-    deepest anchor down; later ties never replace it.
+    level's test, on a widest no narrower, would.
+
+    A leaf is an anchor vector of c-power x.k whose anchor cost is within
+    the budget, hence below 1, and by the lemma in the module docstring no
+    other vector of cost below 1 has that c-power.  So the first leaf ends
+    the search, and its coefficients are gathered on the way back up.  Every
+    decomposition within the budget uses that vector, so the answer is the
+    leaf with its residual when the total, the residual's base norm added,
+    is within the budget, and None otherwise.
 
     Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
-    and leaf totals over L*D, D being the spec's denominator.  Every prune is
-    the same inequality as in exact rationals, cross-multiplied by positive
-    integers, so the nodes visited and the witness returned do not depend on
-    the scaling.  The shift is carried as raw coordinates; the residual and
-    the ``Fraction`` cost are built once, for the witness returned.
+    and the leaf's total over L*D, D being the spec's denominator.  Every
+    test is the same inequality as in exact rationals, cross-multiplied by
+    positive integers, so the nodes visited and the witness returned do not
+    depend on the scaling.  The residual and the ``Fraction`` cost are built
+    once, for the leaf.
     """
     if not 0 <= index_cap <= table.depth:
         raise DomainError("index cap outside table depth")
@@ -285,26 +324,14 @@ def best_decomposition(
 
     frame, start = _search_start(table, budget, x.k, index_cap)
     anchors = table.prefix(start)
-    scale, budget_scaled, d = frame.scale, frame.budget_scaled, frame.denominator
+    scale, budget_scaled = frame.scale, frame.budget_scaled
     units, caps, reach, widest, gaps = (
         frame.units, frame.caps, frame.reach, frame.widest, frame.gaps)
-    descriptor = x.descriptor
-    scaled_value = table.spec.scaled_value
-    best: Optional[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]] = None
-    bar = budget_scaled * d   # over L*D: the budget, then the incumbent's cost
-    tie = 0   # 1 once there is an incumbent, which a tie does not replace
 
-    def descend(n: int, target: int, shift: tuple[int, ...], running: int,
-                coeffs: list[tuple[int, int]]) -> None:
-        nonlocal best, bar, tie
+    def descend(n: int, target: int, running: int) -> Optional[tuple]:
+        """The coefficients at levels 1..n of the leaf below, or None."""
         if n == 0:
-            if target:
-                return
-            total = running * d + min(scaled_value(shift, descriptor), d) * scale
-            if total + tie <= bar:
-                best = (tuple(reversed(coeffs)), shift)
-                bar, tie = total, 1
-            return
+            return None if target else ()
         anchor = anchors[n - 1]
         unit = units[n]
         cap = caps[n]
@@ -318,27 +345,32 @@ def best_decomposition(
         for mult in range(lo, hi + 1):
             cost = running + abs(mult) * unit
             rest = target - mult * power
-            # (cost/L + |rest|/width) * L * D * width, against the bar.
-            if (cost * width + abs(rest) * scale) * d + tie > bar * width:
+            # (cost/L + |rest|/width) * L * width, against the budget.
+            if cost * width + abs(rest) * scale > budget_scaled * width:
                 continue
             # The next level below n that allows a nonzero multiplicity.
             land = bisect_right(gaps, abs(rest), 1, n) - 1
-            if mult != 0:
-                coeffs.append((anchor.index, mult))
-                moved = tuple(s + mult * t for s, t in zip(shift, anchor.target.coords()))
-                descend(land, rest, moved, cost, coeffs)
-                coeffs.pop()
-            else:
-                descend(land, rest, shift, cost, coeffs)
-
-    descend(start, x.k, x.h.coords(), 0, [])
-    del descend   # it refers to itself through its cell: free the search now, not at a gc
-    if best is None:
+            leaf = descend(land, rest, cost)
+            if leaf is not None:
+                return leaf + ((anchor.index, mult),) if mult else leaf
         return None
-    coefficients, shift = best
+
+    coefficients = descend(start, x.k, 0)
+    del descend   # it refers to itself through its cell: free the search now, not at a gc
+    if coefficients is None:
+        return None
+    shift, running = x.h.coords(), 0
+    for index, mult in coefficients:
+        shift = tuple(s + mult * t for s, t in zip(shift, anchors[index - 1].target.coords()))
+        running += abs(mult) * units[index]
+    d = frame.denominator
+    descriptor = x.descriptor
+    total = running * d + min(table.spec.scaled_value(shift, descriptor), d) * scale
+    if total > budget_scaled * d:
+        return None
     r = descriptor.free_rank
     residual = HElement(descriptor, shift[:r], shift[r:])
-    return Decomposition(coefficients, residual, Fraction(bar, scale * d))
+    return Decomposition(coefficients, residual, Fraction(total, scale * d))
 
 
 def evaluate(

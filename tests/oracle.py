@@ -102,8 +102,9 @@ def tampered(table: AnchorTable, **edits: dict) -> AnchorTable:
     values: ``tampered(table, power={3: 3}, precision_index={5: 1})``.  The
     copy's made prefix and ``powers`` are replaced in full, so it makes no
     anchor of its own, and it is searched as any table is.  The search is
-    exact only on the recurrence's powers, so what such a table must fail is
-    ``check_table_consistency``.
+    exact only on the recurrence's powers: on such a table it returns the
+    first leaf it meets, which need not be the cheapest.  So what such a
+    table must fail is ``check_table_consistency``.
     """
     anchors = list(table.anchors)
     for field, values in edits.items():

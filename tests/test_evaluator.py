@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from monothetic import (
 from monothetic import construction, evaluator
 from monothetic.construction import MAX_TABLE_DEPTH
 from monothetic.evaluator import FRAMES_PER_TABLE
-from oracle import brute_force_eval, tampered
+from oracle import brute_force_eval
 
 Z = GroupDescriptor(free_rank=1)
 Z2 = GroupDescriptor(free_rank=2)
@@ -49,15 +50,17 @@ ONE = Fraction(1)
 def exhaustive_min_decomposition(table, x, budget, index_cap):
     """Oracle: enumerate every capped coefficient vector, no pruning at all.
 
-    Returns (cost, vector-read-deepest-first) for the minimum, preferring the
-    lexicographically smallest vector among ties, or None.
+    Returns (cost, vector-read-deepest-first) for the one vector within the
+    budget, or None.  It asserts that no second vector is within the
+    budget: no two anchor vectors of cost at most 1 share a c-power (the
+    lemma in ``evaluator``'s docstring).
     """
     anchors = [table.anchor(n) for n in range(1, index_cap + 1)]
     caps = [
         (budget.numerator * a.precision_index) // budget.denominator for a in anchors
     ]
     powers = [a.power for a in reversed(anchors)]
-    best = None
+    within = []
     for vector in itertools.product(*[range(-c, c + 1) for c in reversed(caps)]):
         if sum(m * k for m, k in zip(vector, powers)) != x.k:
             continue
@@ -69,12 +72,10 @@ def exhaustive_min_decomposition(table, x, budget, index_cap):
             cost += abs(m) * anchor.value
             shift = shift + anchor.target.scale(m)
         cost += base_norm(table.spec, x.h + shift)
-        if cost > budget:
-            continue
-        key = (cost, vector)
-        if best is None or key < best:
-            best = key
-    return best
+        if cost <= budget:
+            within.append((cost, vector))
+    assert len(within) <= 1, within
+    return within[0] if within else None
 
 
 class TestTruncationIndex:
@@ -221,6 +222,13 @@ class TestBestDecomposition:
     def test_budget_too_small(self, unit_table):
         found = best_decomposition(unit_table, ExtElement(Z.zero(), 2), Fraction(49, 100), 3)
         assert found is None
+        # L = lcm(4, 2) = 4 and D = 3.  Anchor 2 costs 1/2, within 3/4, and
+        # its residual's 1/3 puts the leaf's total at 5/6, one unit of
+        # 1/(L*D) over: the leaf is met, but its total is refused.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 2)
+        x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
+        assert best_decomposition(table, x, Fraction(3, 4), 2) is None
+        assert best_decomposition(table, x, Fraction(5, 6), 2).cost == Fraction(5, 6)
 
     def test_zero_element(self, unit_table):
         found = best_decomposition(unit_table, ExtElement(Z.zero(), 0), Fraction(1, 2), 0)
@@ -242,8 +250,8 @@ class TestBestDecomposition:
             cost, vector = oracle
             assert found is not None
             assert found.cost == cost
-            # Tie-break agreement: the witness is the lex-smallest vector
-            # read from the deepest anchor down.
+            # The witness is the one vector within the budget, read from
+            # the deepest anchor down.
             witness_vector = tuple(
                 dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)
             )
@@ -261,7 +269,10 @@ class TestBestDecomposition:
     ):
         # Running costs are integers over L = lcm(budget denominator, j_1..j_n);
         # the cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
-        # need not contain.
+        # need not contain.  Multiplicities run upward from the most negative,
+        # so near a4 - a7 the search first walks into vectors of the same
+        # c-power over the budget, such as -2a4 + a5 + 3a7 - a8, which only
+        # the branch test keeps from being the one leaf.
         if torsion:
             table = build_anchor_table(Z5_9_7, CyclicScaled(), 20)
             offsets = [enumerate_h(Z5_9_7, i) for i in (1, 2, 7, 40)]
@@ -275,7 +286,8 @@ class TestBestDecomposition:
         elements += [
             table.anchor_element(a) + table.anchor_element(b).scale(sign)
             + ExtElement(h, 0)
-            for a, b, sign in ((2, 4, 1), (2, 5, -1), (4, 7, 1), (7, 7, 1), (7, 8, -1))
+            for a, b, sign in ((2, 4, 1), (2, 5, -1), (4, 7, 1), (4, 7, -1), (7, 7, 1),
+                               (7, 8, -1))
             for h in offsets[:2]
         ]
         for x in elements:
@@ -292,45 +304,80 @@ class TestBestDecomposition:
             assert tuple(dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)) == vector
             assert found.check_against(table, x)
 
-    # On the recurrence's first 14 anchors no two anchor vectors of cost
-    # below 1 share a c-power, so no search there meets a second leaf within
-    # its budget.  The two tests below therefore give anchor 3 anchor 2's
-    # power and precision.
-
-    def test_incumbent_prune_is_exact(self):
-        # At budget 3/4, c^2 - e1 is a2 with residual -e1 (cost 1/2 + 1/7),
-        # found first, or a3 with residual 0 (cost 1/2).  L = lcm(4, 2) = 4,
-        # and the second branch's running cost 2/L lies less than 1/L below
-        # that incumbent: an incumbent test off by one unit of 1/L would prune
-        # the true minimum.
-        grown = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 7),)), 3)
-        table = tampered(grown, power={3: 2}, precision_index={3: 2})
-        x = ExtElement(Z.element((-1,)), 2)
-        budget = Fraction(3, 4)
-        found = best_decomposition(table, x, budget, 3)
-        cost, vector = exhaustive_min_decomposition(table, x, budget, 3)
-        assert found.cost == cost == Fraction(1, 2)
-        assert found.coefficients == ((3, 1),)
-        assert tuple(dict(found.coefficients).get(n, 0) for n in (3, 2, 1)) == vector
-
-    def test_a_tie_keeps_the_first_minimum(self, quarter_table):
-        # Anchor 3 made a copy of anchor 2: its element is one unit of either,
-        # at cost 1/2.  Multiplicity 0 at anchor 3 is tried first, so anchor 2
-        # is found first, and the equal cost through anchor 3 must not replace
-        # it.  The unpruned enumeration keeps the same vector at budget 1.
-        a = quarter_table.anchor(2)
-        table = tampered(quarter_table, power={3: a.power}, target={3: a.target},
-                         precision_index={3: a.precision_index})
-        x = table.anchor_element(3)
-        found = best_decomposition(table, x, table.truncated_budget, table.depth)
-        assert (found.coefficients, found.cost) == (((2, 1),), Fraction(1, 2))
-        assert exhaustive_min_decomposition(table, x, ONE, 4) == (Fraction(1, 2), (0, 0, 1, 0))
-
     def test_refuses_a_budget_outside_zero_one(self, unit_table):
         x = ExtElement(Z.zero(), 2)
         for budget in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
             with pytest.raises(DomainError, match="^budget must lie strictly between 0 and 1$"):
                 best_decomposition(unit_table, x, budget, 3)
+
+
+def cheap_relations(depth, limit):
+    """Every nonzero d with sum d_i*K_i = 0 over anchors 1..depth and anchor
+    cost sum |d_i|/j_i at most ``limit``, read deepest first, that entry
+    positive.
+
+    Depth-first from the deepest anchor, in integers over L = lcm of the j.
+    Anchors 1..p give c-power r only at cost at least |r| / W_p, W_p being
+    the largest j_i*K_i with i <= p, and that bounds each entry.  It shares
+    no code with the search.
+    """
+    powers = k_sequence(depth)
+    precisions = [construction.pair_index(n)[1] for n in range(1, depth + 1)]
+    scale = math.lcm(*precisions)
+    units = [scale // j for j in precisions]
+    widest = [0] + list(itertools.accumulate(
+        (j * k for j, k in zip(precisions, powers)), max))
+    bound = limit * scale
+    assert bound.denominator == 1
+    found = []
+
+    def below(p, target, cost, vector):
+        # Entries p..1 are left, and they must give c-power target.
+        if p == 0:
+            if target == 0:
+                found.append(vector)
+            return
+        power, unit, width = powers[p - 1], units[p - 1], widest[p - 1]
+        spare = (bound - cost) * width // scale
+        for m in range(-((spare - target) // power), (target + spare) // power + 1):
+            spent = cost + abs(m) * unit
+            rest = target - m * power
+            if spent <= bound and abs(rest) * scale <= (bound - spent) * width:
+                below(p - 1, rest, spent, vector + (m,))
+
+    for n in range(2, depth + 1):
+        for top in range(1, math.floor(limit * precisions[n - 1]) + 1):
+            below(n - 1, -top * powers[n - 1], top * units[n - 1], (top,))
+    return found
+
+
+class TestOneLeaf:
+    """The lemma in ``evaluator``'s docstring: every nonzero relation
+    sum d_i*K_i = 0 costs more than 2, so no two anchor vectors of cost
+    below 1 share a c-power and a search meets at most one leaf."""
+
+    def test_no_relation_costs_two_or_less(self):
+        # Anchors 1..105 are every anti-diagonal through m + j = 15.
+        assert cheap_relations(105, Fraction(2)) == []
+
+    @pytest.mark.parametrize("s", range(4, 16))
+    def test_the_bound_is_sharp(self, s):
+        # Anchor n = pair (2, s - 2) follows pair (1, s - 1), so
+        # K_n = (s - 1) * K_{n-1} + K_1: a relation of cost 2 + 1/(s - 2),
+        # the cheapest over anchors 1..n.
+        n = construction.unpair_index(2, s - 2)
+        sharp = (1, -(s - 1)) + (0,) * (n - 3) + (-1,)
+        powers = k_sequence(n)[::-1]
+        precisions = [construction.pair_index(i)[1] for i in range(n, 0, -1)]
+
+        def cost(d):   # d read deepest first, ending at anchor 1
+            return sum(Fraction(abs(m), j) for m, j in zip(d, precisions[n - len(d):]))
+
+        assert sum(m * k for m, k in zip(sharp, powers)) == 0
+        assert cost(sharp) == 2 + Fraction(1, s - 2)
+        relations = cheap_relations(n, cost(sharp))
+        assert sharp in relations
+        assert min(map(cost, relations)) == cost(sharp)
 
 
 class TestEvaluate:
@@ -524,21 +571,6 @@ class TestSearchFrames:
         finally:
             gc.enable()
 
-    def test_tampered_copy_equals_its_cold_evaluation(self, quarter_table):
-        elements = near_anchor_elements(quarter_table, 16)
-        epsilons = (Fraction(1, 2), Fraction(1, 1024))
-        for replacements in ({4: 1, 5: 1}, {6: 3 * quarter_table.anchor(6).power}):
-            for e in epsilons:
-                for x in elements:
-                    evaluate(quarter_table, x, e)
-            copy = tampered(quarter_table, power=replacements)
-            warm = [evaluate(copy, x, e) for e in epsilons for x in elements]
-            cold = tampered(quarter_table, power=replacements)
-            assert warm == [evaluate(cold, x, e) for e in epsilons for x in elements]
-            # Witnesses must add up under the copy's own powers.
-            for x, result in zip(elements * len(epsilons), warm):
-                assert not result.is_exact or result.witness.check_against(copy, x)
-
 
 class TestEvaluateTruncated:
     def test_no_anchors(self, quarter_table):
@@ -641,8 +673,7 @@ class TestEvaluateTruncated:
         assert evaluate_truncated(table, x, 2) == Fraction(5, 6)
 
 
-# Fresh tables of every norm kind, by name; "tampered" is the depth-30 Z table
-# whose anchor 20 has anchor 19's power, made by `oracle.tampered`.
+# Fresh tables of every norm kind, by name.
 SHAPES = {
     "capped_l1": (Z2, CappedWeightedL1((Fraction(1, 3), Fraction(1, 5)))),
     "capped_linf": (GroupDescriptor(free_rank=3), CappedLInf(scale=Fraction(1, 2))),
@@ -652,9 +683,6 @@ SHAPES = {
 
 
 def fresh_table(shape, depth):
-    if shape == "tampered":
-        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 30)
-        return tampered(table, power={20: table.anchor(19).power})
     return build_anchor_table(*SHAPES[shape], depth)
 
 
@@ -680,14 +708,14 @@ class TestSearchStart:
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
-        shape=st.sampled_from(sorted(SHAPES) + ["tampered"]),
+        shape=st.sampled_from(sorted(SHAPES)),
         depth=st.integers(1, 400),
         pick=PICKS,
         levels=st.lists(st.integers(0, 400), max_size=12),
         warm=st.lists(PICKS, max_size=3),
     )
     @example(shape="capped_l1", depth=400, pick=(3, 1, None), levels=[400, 0, 5, 400], warm=[])
-    @example(shape="tampered", depth=30, pick=(0, 5, None), levels=list(range(31)), warm=[])
+    @example(shape="capped_l1", depth=30, pick=(0, 5, None), levels=list(range(31)), warm=[])
     def test_truncated_values_equal_one_call_per_level(self, shape, depth, pick, levels, warm):
         table = fresh_table(shape, depth)
         levels = [min(n, table.depth) for n in levels]

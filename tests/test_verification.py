@@ -412,15 +412,6 @@ class TestTruncationSuite:
         report = verify_truncation(quarter_table, 60, seed=42)
         assert report.passed
 
-    def test_self_consistent_under_tampering(self, unit_table):
-        # Collapsed powers are swept back into every evaluation window (the
-        # truncation level is the maximal admissible index), so the truncated
-        # diagnostics stay internally consistent; convicting this fixture is
-        # the axiom suite's job.
-        bad = tampered(unit_table, power={4: 1, 5: 1})
-        report = verify_truncation(bad, 60, seed=42)
-        assert report.passed
-
     def test_cheap_last_anchor_fails_the_table_invariant(self, unit_table):
         depth = unit_table.depth
         bad = tampered(unit_table, power={depth: 2})
