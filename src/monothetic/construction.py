@@ -145,9 +145,9 @@ class AnchorTable:
     that does not fit the descriptor.  Anchors are made from the recurrence
     when a query first reaches them, never past N, and kept as a prefix:
     each carries its pair, power and target, and its value 1/j follows from
-    the pair.  The prefix, its ``powers`` and ``search_frames`` (the
-    evaluator's cache) grow in place, so use one table from one thread at a
-    time.
+    the pair.  The prefix, its ``powers`` and ``search_frame`` (the
+    evaluator's set-up, made on the first search) grow in place, so use one
+    table from one thread at a time.
     """
 
     def __init__(self, descriptor: GroupDescriptor, spec: NormSpec, depth: int):
@@ -163,7 +163,7 @@ class AnchorTable:
         self._targets: dict[int, HElement] = {}   # by m: about 70 at depth 2500
         self._made: list[Anchor] = []
         self.powers: list[int] = []   # of the made anchors: they rise strictly
-        self.search_frames: dict = {}   # the evaluator's, which it keeps bounded
+        self.search_frame = None   # the evaluator's, one for every budget
 
     def grow(self) -> None:
         """Make the next anchor; the caller checks that the table has one left."""

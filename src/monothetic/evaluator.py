@@ -56,11 +56,13 @@ below budget 1 is such a vector, so a search meets at most one.  The bound is
 sharp: for anchor n = pair (2, s - 2), K_n = (s - 1)*K_{n-1} + K_1 is a
 relation of cost 1/(s - 2) + 1 + 1 = 2 + 1/(s - 2).
 
-The search itself runs on integers.  Every anchor value 1/j and the budget
-have denominators dividing L = lcm(budget denominator, j of every anchor in
-the table), so running anchor costs are exact integers over L; every base
-norm value has a denominator dividing the spec's D, so a leaf's total cost is
-an exact integer over L*D.  Each prune is an inequality between rationals
+The search itself runs on integers.  Every anchor value 1/j has a
+denominator dividing L = lcm(j of every anchor in the table), so running
+anchor costs are exact integers over L; every base norm value has a
+denominator dividing the spec's D, so a leaf's total cost is an exact
+integer over L*D.  The branches are tested against anchor cost 1, which
+needs no budget, and the budget num/den is tested once, on the leaf's total,
+as total*den > num*L*D.  Each test is an inequality between rationals
 cross-multiplied by positive integers, so it decides exactly as the rational
 comparison would, and the witness does not depend on the scaling.  A
 ``Fraction`` is built once, for the witness returned.
@@ -71,7 +73,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Union
 
 from .construction import (
@@ -189,25 +190,19 @@ def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
     return bisect_left(powers, bound) + 1
 
 
-# Frames kept per table.  A frame lives as long as its table.  Its size is
-# bounded by the largest |k| searched on the table at its budget, which can
-# mean megabytes of multi-kilodigit products, so a library caller that cycles
-# through many budgets on one long-lived table must not pile them up.  No
-# benchmark workload uses more than 2 budgets on one table.
-FRAMES_PER_TABLE = 4
-
-
 class _SearchFrame:
-    """Integer set-up of the budget-limited search on one table.
+    """Integer set-up of the search below anchor cost 1 on one table.
 
-    Built once per (table, budget) and grown only as far as searches need
-    (see :func:`_search_start`): each reach entry multiplies out a power that
-    can run to thousands of digits.  The lists are indexed by level n, entry
-    0 standing for "no anchors":
+    Built once per table, on its first search, and grown only as far as
+    searches need (see :func:`_search_start`): each reach entry multiplies
+    out a power that can run to thousands of digits.  It holds no budget:
+    by the lemma in the module docstring a search's one leaf is the same at
+    every budget below 1, so the budget tests only that leaf (see
+    :func:`best_decomposition`).  The lists are indexed by level n, entry 0
+    standing for "no anchors":
 
     - units[n]: L // j_n, the cost over L of one unit of anchor n;
-    - caps[n]: floor(budget * j_n), since a larger |m_n| busts the budget on
-      its own;
+    - caps[n]: j_n - 1, since a larger |m_n| costs at least 1 on its own;
     - reach[n]: the largest |sum of c-powers| anchors 1..n reach under caps;
     - widest[n]: max j*k over anchors 1..n, so covering r units of c-power
       with them costs at least r / widest[n]; widest[0] = 1, since a branch
@@ -215,20 +210,17 @@ class _SearchFrame:
     - gaps[n]: K_n - reach[n-1].  A target with |target| < gaps[n] forces
       multiplicity 0 at anchor n.
 
-    The gaps rise strictly.  The budget is below 1, so caps[n] <= j_n - 1 <=
-    J_{n+1} - 1, and K_{n+1} = J_{n+1} * K_n + 1, so gaps[n+1] - gaps[n] =
+    The gaps rise strictly.  caps[n] = j_n - 1 <= J_{n+1} - 1 and
+    K_{n+1} = J_{n+1} * K_n + 1, so gaps[n+1] - gaps[n] =
     K_{n+1} - (caps[n] + 1) * K_n >= 1.  They can therefore be bisected for
     the next level that allows a nonzero multiplicity, and no level past the
     first whose gap exceeds |k| can take one.  A frame is grown only to that
-    level, so its size is bounded by |k|, not by the depth.
+    level, so its size is bounded by the largest |k| searched, not by the
+    depth.
     """
 
-    def __init__(self, table: AnchorTable, budget: Fraction):
-        self.num, self.den = budget.numerator, budget.denominator
-        if not 0 < self.num < self.den:
-            raise DomainError("budget must lie strictly between 0 and 1")
-        self.scale = lcm(self.den, table.precision_lcm)
-        self.budget_scaled = self.num * (self.scale // self.den)
+    def __init__(self, table: AnchorTable):
+        self.scale = table.precision_lcm
         self.denominator = table.spec.denominator(table.descriptor)
         self.units = [0]
         self.caps = [0]
@@ -239,36 +231,27 @@ class _SearchFrame:
     def grow(self, anchor: Anchor) -> None:
         """Add the next level, whose anchor is given."""
         j, k = anchor.precision_index, anchor.power
-        cap = self.num * j // self.den
         self.units.append(self.scale // j)
-        self.caps.append(cap)
+        self.caps.append(j - 1)
         self.gaps.append(k - self.reach[-1])
-        self.reach.append(self.reach[-1] + cap * k)
+        self.reach.append(self.reach[-1] + (j - 1) * k)
         self.widest.append(max(self.widest[-1], j * k))
 
 
-def _search_start(
-    table: AnchorTable, budget: Fraction, k: int, index_cap: int
-) -> tuple[_SearchFrame, int]:
-    """The (table, budget) frame and the level a search over anchors 1..index_cap starts at.
+def _search_start(table: AnchorTable, k: int, index_cap: int) -> tuple[_SearchFrame, int]:
+    """The table's frame and the level a search over anchors 1..index_cap starts at.
 
-    The frame, made on first use, refuses a budget outside (0, 1).  It first
-    grows one level at a time until its last gap exceeds |k| or it reaches
-    ``index_cap`` (see :class:`_SearchFrame`).  The start is then
-    bisect_right(gaps, |k|, 1, stop) - 1 with stop = min(index_cap, the
-    frame's last level) + 1: the deepest level n <= index_cap whose gap is
-    at most |k|, every level above it forcing multiplicity 0.  The start is its
-    own start, so a search to level n and a search to its start visit the
-    same nodes.
+    The frame, made on the table's first search, first grows one level at a
+    time until its last gap exceeds |k| or it reaches ``index_cap`` (see
+    :class:`_SearchFrame`).  The start is then bisect_right(gaps, |k|, 1,
+    stop) - 1 with stop = min(index_cap, the frame's last level) + 1: the
+    deepest level n <= index_cap whose gap is at most |k|, every level above
+    it forcing multiplicity 0.  The start is its own start, so a search to
+    level n and a search to its start visit the same nodes.
     """
-    frames = table.search_frames
-    key = (budget.numerator, budget.denominator)   # cheaper to hash than a Fraction
-    frame = frames.get(key)
+    frame = table.search_frame
     if frame is None:
-        frame = _SearchFrame(table, budget)   # refuses a budget outside (0, 1)
-        if len(frames) >= FRAMES_PER_TABLE:
-            del frames[next(iter(frames))]
-        frames[key] = frame
+        frame = table.search_frame = _SearchFrame(table)
     target = abs(k)
     gaps = frame.gaps
     stop = len(gaps)   # one past the deepest level the search may start at
@@ -290,25 +273,27 @@ def best_decomposition(
 
     The budget must lie strictly between 0 and 1.  Depth-first search over
     multiplicity vectors for anchors 1..index_cap, assigning the deepest
-    anchor first.  It starts at the level :func:`_search_start` gives, so the
+    anchor first, for the one anchor vector of c-power x.k whose anchor cost
+    is below 1.  It starts at the level :func:`_search_start` gives, so the
     frame it needs is bounded by |x.k|, not by ``index_cap``.  Per-anchor
-    budget caps and the reach of the leftover caps bound each level's
-    multiplicities.  A branch is then tested once against the budget, on the
-    admissible bound cost + |rest| / widest[n-1], which no leaf below it
-    undercuts and which is the cost itself when no c-power is left to cover;
-    a bound equal to the budget passes.  Levels whose only multiplicity is 0
-    are skipped in one bisection with no test of their own: every anchor at
-    or below the level landed on covers c-power at no less than
-    1/widest[land] per unit, so the tests there cut whatever a skipped
-    level's test, on a widest no narrower, would.
+    caps and the reach of the leftover caps bound each level's
+    multiplicities.  A branch is then tested once, on the admissible bound
+    cost + |rest| / widest[n-1], which no leaf below it undercuts and which
+    is the cost itself when no c-power is left to cover: a bound of 1 or more
+    is cut.  Levels whose only multiplicity is 0 are skipped in one
+    bisection with no test of their own: every anchor at or below the level
+    landed on covers c-power at no less than 1/widest[land] per unit, so the
+    tests there cut whatever a skipped level's test, on a widest no
+    narrower, would.
 
-    A leaf is an anchor vector of c-power x.k whose anchor cost is within
-    the budget, hence below 1, and by the lemma in the module docstring no
-    other vector of cost below 1 has that c-power.  So the first leaf ends
-    the search, and its coefficients are gathered on the way back up.  Every
-    decomposition within the budget uses that vector, so the answer is the
-    leaf with its residual when the total, the residual's base norm added,
-    is within the budget, and None otherwise.
+    By the lemma in the module docstring no other vector of cost below 1
+    has that c-power, so the first leaf ends the search, and its
+    coefficients are gathered on the way back up.  Every decomposition
+    within the budget uses that vector, so the answer is the leaf with its
+    residual when the total, the residual's base norm added, is within the
+    budget, and None otherwise.  That total test is the only place the
+    budget enters the search: a total is never below the leaf's anchor
+    cost, so it refuses every leaf that a budget test per branch would cut.
 
     Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
     and the leaf's total over L*D, D being the spec's denominator.  Every
@@ -317,14 +302,17 @@ def best_decomposition(
     depend on the scaling.  The residual and the ``Fraction`` cost are built
     once, for the leaf.
     """
+    num, den = budget.numerator, budget.denominator
+    if not 0 < num < den:   # 0 < budget < 1, the denominator being positive
+        raise DomainError("budget must lie strictly between 0 and 1")
     if not 0 <= index_cap <= table.depth:
         raise DomainError("index cap outside table depth")
     if x.descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
-    frame, start = _search_start(table, budget, x.k, index_cap)
+    frame, start = _search_start(table, x.k, index_cap)
     anchors = table.prefix(start)
-    scale, budget_scaled = frame.scale, frame.budget_scaled
+    scale = frame.scale
     units, caps, reach, widest, gaps = (
         frame.units, frame.caps, frame.reach, frame.widest, frame.gaps)
 
@@ -345,8 +333,8 @@ def best_decomposition(
         for mult in range(lo, hi + 1):
             cost = running + abs(mult) * unit
             rest = target - mult * power
-            # (cost/L + |rest|/width) * L * width, against the budget.
-            if cost * width + abs(rest) * scale > budget_scaled * width:
+            # (cost/L + |rest|/width) * L * width, against anchor cost 1.
+            if cost * width + abs(rest) * scale >= scale * width:
                 continue
             # The next level below n that allows a nonzero multiplicity.
             land = bisect_right(gaps, abs(rest), 1, n) - 1
@@ -366,7 +354,8 @@ def best_decomposition(
     d = frame.denominator
     descriptor = x.descriptor
     total = running * d + min(table.spec.scaled_value(shift, descriptor), d) * scale
-    if total > budget_scaled * d:
+    # total / (L*D) against num / den.
+    if total * den > num * scale * d:
         return None
     r = descriptor.free_rank
     residual = HElement(descriptor, shift[:r], shift[r:])
@@ -432,7 +421,7 @@ def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> li
     top = max(levels)
     if min(levels) < 0 or top > table.depth:
         raise DomainError("truncation level outside table depth")
-    deepest = _search_start(table, table.truncated_budget, x.k, top)[1]
+    deepest = _search_start(table, x.k, top)[1]
     by_start: dict[int, Fraction] = {}
     values = []
     for n in levels:

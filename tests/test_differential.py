@@ -11,7 +11,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-PINNED = "3392 lines sha256 695516de368a433489cf3b0cf5cb520d5b4b0c06675466df27047887fbafe408"
+PINNED = "1400 lines sha256 74268088c8409526cc54f899d3824ac81df0577157fde3f8f2be91c0b2aa2404"
 
 
 def test_differential_output_is_unchanged():

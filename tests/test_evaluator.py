@@ -38,7 +38,6 @@ from monothetic import (
 )
 from monothetic import construction, evaluator
 from monothetic.construction import MAX_TABLE_DEPTH
-from monothetic.evaluator import FRAMES_PER_TABLE
 from oracle import brute_force_eval
 
 Z = GroupDescriptor(free_rank=1)
@@ -267,8 +266,9 @@ class TestBestDecomposition:
     def test_integer_kernel_matches_unpruned_enumeration(
         self, quarter_table, budget, torsion
     ):
-        # Running costs are integers over L = lcm(budget denominator, j_1..j_n);
-        # the cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
+        # Running costs are integers over L, the lcm of every j in the table,
+        # and the budget's denominator enters only the leaf's total test; the
+        # cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
         # need not contain.  Multiplicities run upward from the most negative,
         # so near a4 - a7 the search first walks into vectors of the same
         # c-power over the budget, such as -2a4 + a5 + 3a7 - a8, which only
@@ -547,12 +547,15 @@ class TestSearchFrames:
         table = build()
         elements = near_anchor_elements(table, 20)
         epsilons = [Fraction(1, 2 + i) for i in range(40)]
-        # Two passes: the second rebuilds the frames the first evicted.
-        warm = [[evaluate(table, x, e) for x in elements] for e in epsilons + epsilons]
-        assert len(table.search_frames) <= FRAMES_PER_TABLE
-        for e, results in zip(epsilons + epsilons, warm):
+        evaluate(table, elements[0])
+        frame = table.search_frame
+        assert frame is not None
+        # Two passes over 40 budgets: every one of them uses the one frame.
+        for e in epsilons + epsilons:
+            warm = [evaluate(table, x, e) for x in elements]
+            assert table.search_frame is frame
             cold = build()
-            assert [evaluate(cold, x, e) for x in elements] == results
+            assert [evaluate(cold, x, e) for x in elements] == warm
 
     def test_search_leaves_no_cyclic_garbage(self):
         # A cycle through the search would hold its anchors until the next gc.
@@ -630,8 +633,7 @@ class TestEvaluateTruncated:
                     expected = ONE if found is None else found[0]
                     assert evaluate_truncated(table, x, n) == expected, (x, n)
                     costs_of_one += expected == ONE and found is not None
-                start = evaluator._search_start(
-                    table, table.truncated_budget, x.k, table.depth)[1]
+                start = evaluator._search_start(table, x.k, table.depth)[1]
                 if start <= 6:
                     for n in range(7, table.depth + 1):
                         assert evaluate_truncated(table, x, n) == expected, (x, n)
@@ -734,16 +736,19 @@ class TestSearchStart:
             truncated_values(unit_table, ExtElement(Z.zero(), 1), [0, unit_table.depth + 1])
 
     @staticmethod
-    def fully_grown(shape, depth, budget):
-        """A fresh table whose frame at ``budget`` reaches its depth.
+    def fully_grown(shape, depth):
+        """A fresh table whose frame reaches its depth.
 
         A search for c^{K_N} at cap N grows the frame until a gap exceeds
         K_N, and no gap up to level N does.
         """
         table = fresh_table(shape, depth)
         x = ExtElement(table.descriptor.zero(), table.anchor(depth).power)
-        best_decomposition(table, x, budget, depth)
-        assert len(table.search_frames[(budget.numerator, budget.denominator)].units) == depth + 1
+        best_decomposition(table, x, table.truncated_budget, depth)
+        gaps = table.search_frame.gaps
+        assert len(gaps) == depth + 1
+        # Caps of j - 1 make the gaps rise strictly, which the bisects rely on.
+        assert all(a < b for a, b in zip(gaps, gaps[1:]))
         return table
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -762,10 +767,14 @@ class TestSearchStart:
         cap = min(cap, depth)
         if budget == "truncated":
             budget = grown.truncated_budget
-        full = self.fully_grown(shape, depth, budget)
+        full = self.fully_grown(shape, depth)
         lazy = best_decomposition(grown, x, budget, cap)
         assert lazy == best_decomposition(full, x, budget, cap)
         assert lazy is None or lazy.check_against(grown, x)
+        # One leaf at every budget: the budget only keeps or refuses it.
+        below_one = best_decomposition(grown, x, grown.truncated_budget, cap)
+        assert lazy == (below_one if below_one is not None and below_one.cost <= budget
+                        else None)
         # At caps small enough to enumerate, the unpruned minimum.
         small = min(cap, 5)
         found = best_decomposition(grown, x, budget, small)
@@ -778,20 +787,18 @@ class TestSearchStart:
 
     def test_frames_grow_with_k_not_with_the_depth(self):
         grown = fresh_table("capped_l1", 400)
-        budget = grown.truncated_budget
-        full = self.fully_grown("capped_l1", 400, budget)
-        key = (budget.numerator, budget.denominator)
+        full = self.fully_grown("capped_l1", 400)
         for k in (0, 3, 10 ** 12):
             x = ExtElement(Z2.element((1, -2)), k)
             assert evaluate_truncated(grown, x, 400) == evaluate_truncated(full, x, 400)
-            levels = len(grown.search_frames[key].units) - 1
-            assert levels < 40
+            frame = grown.search_frame
+            assert len(frame.units) - 1 < 40
             # The frame stops at the first level whose gap exceeds |k|.
-            assert grown.search_frames[key].gaps[-1] > k >= grown.search_frames[key].gaps[-2]
+            assert frame.gaps[-1] > k >= frame.gaps[-2]
         # A k = 0 search at the table's depth grows one level and starts at level 0.
         zero = fresh_table("capped_l1", 400)
         evaluate_truncated(zero, ExtElement(Z2.element((1, -2)), 0), 400)
-        assert len(zero.search_frames[key].units) == 2
+        assert len(zero.search_frame.units) == 2
 
     def test_gaps_rise_strictly_up_to_the_depth_cap(self):
         # gap[n] = K_n - reach[n-1] and reach[n] = reach[n-1] + caps[n] * K_n.

@@ -154,8 +154,8 @@ class TestSampleCount:
         assert report.passed, report.violations[:3]
 
     @SAMPLED_SUITES
-    def test_warm_search_frames_keep_the_report(self, suite):
-        # A table whose search frames an earlier evaluation left warm must
+    def test_a_warm_search_frame_keeps_the_report(self, suite):
+        # A table whose search frame an earlier evaluation left warm must
         # report exactly what a freshly built one does, run after run.
         def fresh():
             return build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 4),)), 50)
@@ -163,7 +163,7 @@ class TestSampleCount:
         cold = suite_report_to_json(suite(fresh(), 60, seed=4))
         table = fresh()
         evaluate(table, table.anchor_element(3))
-        assert table.search_frames
+        assert table.search_frame is not None
         for _ in range(2):
             assert suite_report_to_json(suite(table, 60, seed=4)) == cold
 
