@@ -163,7 +163,7 @@ class AnchorTable:
         self._targets: dict[int, HElement] = {}   # by m: about 70 at depth 2500
         self._made: list[Anchor] = []
         self.powers: list[int] = []   # of the made anchors: they rise strictly
-        self.search_frame = None   # the evaluator's, one for every budget
+        self.search_frame = None   # the evaluator's, made on the first search
 
     def grow(self) -> None:
         """Make the next anchor; the caller checks that the table has one left."""
@@ -195,18 +195,6 @@ class AnchorTable:
         """
         m, j = pair_index(self.depth)
         return math.lcm(*range(1, m + j))
-
-    @cached_property
-    def truncated_budget(self) -> Fraction:
-        """(over - 1)/over with over = L * D, L the precision lcm, D the spec's denominator.
-
-        Every anchor cost and base norm value is a multiple of 1/over, so this
-        is the largest cost below 1: the budget of ``evaluate_truncated``.
-        Any budget from it up to 1, 1 excluded, finds the same costs, so where
-        over is 1 and that cost is 0, which no search takes, it is 1/2.
-        """
-        over = self.precision_lcm * self.spec.denominator(self.descriptor)
-        return Fraction(over - 1, over) if over > 1 else Fraction(1, 2)
 
     def anchor(self, n: int) -> Anchor:
         if not 1 <= n <= self.depth:

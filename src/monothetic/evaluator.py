@@ -15,10 +15,10 @@ and each of those units costs at least the running threshold delta_{k*}, so
 the growth law delta_{k*} * K[k*] > K[k*-1] yields
     cost > 1 - |x.k| / K[k*-1].
 Hence every decomposition that reaches past the level where K[n-1] >=
-|x.k|/(1-t) costs more than t, and a budget-t search below that level is
-globally exact.  For x with zero c-power every anchor-using decomposition
-costs more than 1, which certifies that the extension restricts to the base
-norm on the base group.
+|x.k|/(1-t) costs more than t, and a search below that level decides
+exactly every value up to t.  For x with zero c-power every anchor-using
+decomposition costs more than 1, which certifies that the extension
+restricts to the base norm on the base group.
 
 The same growth law, K_n = J_n * K_{n-1} + 1 with J_n the largest j among
 anchors 1..n-1, gives each search at most one leaf.  Write
@@ -51,8 +51,10 @@ Lemma.  Every nonzero integer vector d with sum d_i*K_i = 0 has C(d) > 2.
       C(d) >= 1/j_n + |d_{n-1}| + |g| >= 1/j_n + |g - d_{n-1}| = 1/j_n + J_n.
 
 So two distinct anchor vectors of cost at most 1 and one c-power would differ
-by a relation of cost at most 2: no two share a c-power.  A leaf of a search
-below budget 1 is such a vector, so a search meets at most one.  The bound is
+by a relation of cost at most 2: no two share a c-power.  A leaf of the
+search is an anchor vector of cost below 1, so a search meets at most one,
+and it takes no budget: :func:`evaluate` compares the leaf's total with
+1 - epsilon, and :func:`evaluate_truncated` caps it at 1.  The bound is
 sharp: for anchor n = pair (2, s - 2), K_n = (s - 1)*K_{n-1} + K_1 is a
 relation of cost 1/(s - 2) + 1 + 1 = 2 + 1/(s - 2).
 
@@ -60,12 +62,10 @@ The search itself runs on integers.  Every anchor value 1/j has a
 denominator dividing L = lcm(j of every anchor in the table), so running
 anchor costs are exact integers over L; every base norm value has a
 denominator dividing the spec's D, so a leaf's total cost is an exact
-integer over L*D.  The branches are tested against anchor cost 1, which
-needs no budget, and the budget num/den is tested once, on the leaf's total,
-as total*den > num*L*D.  Each test is an inequality between rationals
-cross-multiplied by positive integers, so it decides exactly as the rational
-comparison would, and the witness does not depend on the scaling.  A
-``Fraction`` is built once, for the witness returned.
+integer over L*D.  The branches are tested against anchor cost 1
+cross-multiplied by positive integers, so each test decides exactly as the
+rational comparison would, and the witness does not depend on the scaling.
+A ``Fraction`` is built once, for the witness returned.
 """
 
 from __future__ import annotations
@@ -195,11 +195,9 @@ class _SearchFrame:
 
     Built once per table, on its first search, and grown only as far as
     searches need (see :func:`_search_start`): each reach entry multiplies
-    out a power that can run to thousands of digits.  It holds no budget:
-    by the lemma in the module docstring a search's one leaf is the same at
-    every budget below 1, so the budget tests only that leaf (see
-    :func:`best_decomposition`).  The lists are indexed by level n, entry 0
-    standing for "no anchors":
+    out a power that can run to thousands of digits.  The search takes no
+    budget, so neither does the frame.  The lists are indexed by level n,
+    entry 0 standing for "no anchors":
 
     - units[n]: L // j_n, the cost over L of one unit of anchor n;
     - caps[n]: j_n - 1, since a larger |m_n| costs at least 1 on its own;
@@ -264,36 +262,30 @@ def _search_start(table: AnchorTable, k: int, index_cap: int) -> tuple[_SearchFr
 
 
 def best_decomposition(
-    table: AnchorTable,
-    x: ExtElement,
-    budget: Fraction,
-    index_cap: int,
+    table: AnchorTable, x: ExtElement, *, index_cap: int
 ) -> Optional[Decomposition]:
-    """Exact minimum-cost decomposition within the budget, or None.
+    """The decomposition over anchors 1..index_cap whose anchor part costs below 1, or None.
 
-    The budget must lie strictly between 0 and 1.  Depth-first search over
-    multiplicity vectors for anchors 1..index_cap, assigning the deepest
-    anchor first, for the one anchor vector of c-power x.k whose anchor cost
-    is below 1.  It starts at the level :func:`_search_start` gives, so the
-    frame it needs is bounded by |x.k|, not by ``index_cap``.  Per-anchor
-    caps and the reach of the leftover caps bound each level's
-    multiplicities.  A branch is then tested once, on the admissible bound
-    cost + |rest| / widest[n-1], which no leaf below it undercuts and which
-    is the cost itself when no c-power is left to cover: a bound of 1 or more
-    is cut.  Levels whose only multiplicity is 0 are skipped in one
-    bisection with no test of their own: every anchor at or below the level
-    landed on covers c-power at no less than 1/widest[land] per unit, so the
-    tests there cut whatever a skipped level's test, on a widest no
-    narrower, would.
+    Depth-first search over multiplicity vectors for anchors 1..index_cap,
+    assigning the deepest anchor first, for the one anchor vector of c-power
+    x.k whose anchor cost is below 1.  It starts at the level
+    :func:`_search_start` gives, so the frame it needs is bounded by |x.k|,
+    not by ``index_cap``.  Per-anchor caps and the reach of the leftover
+    caps bound each level's multiplicities.  A branch is then tested once,
+    on the admissible bound cost + |rest| / widest[n-1], which no leaf below
+    it undercuts and which is the cost itself when no c-power is left to
+    cover: a bound of 1 or more is cut.  Levels whose only multiplicity is 0
+    are skipped in one bisection with no test of their own: every anchor at
+    or below the level landed on covers c-power at no less than
+    1/widest[land] per unit, so the tests there cut whatever a skipped
+    level's test, on a widest no narrower, would.
 
     By the lemma in the module docstring no other vector of cost below 1
     has that c-power, so the first leaf ends the search, and its
-    coefficients are gathered on the way back up.  Every decomposition
-    within the budget uses that vector, so the answer is the leaf with its
-    residual when the total, the residual's base norm added, is within the
-    budget, and None otherwise.  That total test is the only place the
-    budget enters the search: a total is never below the leaf's anchor
-    cost, so it refuses every leaf that a budget test per branch would cut.
+    coefficients are gathered on the way back up.  The answer is that
+    vector with its residual, whose base norm may take the total to 1 or
+    more.  Every decomposition of cost below 1 uses that vector, so a caller
+    decides by comparing the total with its own bound.
 
     Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
     and the leaf's total over L*D, D being the spec's denominator.  Every
@@ -302,9 +294,6 @@ def best_decomposition(
     depend on the scaling.  The residual and the ``Fraction`` cost are built
     once, for the leaf.
     """
-    num, den = budget.numerator, budget.denominator
-    if not 0 < num < den:   # 0 < budget < 1, the denominator being positive
-        raise DomainError("budget must lie strictly between 0 and 1")
     if not 0 <= index_cap <= table.depth:
         raise DomainError("index cap outside table depth")
     if x.descriptor != table.descriptor:
@@ -354,9 +343,6 @@ def best_decomposition(
     d = frame.denominator
     descriptor = x.descriptor
     total = running * d + min(table.spec.scaled_value(shift, descriptor), d) * scale
-    # total / (L*D) against num / den.
-    if total * den > num * scale * d:
-        return None
     r = descriptor.free_rank
     residual = HElement(descriptor, shift[:r], shift[r:])
     return Decomposition(coefficients, residual, Fraction(total, scale * d))
@@ -372,6 +358,9 @@ def evaluate(
     Either an :class:`ExactResult` whose value is the true infimum over all
     decompositions (including anchors beyond the truncation level), or an
     :class:`IntervalResult` certifying that the value lies in (1 - epsilon, 1].
+    Every decomposition of cost at most 1 - epsilon uses the search's one
+    leaf below the truncation level, so the leaf is the value when its total
+    is within 1 - epsilon, and the interval holds otherwise.
     """
     if not 0 < epsilon.numerator < epsilon.denominator:
         raise DomainError("epsilon must lie strictly between 0 and 1")
@@ -384,8 +373,8 @@ def evaluate(
     # 1 - epsilon, made from epsilon's integers: already in lowest terms.
     budget = Fraction(epsilon.denominator - epsilon.numerator, epsilon.denominator)
     level = truncation_index(table, x.k, budget)
-    found = best_decomposition(table, x, budget, level)
-    if found is None:
+    found = best_decomposition(table, x, index_cap=level)
+    if found is None or found.cost > budget:
         return IntervalResult(budget, ONE, level)
     return ExactResult(found.cost, found, level)
 
@@ -394,17 +383,11 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
     """Finite-table value: min cost over anchor indices <= level, capped at 1.
 
     Not certified against deeper anchors; used as a monotonicity diagnostic.
-
-    Every cost is a multiple of 1/over with over = L * D (L the lcm of every
-    anchor's j, D the spec's denominator), so a cost below 1 is at most
-    (over - 1)/over.  Searching at that budget therefore finds every cost the
-    capped value can take, and a miss means the value is 1.  The table keeps
-    that budget, :attr:`AnchorTable.truncated_budget`, made once.
+    Every decomposition of cost below 1 uses the search's one leaf, so the
+    value is that leaf's total capped at 1, and 1 when there is no leaf.
     """
-    if level < 0 or level > table.depth:
-        raise DomainError("truncation level outside table depth")
-    found = best_decomposition(table, x, table.truncated_budget, level)
-    return ONE if found is None else found.cost
+    found = best_decomposition(table, x, index_cap=level)
+    return ONE if found is None else min(found.cost, ONE)
 
 
 def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> list[Fraction]:

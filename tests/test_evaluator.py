@@ -77,6 +77,17 @@ def exhaustive_min_decomposition(table, x, budget, index_cap):
     return within[0] if within else None
 
 
+def largest_below_one(table):
+    """(over - 1)/over with over = L*D: every cost is a multiple of 1/over."""
+    over = table.precision_lcm * table.spec.denominator(table.descriptor)
+    return ONE - Fraction(1, over)
+
+
+def within(found, budget):
+    """The search's answer when its total is within the budget, else None."""
+    return found if found is not None and found.cost <= budget else None
+
+
 class TestTruncationIndex:
     def test_zero_power_excludes_anchors(self, unit_table):
         assert truncation_index(unit_table, 0, Fraction(1, 2)) == 0
@@ -104,6 +115,11 @@ class TestTruncationIndex:
             truncation_index(unit_table, 2, Fraction(0))
         with pytest.raises(DomainError):
             truncation_index(unit_table, 2, ONE)
+
+    def test_refuses_a_budget_outside_zero_one(self, unit_table):
+        for budget in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="^budget must lie strictly between 0 and 1$"):
+                truncation_index(unit_table, 2, budget)
 
     def test_bound_equal_to_a_power(self, unit_table):
         # |k|/(1 - b) = 2 = K_2 exactly: K_2 < 2 fails, so the level stops at 2.
@@ -212,25 +228,14 @@ class TestTruncationIndex:
 
 class TestBestDecomposition:
     def test_single_anchor_witness(self, unit_table):
-        found = best_decomposition(unit_table, ExtElement(Z.zero(), 2), Fraction(1, 2), 3)
+        found = best_decomposition(unit_table, ExtElement(Z.zero(), 2), index_cap=3)
         assert found is not None
         assert found.coefficients == ((2, 1),)
         assert found.residual == Z.zero()
         assert found.cost == Fraction(1, 2)
 
-    def test_budget_too_small(self, unit_table):
-        found = best_decomposition(unit_table, ExtElement(Z.zero(), 2), Fraction(49, 100), 3)
-        assert found is None
-        # L = lcm(4, 2) = 4 and D = 3.  Anchor 2 costs 1/2, within 3/4, and
-        # its residual's 1/3 puts the leaf's total at 5/6, one unit of
-        # 1/(L*D) over: the leaf is met, but its total is refused.
-        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 2)
-        x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
-        assert best_decomposition(table, x, Fraction(3, 4), 2) is None
-        assert best_decomposition(table, x, Fraction(5, 6), 2).cost == Fraction(5, 6)
-
     def test_zero_element(self, unit_table):
-        found = best_decomposition(unit_table, ExtElement(Z.zero(), 0), Fraction(1, 2), 0)
+        found = best_decomposition(unit_table, ExtElement(Z.zero(), 0), index_cap=0)
         assert found.coefficients == ()
         assert found.residual == Z.zero()
         assert found.cost == 0
@@ -241,7 +246,7 @@ class TestBestDecomposition:
         budget = Fraction(9, 10)
         x = ExtElement(Z.element((hval,)), k)
         level = truncation_index(quarter_table, k, budget) if k else 0
-        found = best_decomposition(quarter_table, x, budget, level)
+        found = within(best_decomposition(quarter_table, x, index_cap=level), budget)
         oracle = exhaustive_min_decomposition(quarter_table, x, budget, level)
         if oracle is None:
             assert found is None
@@ -267,9 +272,8 @@ class TestBestDecomposition:
         self, quarter_table, budget, torsion
     ):
         # Running costs are integers over L, the lcm of every j in the table,
-        # and the budget's denominator enters only the leaf's total test; the
-        # cyclic table's base norms 2t/q have denominators 5, 9, 7 that L
-        # need not contain.  Multiplicities run upward from the most negative,
+        # and the search takes no budget; the cyclic table's base norms 2t/q
+        # have denominators 5, 9, 7 that L need not contain.  Multiplicities run upward from the most negative,
         # so near a4 - a7 the search first walks into vectors of the same
         # c-power over the budget, such as -2a4 + a5 + 3a7 - a8, which only
         # the branch test keeps from being the one leaf.
@@ -281,7 +285,7 @@ class TestBestDecomposition:
             offsets = [Z.element((v,)) for v in (-1, 0, 2)]
         if budget == "truncated":
             # The largest cost below 1: every cap is j - 1.
-            budget = table.truncated_budget
+            budget = largest_below_one(table)
         elements = [ExtElement(h, k) for h in offsets for k in range(-5, 6)]
         elements += [
             table.anchor_element(a) + table.anchor_element(b).scale(sign)
@@ -293,7 +297,7 @@ class TestBestDecomposition:
         for x in elements:
             # Caps keep the unpruned enumeration small: it grows like prod(2j+1).
             level = min(8, truncation_index(table, x.k, budget))
-            found = best_decomposition(table, x, budget, level)
+            found = within(best_decomposition(table, x, index_cap=level), budget)
             oracle = exhaustive_min_decomposition(table, x, budget, level)
             if oracle is None:
                 assert found is None
@@ -303,12 +307,6 @@ class TestBestDecomposition:
             assert found.cost == cost
             assert tuple(dict(found.coefficients).get(n, 0) for n in range(level, 0, -1)) == vector
             assert found.check_against(table, x)
-
-    def test_refuses_a_budget_outside_zero_one(self, unit_table):
-        x = ExtElement(Z.zero(), 2)
-        for budget in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
-            with pytest.raises(DomainError, match="^budget must lie strictly between 0 and 1$"):
-                best_decomposition(unit_table, x, budget, 3)
 
 
 def cheap_relations(depth, limit):
@@ -351,6 +349,16 @@ def cheap_relations(depth, limit):
     return found
 
 
+# The specs and epsilons of tools/differential.py.
+DIFFERENTIAL_SPECS = (
+    (Z2, CappedWeightedL1((ONE, ONE))),
+    (Z, CappedWeightedL1((Fraction(1, 4),))),
+    (Z5_9_7, CyclicScaled()),
+    (Z, RationalRotation(Fraction(3, 7))),
+)
+DIFFERENTIAL_EPSILONS = (Fraction(1, 2), Fraction(1, 8), Fraction(1, 1024), Fraction(1, 2 ** 30))
+
+
 class TestOneLeaf:
     """The lemma in ``evaluator``'s docstring: every nonzero relation
     sum d_i*K_i = 0 costs more than 2, so no two anchor vectors of cost
@@ -379,6 +387,53 @@ class TestOneLeaf:
         assert sharp in relations
         assert min(map(cost, relations)) == cost(sharp)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=st.sampled_from(range(len(DIFFERENTIAL_SPECS))),
+        depth=st.integers(1, 400),
+        k=st.integers(-(10 ** 30), 10 ** 30),
+        h=st.integers(1, 9),
+        anchors=st.none() | st.tuples(st.integers(1, 400), st.integers(0, 400),
+                                      st.sampled_from((1, -1))),
+    )
+    @example(spec=0, depth=400, k=0, h=3, anchors=(30, 31, -1))
+    @example(spec=1, depth=60, k=0, h=5, anchors=(2, 0, 1))
+    @example(spec=2, depth=200, k=0, h=4, anchors=(45, 12, 1))
+    def test_evaluate_and_truncated_values_read_the_one_leaf(self, spec, depth, k, h, anchors):
+        table = build_anchor_table(*DIFFERENTIAL_SPECS[spec], depth)
+        x = ExtElement(enumerate_h(table.descriptor, h), k)
+        if anchors is not None:
+            a, b, sign = anchors
+            x = table.anchor_element(min(a, depth)) + ExtElement(x.h, 0)
+            if b:
+                x = x + table.anchor_element(min(b, depth)).scale(sign)
+        values = [evaluate_truncated(table, x, n) for n in range(depth + 1)]
+        for epsilon in DIFFERENTIAL_EPSILONS:
+            budget = ONE - epsilon
+            try:
+                level = truncation_index(table, x.k, budget)
+            except ExtendTableError:
+                with pytest.raises(ExtendTableError):
+                    evaluate(table, x, epsilon)
+                continue
+            found = best_decomposition(table, x, index_cap=level)
+            result = evaluate(table, x, epsilon)
+            # Exact, with the leaf as witness, iff its total is within
+            # 1 - epsilon.  At k = 0 evaluate takes the base norm unsearched,
+            # and the leaf is the empty vector with that cost.
+            if x.k == 0 or (found is not None and found.cost <= budget):
+                assert isinstance(result, ExactResult)
+                assert (result.witness, result.value) == (found, found.cost)
+            else:
+                assert result == IntervalResult(budget, ONE, level)
+            # The truncated values step once, at the leaf's deepest anchor.
+            if found is None:
+                assert values[:level + 1] == [ONE] * (level + 1)
+            else:
+                deepest = max((n for n, _ in found.coefficients), default=0)
+                assert values == ([ONE] * deepest
+                                  + [min(ONE, found.cost)] * (depth + 1 - deepest))
+
 
 class TestEvaluate:
     def test_zero(self, unit_table):
@@ -398,6 +453,20 @@ class TestEvaluate:
         assert result.value == Fraction(1, 2)
         assert result.witness.coefficients == ((2, 1),)
 
+    def test_budget_too_small(self, unit_table):
+        result = evaluate(unit_table, ExtElement(Z.zero(), 2), Fraction(51, 100))
+        assert isinstance(result, IntervalResult)
+        assert result.lower == Fraction(49, 100)
+        # Anchor 2 costs 1/2, and its residual's 1/3 puts the leaf's total at
+        # 5/6: an interval at 1 - epsilon = 3/4, exact at 5/6 itself.
+        table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 12)
+        x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
+        assert isinstance(evaluate(table, x, Fraction(1, 4)), IntervalResult)
+        result = evaluate(table, x, Fraction(1, 6))
+        assert isinstance(result, ExactResult)
+        assert result.value == Fraction(5, 6)
+        assert result.witness.coefficients == ((2, 1),)
+
     def test_near_one_interval(self, unit_table):
         result = evaluate(unit_table, ExtElement(Z.zero(), 1), Fraction(1, 1024))
         assert isinstance(result, IntervalResult)
@@ -412,16 +481,16 @@ class TestEvaluate:
     def test_budget_is_one_minus_epsilon(self, lattice_table, epsilon):
         # evaluate makes its budget from epsilon's integers.  c^(+-1) has
         # norm 1, so every epsilon from 2^-40 up gives an interval, whose
-        # lower end is the budget; the search must have been handed it too.
+        # lower end is the budget; the truncation level must come from it too.
         budgets = []
-        search = evaluator.best_decomposition
+        level = evaluator.truncation_index
 
-        def recorded(table, x, budget, index_cap):
+        def recorded(table, k, budget):
             budgets.append(budget)
-            return search(table, x, budget, index_cap)
+            return level(table, k, budget)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(evaluator, "best_decomposition", recorded)
+            patch.setattr(evaluator, "truncation_index", recorded)
             for k in (1, -1):
                 result = evaluate(lattice_table, ExtElement(Z2.zero(), k), epsilon)
                 assert isinstance(result, IntervalResult)
@@ -608,9 +677,9 @@ class TestEvaluateTruncated:
             assert evaluate_truncated(quarter_table, x, n) == result.value
 
     def test_equals_the_budget_one_search_at_every_level(self, unit_table, quarter_table):
-        # evaluate_truncated searches just below 1; the capped budget-1
-        # minimum is the definition it must match, costs of exactly 1
-        # included.  The unpruned enumeration grows like prod(2j + 1), so
+        # evaluate_truncated caps the search's one leaf at 1; the capped
+        # budget-1 minimum is the definition it must match, costs of exactly
+        # 1 included.  The unpruned enumeration grows like prod(2j + 1), so
         # levels stop at 6.
         tables = [
             unit_table,
@@ -642,11 +711,9 @@ class TestEvaluateTruncated:
         assert deep_checked > 0
 
     def test_depth_one_integer_costs(self):
-        # L = 1 and D = 1, so every cost is an integer and (over - 1)/over
-        # would be 0, a budget no search takes.  The value is 0 for an h of
-        # base norm 0 and k = 0, and 1 for every other element.
+        # L = 1 and D = 1, so every cost is an integer.  The value is 0 for
+        # an h of base norm 0 and k = 0, and 1 for every other element.
         table = build_anchor_table(Z, CappedWeightedL1((Fraction(1),)), 1)
-        assert 0 < table.truncated_budget < 1
         for h in (1, 2, 3):
             for k in (-1, 0, 1, 3):
                 x = ExtElement(enumerate_h(Z, h), k)
@@ -667,8 +734,7 @@ class TestEvaluateTruncated:
 
     def test_largest_cost_below_one(self):
         # L = lcm(1, 2) = 2 and D = 3 are coprime, so 1/2 + 1/3 = 5/6 is the
-        # largest cost below 1, (over - 1)/over: a budget one step too low,
-        # or one that left out D, would miss it.
+        # largest cost below 1, one unit of 1/(L*D) under it.
         table = build_anchor_table(Z, CappedWeightedL1(weights=(Fraction(1, 3),)), 2)
         x = table.anchor_element(2) + ExtElement(Z.element((1,)), 0)
         assert exhaustive_min_decomposition(table, x, ONE, 2)[0] == Fraction(5, 6)
@@ -744,7 +810,7 @@ class TestSearchStart:
         """
         table = fresh_table(shape, depth)
         x = ExtElement(table.descriptor.zero(), table.anchor(depth).power)
-        best_decomposition(table, x, table.truncated_budget, depth)
+        best_decomposition(table, x, index_cap=depth)
         gaps = table.search_frame.gaps
         assert len(gaps) == depth + 1
         # Caps of j - 1 make the gaps rise strictly, which the bisects rely on.
@@ -765,19 +831,16 @@ class TestSearchStart:
         grown = fresh_table(shape, depth)
         x = picked_element(grown, pick)
         cap = min(cap, depth)
-        if budget == "truncated":
-            budget = grown.truncated_budget
         full = self.fully_grown(shape, depth)
-        lazy = best_decomposition(grown, x, budget, cap)
-        assert lazy == best_decomposition(full, x, budget, cap)
+        lazy = best_decomposition(grown, x, index_cap=cap)
+        assert lazy == best_decomposition(full, x, index_cap=cap)
         assert lazy is None or lazy.check_against(grown, x)
-        # One leaf at every budget: the budget only keeps or refuses it.
-        below_one = best_decomposition(grown, x, grown.truncated_budget, cap)
-        assert lazy == (below_one if below_one is not None and below_one.cost <= budget
-                        else None)
-        # At caps small enough to enumerate, the unpruned minimum.
+        # At caps small enough to enumerate, the unpruned minimum within a
+        # budget is the search's answer when its total is within it.
+        if budget == "truncated":
+            budget = largest_below_one(grown)
         small = min(cap, 5)
-        found = best_decomposition(grown, x, budget, small)
+        found = within(best_decomposition(grown, x, index_cap=small), budget)
         oracle = exhaustive_min_decomposition(grown, x, budget, small)
         assert (found is None) == (oracle is None)
         if found is not None:
@@ -801,10 +864,8 @@ class TestSearchStart:
         assert len(zero.search_frame.units) == 2
 
     def test_gaps_rise_strictly_up_to_the_depth_cap(self):
-        # gap[n] = K_n - reach[n-1] and reach[n] = reach[n-1] + caps[n] * K_n.
-        # At a budget below 1, caps[n] <= j_n - 1, and gap[n+1] - gap[n] =
-        # K_{n+1} - (caps[n] + 1) * K_n only grows as caps[n] shrinks, so the
-        # largest caps, j_n - 1, pin every such budget.
+        # gap[n] = K_n - reach[n-1] and reach[n] = reach[n-1] + caps[n] * K_n
+        # with caps[n] = j_n - 1, so gap[n+1] - gap[n] = K_{n+1} - j_n * K_n.
         reach, gap = 0, None
         recurrence = construction._recurrence()
         for _, j, power in itertools.islice(recurrence, MAX_TABLE_DEPTH):

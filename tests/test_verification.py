@@ -525,20 +525,6 @@ class TestTruncationSuite:
         assert set(callers) == {"evaluate"}
         assert len(callers) == sum(x.k != 0 for x in sample_elements(Z2, 200, seed=7))
 
-    def test_no_truncated_search_runs_at_budget_one(self, monkeypatch, lattice_table):
-        # Truncated values search just below 1: over = lcm(1..10) * 1 = 2520
-        # on the depth-50 Z^2 table.  evaluate's own budget is 1 - 1/1024.
-        budgets = set()
-        search = evaluator.best_decomposition
-
-        def recorded(table, x, budget, index_cap):
-            budgets.add(budget)
-            return search(table, x, budget, index_cap)
-
-        monkeypatch.setattr(evaluator, "best_decomposition", recorded)
-        assert verify_truncation(lattice_table, 200, seed=7).passed
-        assert budgets == {Fraction(1023, 1024), Fraction(2519, 2520)}
-
 
 class TestReportSerialization:
     def test_stable_json_excludes_timing(self, quarter_table):
