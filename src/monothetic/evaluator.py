@@ -64,8 +64,9 @@ anchor costs are exact integers over L; every base norm value has a
 denominator dividing the spec's D, so a leaf's total cost is an exact
 integer over L*D.  The branches are tested against anchor cost 1
 cross-multiplied by positive integers, so each test decides exactly as the
-rational comparison would, and the witness does not depend on the scaling.
-A ``Fraction`` is built once, for the witness returned.
+rational comparison would.  A node reads one record per level, kept on the
+table's search frame, so a search sets nothing up of its own, and a
+``Fraction`` is built once, for the witness returned.
 """
 
 from __future__ import annotations
@@ -194,46 +195,47 @@ class _SearchFrame:
     """Integer set-up of the search below anchor cost 1 on one table.
 
     Built once per table, on its first search, and grown only as far as
-    searches need (see :func:`_search_start`): each reach entry multiplies
-    out a power that can run to thousands of digits.  The search takes no
-    budget, so neither does the frame.  The lists are indexed by level n,
+    searches need (see :func:`_search_start`): each level multiplies out a
+    power that can run to thousands of digits.  The search takes no budget,
+    so neither does the frame.  Level n >= 1 is one record in ``levels[n]``,
     entry 0 standing for "no anchors":
 
-    - units[n]: L // j_n, the cost over L of one unit of anchor n;
-    - caps[n]: j_n - 1, since a larger |m_n| costs at least 1 on its own;
-    - reach[n]: the largest |sum of c-powers| anchors 1..n reach under caps;
-    - widest[n]: max j*k over anchors 1..n, so covering r units of c-power
-      with them costs at least r / widest[n]; widest[0] = 1, since a branch
-      at level 1, where reach[0] = 0, leaves no c-power to cover;
-    - gaps[n]: K_n - reach[n-1].  A target with |target| < gaps[n] forces
-      multiplicity 0 at anchor n.
+    - K_n, the power of anchor n;
+    - L // j_n, the cost over L of one unit of anchor n;
+    - the cap j_n - 1, since a larger |m_n| costs at least 1 on its own;
+    - reach[n-1], the largest |sum of c-powers| anchors 1..n-1 reach under
+      their caps;
+    - widest[n-1], max j*k over anchors 1..n-1, so covering r units of
+      c-power with them costs at least r / widest[n-1]; widest[0] = 1, since
+      a branch at level 1, where reach[0] = 0, leaves no c-power to cover;
+    - the coordinates of anchor n's target.
 
-    The gaps rise strictly.  caps[n] = j_n - 1 <= J_{n+1} - 1 and
-    K_{n+1} = J_{n+1} * K_n + 1, so gaps[n+1] - gaps[n] =
-    K_{n+1} - (caps[n] + 1) * K_n >= 1.  They can therefore be bisected for
-    the next level that allows a nonzero multiplicity, and no level past the
-    first whose gap exceeds |k| can take one.  A frame is grown only to that
-    level, so its size is bounded by the largest |k| searched, not by the
-    depth.
+    ``reach`` and ``widest`` hold those two values for the last level made.
+    ``gaps[n]`` is K_n - reach[n-1]: a target with |target| < gaps[n] forces
+    multiplicity 0 at anchor n.  The gaps rise strictly: j_n - 1 <= J_{n+1} - 1
+    and K_{n+1} = J_{n+1} * K_n + 1, so gaps[n+1] - gaps[n] =
+    K_{n+1} - j_n * K_n >= 1.  They can therefore be bisected for the next
+    level that allows a nonzero multiplicity, and no level past the first
+    whose gap exceeds |k| can take one.  A frame is grown only to that level,
+    so its size is bounded by the largest |k| searched, not by the depth.
     """
 
     def __init__(self, table: AnchorTable):
         self.scale = table.precision_lcm
         self.denominator = table.spec.denominator(table.descriptor)
-        self.units = [0]
-        self.caps = [0]
-        self.reach = [0]
-        self.widest = [1]
+        self.levels = [None]
         self.gaps = [0]
+        self.reach = 0
+        self.widest = 1
 
     def grow(self, anchor: Anchor) -> None:
         """Add the next level, whose anchor is given."""
         j, k = anchor.precision_index, anchor.power
-        self.units.append(self.scale // j)
-        self.caps.append(j - 1)
-        self.gaps.append(k - self.reach[-1])
-        self.reach.append(self.reach[-1] + (j - 1) * k)
-        self.widest.append(max(self.widest[-1], j * k))
+        self.levels.append((k, self.scale // j, j - 1, self.reach, self.widest,
+                            anchor.target.coords()))
+        self.gaps.append(k - self.reach)
+        self.reach += (j - 1) * k
+        self.widest = max(self.widest, j * k)
 
 
 def _search_start(table: AnchorTable, k: int, index_cap: int) -> tuple[_SearchFrame, int]:
@@ -261,6 +263,32 @@ def _search_start(table: AnchorTable, k: int, index_cap: int) -> tuple[_SearchFr
     return frame, bisect_right(gaps, target, 1, stop) - 1
 
 
+def _descend(levels: list, gaps: list, scale: int, n: int, target: int,
+             running: int) -> Optional[tuple]:
+    """The coefficients at levels 1..n of the leaf below, or None.
+
+    ``target`` is the c-power left for anchors 1..n and ``running`` the
+    anchor cost over L spent above them (see :class:`_SearchFrame`).
+    """
+    if n == 0:
+        return None if target else ()
+    power, unit, cap, below, width, _ = levels[n]
+    lo = max(-((below - target) // power), -cap)   # ceil((target - below) / power)
+    hi = min((target + below) // power, cap)
+    for mult in range(lo, hi + 1):
+        cost = running + abs(mult) * unit
+        rest = target - mult * power
+        # (cost/L + |rest|/width) * L * width, against anchor cost 1.
+        if cost * width + abs(rest) * scale >= scale * width:
+            continue
+        # The next level below n that allows a nonzero multiplicity.
+        land = bisect_right(gaps, abs(rest), 1, n) - 1
+        leaf = _descend(levels, gaps, scale, land, rest, cost)
+        if leaf is not None:
+            return leaf + ((n, mult),) if mult else leaf
+    return None
+
+
 def best_decomposition(
     table: AnchorTable, x: ExtElement, *, index_cap: int
 ) -> Optional[Decomposition]:
@@ -270,15 +298,16 @@ def best_decomposition(
     assigning the deepest anchor first, for the one anchor vector of c-power
     x.k whose anchor cost is below 1.  It starts at the level
     :func:`_search_start` gives, so the frame it needs is bounded by |x.k|,
-    not by ``index_cap``.  Per-anchor caps and the reach of the leftover
-    caps bound each level's multiplicities.  A branch is then tested once,
-    on the admissible bound cost + |rest| / widest[n-1], which no leaf below
-    it undercuts and which is the cost itself when no c-power is left to
-    cover: a bound of 1 or more is cut.  Levels whose only multiplicity is 0
-    are skipped in one bisection with no test of their own: every anchor at
-    or below the level landed on covers c-power at no less than
-    1/widest[land] per unit, so the tests there cut whatever a skipped
-    level's test, on a widest no narrower, would.
+    not by ``index_cap``, and :func:`_descend` reads one frame record per
+    node.  Per-anchor caps and the reach of the leftover caps bound each
+    level's multiplicities.  A branch is then tested once, on the admissible
+    bound cost + |rest| / widest[n-1], which no leaf below it undercuts and
+    which is the cost itself when no c-power is left to cover: a bound of 1
+    or more is cut.  Levels whose only multiplicity is 0 are skipped in one
+    bisection with no test of their own: every anchor at or below the level
+    landed on covers c-power at no less than 1/widest[land] per unit, so the
+    tests there cut whatever a skipped level's test, on a widest no
+    narrower, would.
 
     By the lemma in the module docstring no other vector of cost below 1
     has that c-power, so the first leaf ends the search, and its
@@ -287,61 +316,27 @@ def best_decomposition(
     more.  Every decomposition of cost below 1 uses that vector, so a caller
     decides by comparing the total with its own bound.
 
-    Costs run as integers: anchor costs over L (see :class:`_SearchFrame`)
-    and the leaf's total over L*D, D being the spec's denominator.  Every
-    test is the same inequality as in exact rationals, cross-multiplied by
-    positive integers, so the nodes visited and the witness returned do not
-    depend on the scaling.  The residual and the ``Fraction`` cost are built
-    once, for the leaf.
+    Costs run as integers (see the module docstring), so the nodes visited
+    and the witness do not depend on the scaling; the residual and the
+    ``Fraction`` cost are built once, for the leaf.
     """
     if not 0 <= index_cap <= table.depth:
         raise DomainError("index cap outside table depth")
-    if x.descriptor != table.descriptor:
+    descriptor = x.h.descriptor
+    if descriptor is not table.descriptor and descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
 
     frame, start = _search_start(table, x.k, index_cap)
-    anchors = table.prefix(start)
-    scale = frame.scale
-    units, caps, reach, widest, gaps = (
-        frame.units, frame.caps, frame.reach, frame.widest, frame.gaps)
-
-    def descend(n: int, target: int, running: int) -> Optional[tuple]:
-        """The coefficients at levels 1..n of the leaf below, or None."""
-        if n == 0:
-            return None if target else ()
-        anchor = anchors[n - 1]
-        unit = units[n]
-        cap = caps[n]
-        below = reach[n - 1]
-        width = widest[n - 1]
-        power = anchor.power
-        lo = -((below - target) // power)   # ceil((target - below) / power)
-        hi = (target + below) // power
-        lo = max(lo, -cap)
-        hi = min(hi, cap)
-        for mult in range(lo, hi + 1):
-            cost = running + abs(mult) * unit
-            rest = target - mult * power
-            # (cost/L + |rest|/width) * L * width, against anchor cost 1.
-            if cost * width + abs(rest) * scale >= scale * width:
-                continue
-            # The next level below n that allows a nonzero multiplicity.
-            land = bisect_right(gaps, abs(rest), 1, n) - 1
-            leaf = descend(land, rest, cost)
-            if leaf is not None:
-                return leaf + ((anchor.index, mult),) if mult else leaf
-        return None
-
-    coefficients = descend(start, x.k, 0)
-    del descend   # it refers to itself through its cell: free the search now, not at a gc
+    levels, scale = frame.levels, frame.scale
+    coefficients = _descend(levels, frame.gaps, scale, start, x.k, 0)
     if coefficients is None:
         return None
     shift, running = x.h.coords(), 0
     for index, mult in coefficients:
-        shift = tuple(s + mult * t for s, t in zip(shift, anchors[index - 1].target.coords()))
-        running += abs(mult) * units[index]
+        _, unit, _, _, _, target = levels[index]
+        shift = tuple(s + mult * t for s, t in zip(shift, target))
+        running += abs(mult) * unit
     d = frame.denominator
-    descriptor = x.descriptor
     total = running * d + min(table.spec.scaled_value(shift, descriptor), d) * scale
     r = descriptor.free_rank
     residual = HElement(descriptor, shift[:r], shift[r:])
@@ -362,19 +357,22 @@ def evaluate(
     leaf below the truncation level, so the leaf is the value when its total
     is within 1 - epsilon, and the interval holds otherwise.
     """
-    if not 0 < epsilon.numerator < epsilon.denominator:
+    num, den = epsilon.numerator, epsilon.denominator
+    if not 0 < num < den:
         raise DomainError("epsilon must lie strictly between 0 and 1")
-    if x.descriptor != table.descriptor:
+    descriptor = x.h.descriptor
+    if descriptor is not table.descriptor and descriptor != table.descriptor:
         raise ShapeError("element does not conform to the table's descriptor")
     if x.k == 0:
         value = base_norm(table.spec, x.h)
         witness = Decomposition((), x.h, value)
         return ExactResult(value, witness, 0)
     # 1 - epsilon, made from epsilon's integers: already in lowest terms.
-    budget = Fraction(epsilon.denominator - epsilon.numerator, epsilon.denominator)
+    budget = Fraction(den - num, den)
     level = truncation_index(table, x.k, budget)
     found = best_decomposition(table, x, index_cap=level)
-    if found is None or found.cost > budget:
+    # found.cost > 1 - epsilon, cross-multiplied by the positive denominators.
+    if found is None or found.cost.numerator * den > (den - num) * found.cost.denominator:
         return IntervalResult(budget, ONE, level)
     return ExactResult(found.cost, found, level)
 

@@ -510,6 +510,33 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             evaluate(unit_table, ExtElement(other.zero(), 0))
 
+    @pytest.mark.parametrize("spec, equal, other", [
+        (0, GroupDescriptor(free_rank=2), GroupDescriptor(free_rank=1)),
+        # A shape the spec accepts, so only the descriptor check can refuse it.
+        (2, GroupDescriptor(torsion_moduli=(5, 9, 7)), GroupDescriptor(torsion_moduli=(5, 9, 8))),
+    ], ids=["z2", "z5z9z7"])
+    def test_an_equal_descriptor_object_reads_as_the_tables(self, spec, equal, other):
+        # The descriptor check tests identity before equality: an equal but
+        # distinct descriptor must pass it, and any other must not.
+        table = build_anchor_table(*DIFFERENTIAL_SPECS[spec], 60)
+        assert equal is not table.descriptor and equal == table.descriptor
+        h = enumerate_h(table.descriptor, 5)
+        for x in (ExtElement(h, 0), ExtElement(h, 10 ** 12),
+                  table.anchor_element(40) - table.anchor_element(7)):
+            coords = x.h.coords()
+            same = ExtElement(table.descriptor.element(coords), x.k)
+            copy = ExtElement(equal.element(coords), x.k)
+            assert same.descriptor is table.descriptor and copy.descriptor is equal
+            assert evaluate(table, copy) == evaluate(table, same)
+            assert (best_decomposition(table, copy, index_cap=table.depth)
+                    == best_decomposition(table, same, index_cap=table.depth))
+            rank = other.free_rank + len(other.torsion_moduli)
+            foreign = ExtElement(other.element(coords[:rank]), x.k)
+            with pytest.raises(ShapeError):
+                evaluate(table, foreign)
+            with pytest.raises(ShapeError):
+                best_decomposition(table, foreign, index_cap=table.depth)
+
     def test_symmetry(self, quarter_table):
         for n in range(1, 30):
             for k in range(-4, 5):
@@ -855,13 +882,37 @@ class TestSearchStart:
             x = ExtElement(Z2.element((1, -2)), k)
             assert evaluate_truncated(grown, x, 400) == evaluate_truncated(full, x, 400)
             frame = grown.search_frame
-            assert len(frame.units) - 1 < 40
+            assert len(frame.levels) - 1 < 40
             # The frame stops at the first level whose gap exceeds |k|.
             assert frame.gaps[-1] > k >= frame.gaps[-2]
         # A k = 0 search at the table's depth grows one level and starts at level 0.
         zero = fresh_table("capped_l1", 400)
         evaluate_truncated(zero, ExtElement(Z2.element((1, -2)), 0), 400)
-        assert len(zero.search_frame.units) == 2
+        assert len(zero.search_frame.levels) == 2
+
+    @pytest.mark.parametrize("spec", range(len(DIFFERENTIAL_SPECS)))
+    def test_frame_records_rebuild_from_the_recurrence(self, spec):
+        # Each level's record, made again from the recurrence's pairs and
+        # powers alone, on a frame grown to the table's depth.
+        depth = 400
+        table = build_anchor_table(*DIFFERENTIAL_SPECS[spec], depth)
+        x = ExtElement(table.descriptor.zero(), table.anchor(depth).power)
+        best_decomposition(table, x, index_cap=depth)
+        frame = table.search_frame
+        pairs = list(itertools.islice(construction._recurrence(), depth))
+        scale = table.precision_lcm
+        assert scale == math.lcm(*(j for _, j, _ in pairs))
+        assert len(frame.levels) == len(frame.gaps) == depth + 1
+        order = table.descriptor.order
+        reach, widest = 0, 1
+        for n, (m, j, power) in enumerate(pairs, 1):
+            target = enumerate_h(table.descriptor, m if order is None else (m - 1) % order + 1)
+            assert frame.levels[n] == (
+                power, scale // j, j - 1, reach, widest, target.coords())
+            assert frame.gaps[n] == power - reach
+            reach += (j - 1) * power
+            widest = max(widest, j * power)
+        assert (frame.reach, frame.widest) == (reach, widest)
 
     def test_gaps_rise_strictly_up_to_the_depth_cap(self):
         # gap[n] = K_n - reach[n-1] and reach[n] = reach[n-1] + caps[n] * K_n
