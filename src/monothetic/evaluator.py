@@ -9,16 +9,17 @@ subadditive) and opposite uses of one anchor cancel.
 
 What makes the infinite infimum computable is a truncation bound.  Write
 k* for the largest anchor index used with a nonzero multiplicity, K for the
-anchor powers, and t for a cost budget.  Matching the c-power of x forces
+anchor powers, and epsilon for a tolerance in (0, 1).  Matching the c-power
+of x forces
     sum_{i<k*} |m_i| >= (K[k*] - |x.k|) / K[k*-1],
 and each of those units costs at least the running threshold delta_{k*}, so
 the growth law delta_{k*} * K[k*] > K[k*-1] yields
     cost > 1 - |x.k| / K[k*-1].
 Hence every decomposition that reaches past the level where K[n-1] >=
-|x.k|/(1-t) costs more than t, and a search below that level decides
-exactly every value up to t.  For x with zero c-power every anchor-using
-decomposition costs more than 1, which certifies that the extension
-restricts to the base norm on the base group.
+|x.k|/epsilon costs more than 1 - epsilon, and a search below that level
+decides exactly every value up to 1 - epsilon.  For x with zero c-power
+every anchor-using decomposition costs more than 1, which certifies that
+the extension restricts to the base norm on the base group.
 
 The same growth law, K_n = J_n * K_{n-1} + 1 with J_n the largest j among
 anchors 1..n-1, gives each search at most one leaf.  Write
@@ -148,37 +149,37 @@ EvalResult = Union[ExactResult, IntervalResult]
 DEFAULT_EPSILON = Fraction(1, 1024)
 
 
-def truncation_index(table: AnchorTable, k: int, budget: Fraction) -> int:
-    """Deepest anchor index any budget-respecting decomposition can use.
+def truncation_index(table: AnchorTable, k: int, epsilon: Fraction) -> int:
+    """Deepest anchor index a decomposition of cost at most 1 - epsilon can use.
 
-    Returns the largest n with n == 1 or K[n-1] < |k|/(1 - budget); every
+    Returns the largest n with n == 1 or K[n-1] < |k|/epsilon; every
     decomposition of an element with c-power k that uses a deeper anchor
-    costs more than ``budget``.  For k == 0 anchors are excluded entirely
+    costs more than 1 - epsilon.  For k == 0 anchors are excluded entirely
     (any anchor-using decomposition costs more than 1), so the index is 0.
 
-    The test runs on integers: with budget = num/den, an integer power K
-    satisfies K < |k|*den/(den - num) exactly when K < ceil(|k|*den/(den - num)),
-    and the largest such index is found by bisecting ``table.powers``.  The
+    The test runs on integers: with epsilon = num/den, an integer power K
+    satisfies K < |k|*den/num exactly when K < ceil(|k|*den/num), and the
+    largest such index is found by bisecting ``table.powers``.  The
     table first makes anchors until the last power made reaches that bound,
     or until none is left: the recurrence puts every power not yet made
     above the last one made, so none of them can change a comparison with
     the bound.
 
     When the table cannot exhibit the level, i.e. when even its deepest power
-    is below |k|/(1 - budget), it raises through :func:`require_depth` for the
-    first depth N past the table's with K[N] >= |k|/(1 - budget): an
+    is below |k|/epsilon, it raises through :func:`require_depth` for the
+    first depth N past the table's with K[N] >= |k|/epsilon: an
     :class:`ExtendTableError` naming N, or a :class:`DomainError` when no
     depth up to ``MAX_TABLE_DEPTH`` reaches that bound.  N comes from
     :func:`first_index_reaching`, which jumps the recurrence one anti-diagonal
     at a time in closed form (r steps at factor a take K to
     K*a^r + (a^r - 1)/(a - 1)) and makes no power sequence.
     """
-    num, den = budget.numerator, budget.denominator
-    if not 0 < num < den:   # 0 < budget < 1, the denominator being positive
-        raise DomainError("budget must lie strictly between 0 and 1")
+    num, den = epsilon.numerator, epsilon.denominator
+    if not 0 < num < den:   # 0 < epsilon < 1, the denominator being positive
+        raise DomainError("epsilon must lie strictly between 0 and 1")
     if k == 0:
         return 0
-    bound = -(-abs(k) * den // (den - num))   # ceil(|k| / (1 - budget))
+    bound = -(-abs(k) * den // num)   # ceil(|k| / epsilon)
     powers = table.powers
     while (not powers or powers[-1] < bound) and len(powers) < table.depth:
         table.grow()
@@ -367,13 +368,12 @@ def evaluate(
         value = base_norm(table.spec, x.h)
         witness = Decomposition((), x.h, value)
         return ExactResult(value, witness, 0)
-    # 1 - epsilon, made from epsilon's integers: already in lowest terms.
-    budget = Fraction(den - num, den)
-    level = truncation_index(table, x.k, budget)
+    level = truncation_index(table, x.k, epsilon)
     found = best_decomposition(table, x, index_cap=level)
     # found.cost > 1 - epsilon, cross-multiplied by the positive denominators.
     if found is None or found.cost.numerator * den > (den - num) * found.cost.denominator:
-        return IntervalResult(budget, ONE, level)
+        # 1 - epsilon, made from epsilon's integers: already in lowest terms.
+        return IntervalResult(Fraction(den - num, den), ONE, level)
     return ExactResult(found.cost, found, level)
 
 
@@ -389,13 +389,13 @@ def evaluate_truncated(table: AnchorTable, x: ExtElement, level: int) -> Fractio
 
 
 def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> list[Fraction]:
-    """``[evaluate_truncated(table, x, n) for n in levels]``, one search per start level.
+    """``[evaluate_truncated(table, x, n) for n in levels]``, one search for the deepest start.
 
     A truncated search to level n is the search from its start level (see
-    :func:`_search_start`), which is its own start, so every level gets the
-    value of one :func:`evaluate_truncated` call at its start; the values are
-    kept by start for this call only.  The gaps rise, so once the deepest
-    level's start s is taken, level n starts at min(n, s).
+    :func:`_search_start`), which is its own start.  The gaps rise, so once
+    the deepest level's start s is taken, every level at or above s starts
+    at s and shares one search and its value object; a level below s is its
+    own start and gets a search of its own.
     """
     if not levels:
         return []
@@ -403,15 +403,8 @@ def truncated_values(table: AnchorTable, x: ExtElement, levels: list[int]) -> li
     if min(levels) < 0 or top > table.depth:
         raise DomainError("truncation level outside table depth")
     deepest = _search_start(table, x.k, top)[1]
-    by_start: dict[int, Fraction] = {}
-    values = []
-    for n in levels:
-        start = min(n, deepest)
-        value = by_start.get(start)
-        if value is None:
-            value = by_start[start] = evaluate_truncated(table, x, start)
-        values.append(value)
-    return values
+    shared = evaluate_truncated(table, x, deepest)
+    return [shared if n >= deepest else evaluate_truncated(table, x, n) for n in levels]
 
 
 @dataclass(frozen=True)

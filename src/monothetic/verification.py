@@ -13,10 +13,10 @@ The axioms suite keeps each evaluation by raw coordinates and, by object id,
 each sampled single's findings and certified value and each base sum; a
 single's findings are emitted at every pair index that holds it.  The
 truncation suite checks every sample it is given, and for each sample runs
-one truncated search per distinct start level (see
-:func:`~monothetic.evaluator.truncated_values`), not one per probe.  Probes
-that share a search share its value object, so no two of them are compared
-for a rise.
+one truncated search shared by every probe at or above the sample's start
+level, plus one per probe below it (see
+:func:`~monothetic.evaluator.truncated_values`).  Probes that share a search
+share its value object, so no two of them are compared for a rise.
 
 Two sizes are fixed: pairs are drawn from the first PAIR_INDEX_POOL = 4
 enumerated base elements, and the truncation suite probes levels up to the
@@ -215,7 +215,6 @@ def verify_norm_axioms(
     pairs = sample_pairs(table.descriptor, sample_count, seed, k_range)
     if not pairs:
         raise DomainError("the axioms suite needs at least one sample")
-    budget = ONE - epsilon
     skipped = 0
     # Evaluations are keyed by raw coordinates, (free, torsion, k): hashing
     # the frozen element dataclasses would cost more than the checks.
@@ -265,14 +264,15 @@ def verify_norm_axioms(
                     )
                 )
         else:
-            # The interval certifies the sum's norm exceeds the budget, so the
-            # only provable statement is min(1, vx + vy) > budget.
-            if min(ONE, vx + vy) <= budget:
+            # The interval certifies the sum's norm exceeds its lower end,
+            # 1 - epsilon, so the only provable statement is
+            # min(1, vx + vy) > rxy.lower.
+            if min(ONE, vx + vy) <= rxy.lower:
                 violations.append(
                     Violation(
                         i, "triangle",
                         f"x=({x.h.coords()},{x.k}) y=({y.h.coords()},{y.k})",
-                        f"min(1, {vx + vy}) > {budget}", "interval certificate",
+                        f"min(1, {vx + vy}) > {rxy.lower}", "interval certificate",
                     )
                 )
     return _report("axioms", len(pairs), violations, skipped, start)
@@ -316,9 +316,9 @@ def verify_truncation(table: AnchorTable, sample_count: int, seed: int) -> Suite
     the certified value cannot move again.
 
     Every sample is checked.  Its probe values come from
-    :func:`~monothetic.evaluator.truncated_values`, which searches once per
-    distinct start level and keeps the values for that sample only: every
-    probe at or above the sample's start level shares one search.
+    :func:`~monothetic.evaluator.truncated_values`: every probe at or above
+    the sample's start level shares one search, and each probe below it is
+    searched on its own.
     """
     start = time.perf_counter()
     elements = sample_elements(table.descriptor, sample_count, seed)

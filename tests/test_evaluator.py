@@ -91,54 +91,53 @@ def within(found, budget):
 class TestTruncationIndex:
     def test_zero_power_excludes_anchors(self, unit_table):
         assert truncation_index(unit_table, 0, Fraction(1, 2)) == 0
-        assert truncation_index(unit_table, 0, Fraction(1023, 1024)) == 0
+        assert truncation_index(unit_table, 0, Fraction(1, 1024)) == 0
 
     def test_worked_example(self, unit_table):
-        # Budget 1/2 and power 2: bound is 4; the level-3 power 5 exceeds it
+        # Epsilon 1/2 and power 2: bound is 4; the level-3 power 5 exceeds it
         # while the level-2 power 2 does not.
         assert truncation_index(unit_table, 2, Fraction(1, 2)) == 3
 
-    def test_monotone_in_budget(self, unit_table):
+    def test_monotone_in_epsilon(self, unit_table):
         tight = truncation_index(unit_table, 2, Fraction(1, 2))
-        loose = truncation_index(unit_table, 2, Fraction(255, 256))
+        loose = truncation_index(unit_table, 2, Fraction(1, 256))
         assert loose > tight
 
     def test_shallow_table_says_how_deep(self):
         spec = CappedWeightedL1(weights=(Fraction(1),))
         shallow = build_anchor_table(Z, spec, 3)
         with pytest.raises(ExtendTableError) as err:
-            truncation_index(shallow, 2, Fraction(1023, 1024))
+            truncation_index(shallow, 2, Fraction(1, 1024))
         assert err.value.required_depth == 9
 
-    def test_bad_budget(self, unit_table):
+    def test_bad_epsilon(self, unit_table):
         with pytest.raises(DomainError):
             truncation_index(unit_table, 2, Fraction(0))
         with pytest.raises(DomainError):
             truncation_index(unit_table, 2, ONE)
 
-    def test_refuses_a_budget_outside_zero_one(self, unit_table):
-        for budget in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
-            with pytest.raises(DomainError, match="^budget must lie strictly between 0 and 1$"):
-                truncation_index(unit_table, 2, budget)
+    def test_refuses_an_epsilon_outside_zero_one(self, unit_table):
+        for epsilon in (Fraction(0), ONE, Fraction(2), Fraction(-1, 2)):
+            with pytest.raises(DomainError, match="^epsilon must lie strictly between 0 and 1$"):
+                truncation_index(unit_table, 2, epsilon)
 
     def test_bound_equal_to_a_power(self, unit_table):
-        # |k|/(1 - b) = 2 = K_2 exactly: K_2 < 2 fails, so the level stops at 2.
+        # |k|/epsilon = 2 = K_2 exactly: K_2 < 2 fails, so the level stops at 2.
         for k in (1, -1):
             assert truncation_index(unit_table, k, Fraction(1, 2)) == 2
-        # Budget 2/3 puts the bound at 3, just past K_2 = 2.
-        assert truncation_index(unit_table, 1, Fraction(2, 3)) == 3
+        # Epsilon 1/3 puts the bound at 3, just past K_2 = 2.
+        assert truncation_index(unit_table, 1, Fraction(1, 3)) == 3
 
     def test_required_depth_when_bound_equals_a_power(self, unit_table):
-        # Budget 1 - 1/K_13 puts the bound for k = +-1 at K_13 exactly: the
+        # Epsilon 1/K_13 puts the bound for k = +-1 at K_13 exactly: the
         # depth-12 table falls short, and depth 13 is the first to reach it.
-        k13 = k_sequence(13)[-1]
-        budget = ONE - Fraction(1, k13)
+        epsilon = Fraction(1, k_sequence(13)[-1])
         for k in (1, -1):
             with pytest.raises(ExtendTableError) as err:
-                truncation_index(unit_table, k, budget)
+                truncation_index(unit_table, k, epsilon)
             assert err.value.required_depth == 13
         deeper = build_anchor_table(Z, unit_table.spec, 13)
-        assert truncation_index(deeper, 1, budget) == 13
+        assert truncation_index(deeper, 1, epsilon) == 13
 
     def test_required_depth_past_the_next_anchor(self, unit_table):
         # A bound of exactly K_N needs depth N; one more needs depth N + 1.
@@ -147,9 +146,8 @@ class TestTruncationIndex:
             kn = powers[n - 1]
             for bound, expected in ((kn, n), (kn + 1, n + 1)):
                 for k in (1, -7):
-                    budget = ONE - Fraction(abs(k), bound)
                     with pytest.raises(ExtendTableError) as err:
-                        truncation_index(unit_table, k, budget)
+                        truncation_index(unit_table, k, Fraction(abs(k), bound))
                     assert err.value.required_depth == expected
 
     def test_required_depth_stops_at_the_depth_cap(self, unit_table):
@@ -157,30 +155,30 @@ class TestTruncationIndex:
         # need a table that no build can make, and the doubling search stops.
         cap_power = k_sequence(MAX_TABLE_DEPTH)[-1]
         with pytest.raises(ExtendTableError) as err:
-            truncation_index(unit_table, 1, ONE - Fraction(1, cap_power))
+            truncation_index(unit_table, 1, Fraction(1, cap_power))
         assert err.value.required_depth == MAX_TABLE_DEPTH
         with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
-            truncation_index(unit_table, 1, ONE - Fraction(1, cap_power + 1))
+            truncation_index(unit_table, 1, Fraction(1, cap_power + 1))
         with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
             evaluate(unit_table, ExtElement(Z.zero(), 10 ** 30000))
 
     def test_too_shallow_search_walks_no_sequence(self, unit_table, no_k_sequence):
         # The depth past a too-shallow table comes from the diagonal jumps.
         with pytest.raises(DomainError, match=str(MAX_TABLE_DEPTH)):
-            truncation_index(unit_table, 10 ** 30000, Fraction(1, 1024))
+            truncation_index(unit_table, 10 ** 30000, Fraction(1023, 1024))
         k9000 = construction.k_power(9000)
         with pytest.raises(ExtendTableError) as err:
-            truncation_index(unit_table, 1, ONE - Fraction(1, k9000))
+            truncation_index(unit_table, 1, Fraction(1, k9000))
         assert err.value.required_depth == 9000
         with pytest.raises(ExtendTableError) as err:
-            truncation_index(unit_table, k9000, Fraction(1, 1024))
+            truncation_index(unit_table, k9000, Fraction(1023, 1024))
         assert err.value.required_depth == 9001
 
     def test_matches_fraction_formula(self, unit_table, quarter_table):
-        # Reference: the largest n with n == 1 or K[n-1] < |k|/(1 - b), by a
+        # Reference: the largest n with n == 1 or K[n-1] < |k|/epsilon, by a
         # linear scan in exact rationals.
-        def reference(table, k, budget):
-            bound = Fraction(abs(k)) / (ONE - budget)
+        def reference(table, k, epsilon):
+            bound = Fraction(abs(k)) / epsilon
             level = 1
             for n in range(2, table.depth + 1):
                 if table.anchor(n - 1).power < bound:
@@ -191,27 +189,28 @@ class TestTruncationIndex:
         for table in (unit_table, quarter_table):
             powers = [a.power for a in table.anchors]
             for _ in range(2000):
-                budget = Fraction(rng.randint(1, 2047), 2048)
+                epsilon = Fraction(rng.randint(1, 2047), 2048)
                 pick = rng.random()
                 if pick < 0.4:
                     # Land the bound on, just below or just above a power.
-                    k = rng.choice(powers[:-1]) * (1 - budget)
+                    k = rng.choice(powers[:-1]) * epsilon
                     k = max(1, int(k) + rng.choice((-1, 0, 1)))
                 elif pick < 0.8:
                     k = rng.randint(1, 200)
                 else:
                     k = rng.randint(1, powers[-1] // 4096)
                 k *= rng.choice((1, -1))
-                if Fraction(abs(k)) / (ONE - budget) > powers[-1]:
+                if Fraction(abs(k)) / epsilon > powers[-1]:
                     continue
-                assert truncation_index(table, k, budget) == reference(table, k, budget)
+                assert truncation_index(table, k, epsilon) == reference(table, k, epsilon)
 
     def test_exclusion_guarantee(self, unit_table):
         # Every decomposition using an anchor past the level costs more than
-        # the budget: check by unpruned enumeration one level deeper.
-        budget = Fraction(3, 4)
+        # 1 - epsilon: check by unpruned enumeration one level deeper.
+        epsilon = Fraction(1, 4)
+        budget = ONE - epsilon
         x = ExtElement(Z.zero(), 2)
-        level = truncation_index(unit_table, x.k, budget)
+        level = truncation_index(unit_table, x.k, epsilon)
         anchors = [unit_table.anchor(n) for n in range(1, level + 2)]
         caps = [
             (budget.numerator * a.precision_index) // budget.denominator
@@ -245,7 +244,7 @@ class TestBestDecomposition:
     def test_matches_unpruned_enumeration(self, quarter_table, k, hval):
         budget = Fraction(9, 10)
         x = ExtElement(Z.element((hval,)), k)
-        level = truncation_index(quarter_table, k, budget) if k else 0
+        level = truncation_index(quarter_table, k, ONE - budget) if k else 0
         found = within(best_decomposition(quarter_table, x, index_cap=level), budget)
         oracle = exhaustive_min_decomposition(quarter_table, x, budget, level)
         if oracle is None:
@@ -296,7 +295,7 @@ class TestBestDecomposition:
         ]
         for x in elements:
             # Caps keep the unpruned enumeration small: it grows like prod(2j+1).
-            level = min(8, truncation_index(table, x.k, budget))
+            level = min(8, truncation_index(table, x.k, ONE - budget))
             found = within(best_decomposition(table, x, index_cap=level), budget)
             oracle = exhaustive_min_decomposition(table, x, budget, level)
             if oracle is None:
@@ -411,7 +410,7 @@ class TestOneLeaf:
         for epsilon in DIFFERENTIAL_EPSILONS:
             budget = ONE - epsilon
             try:
-                level = truncation_index(table, x.k, budget)
+                level = truncation_index(table, x.k, epsilon)
             except ExtendTableError:
                 with pytest.raises(ExtendTableError):
                     evaluate(table, x, epsilon)
@@ -478,16 +477,17 @@ class TestEvaluate:
         lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))))
     @example(epsilon=Fraction(1, 2 ** 40))
     @example(epsilon=Fraction(2 ** 40 - 1, 2 ** 40))
-    def test_budget_is_one_minus_epsilon(self, lattice_table, epsilon):
-        # evaluate makes its budget from epsilon's integers.  c^(+-1) has
-        # norm 1, so every epsilon from 2^-40 up gives an interval, whose
-        # lower end is the budget; the truncation level must come from it too.
-        budgets = []
+    def test_truncation_index_gets_the_callers_epsilon(self, lattice_table, epsilon):
+        # evaluate hands its epsilon object to truncation_index unchanged and
+        # makes 1 - epsilon only for an interval.  c^(+-1) has norm 1, so
+        # every epsilon from 2^-40 up gives an interval, whose lower end is
+        # 1 - epsilon as a Fraction.
+        received = []
         level = evaluator.truncation_index
 
-        def recorded(table, k, budget):
-            budgets.append(budget)
-            return level(table, k, budget)
+        def recorded(table, k, given):
+            received.append(given)
+            return level(table, k, given)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(evaluator, "truncation_index", recorded)
@@ -497,7 +497,8 @@ class TestEvaluate:
                 assert type(result.lower) is Fraction
                 assert result.lower == ONE - epsilon
             evaluate(lattice_table, lattice_table.anchor_element(3), epsilon)
-        assert budgets == [ONE - epsilon] * 3
+        assert len(received) == 3
+        assert all(e is epsilon for e in received)
 
     def test_epsilon_domain(self, unit_table):
         with pytest.raises(DomainError):
@@ -1022,7 +1023,7 @@ class TestExtendFamily:
         ]
         for k in (1, 2, 5, -7):
             levels = {
-                truncation_index(t, k, Fraction(1023, 1024)) for t in tables
+                truncation_index(t, k, Fraction(1, 1024)) for t in tables
             }
             assert len(levels) == 1
 
@@ -1077,8 +1078,7 @@ class TestLazyTable:
                     min(b, depth)).scale(sign)
             if x.k == 0:
                 continue
-            budget = ONE - epsilon
-            assert outcome(truncation_index, build_anchor_table(Z2, spec, depth), x.k, budget) \
-                == outcome(truncation_index, grown, x.k, budget)
+            assert outcome(truncation_index, build_anchor_table(Z2, spec, depth), x.k, epsilon) \
+                == outcome(truncation_index, grown, x.k, epsilon)
             assert outcome(evaluate, build_anchor_table(Z2, spec, depth), x, epsilon) \
                 == outcome(evaluate, grown, x, epsilon)

@@ -18,8 +18,9 @@ small base element, sums of two anchors, and random base elements with |k|
 up to 10^30.  Each case runs ``evaluate`` at four epsilons,
 ``evaluate_truncated`` at a random level up to 64, and
 ``best_decomposition`` capped at the truncation level of budgets 5/7 and
-1023/1024.  The search takes no budget, so each budget is applied to its
-answer: a decomposition that costs more than the budget prints as None.
+1023/1024, that is of epsilons 2/7 and 1/1024.  The search takes no budget,
+so each budget is applied to its answer: a decomposition that costs more
+than the budget prints as None.
 Each depth-70 table, tampered or not, gets one line per suite report:
 extension, axioms and truncation at 200 samples and seed 7, and density
 over targets and precisions up to 5.  Two more lines put repeated
@@ -150,6 +151,13 @@ def search(table, x, cap):
     return best_decomposition(table, x, index_cap=cap)
 
 
+def budget_level(table, k, budget):
+    # Older checkouts' truncation_index takes the budget, 1 - epsilon.
+    if "budget" in inspect.signature(truncation_index).parameters:
+        return truncation_index(table, k, budget)
+    return truncation_index(table, k, 1 - budget)
+
+
 def case(table, x, rng):
     out = [f"{x.h.coords()} {x.k}"]
     for epsilon in EPSILONS:
@@ -160,7 +168,7 @@ def case(table, x, rng):
         if x.k == 0:
             cap = 0
         else:
-            cap = attempt(lambda: truncation_index(table, x.k, budget))
+            cap = attempt(lambda: budget_level(table, x.k, budget))
             cap = table.depth if isinstance(cap, str) else cap
         found = search(table, x, cap)
         found = found if found is not None and found.cost <= budget else None
