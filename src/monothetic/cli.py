@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import json
 import os
 import sys
 from decimal import Decimal
@@ -140,24 +141,39 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in reports) else EXIT_VIOLATION
 
 
-# A bare JSON word no certificate field can hold: each class's line is
-# rendered once with it in place of n and m, then split around it.
+# A bare JSON word no certificate field can hold: the scan's line template is
+# rendered once with it in place of each field that varies, then split around it.
 _CELL = Decimal("NaN")
+_VARYING = ("implied_bound", "m", "margin", "n", "required_norm")  # in key order
 
 
 def _line_writer(handle):
-    """counterexample_scan's emit: one JSON line per cell, rendered once per class."""
+    """counterexample_scan's emit: one JSON line per cell, one write per row.
+
+    The first row renders one template, with the fields every certificate of
+    a scan shares.  Each class's (head, mid, tail) is built once around it,
+    and a cell's line is head, m, mid, n, tail.
+    """
+    template = []
     pieces = {}
 
-    def emit(n: int, m: int, report) -> None:
-        parts = pieces.get(report.required_norm)
-        if parts is None:
-            payload = contradiction_to_json(report)
-            payload["n"] = payload["m"] = _CELL
-            head, mid, tail = dumps_stable(payload).split(str(_CELL))  # "m" sorts before "n"
-            parts = pieces[report.required_norm] = (head, mid, tail + "\n")
-        head, mid, tail = parts
-        handle.write(f"{head}{m}{mid}{n}{tail}")
+    def emit(n: int, row) -> None:
+        if not template:
+            payload = contradiction_to_json(row[0])
+            payload.update(dict.fromkeys(_VARYING, _CELL))
+            template.extend(dumps_stable(payload).split(str(_CELL)))
+        before_bound, before_m, before_margin, before_n, before_norm, end = template
+        parts = []
+        for m, report in enumerate(row, 1):
+            cell = pieces.get(report.required_norm)
+            if cell is None:
+                cell = pieces[report.required_norm] = (
+                    before_bound + json.dumps(format_fraction(report.implied_bound)) + before_m,
+                    before_margin + json.dumps(format_fraction(report.margin)) + before_n,
+                    f"{before_norm}{report.required_norm}{end}\n")
+            head, mid, tail = cell
+            parts.append(f"{head}{m}{mid}{n}{tail}")
+        handle.write("".join(parts))
 
     return emit
 

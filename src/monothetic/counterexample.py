@@ -28,9 +28,9 @@ from .errors import DomainError, HypothesisNotMetError
 _HALF = Fraction(1, 2)
 
 # A scan prints limit^2 cells: counterexample --grid at this limit, with --out,
-# takes 0.16-0.21 s in-process, peaks at 21 MB RSS and writes 41 MB of JSON
-# lines (Python 3.11, 2 vCPUs), so a larger grid is refused before any work
-# starts.
+# takes 0.21-0.24 s in-process, peaks at 21 MB RSS and writes 41 029 898 bytes
+# of JSON lines (Python 3.11, 2 noisy vCPUs), so a larger grid is refused
+# before any work starts.
 MAX_GRID = 500
 
 
@@ -97,18 +97,22 @@ def counterexample_certificate(
 def _certificate(n: int, m: int, v1: Fraction, v2: Fraction) -> ContradictionReport:
     """The certificate for nonzero n, m and values already checked to lie in (0, 1/2).
 
-    It checks the identity, then the guard |m|*v1 + |n|*v2 < (|m| + |n|)/2.
+    It checks the identity, then the guard |m|*v1 + |n|*v2 < (|m| + |n|)/2,
+    in integers over the common denominator q1*q2 of v1 = p1/q1 and v2 = p2/q2.
     """
     _check_identity()
+    p1, q1 = v1.as_integer_ratio()
+    p2, q2 = v2.as_integer_ratio()
     required = abs(m) + abs(n)
-    implied = abs(m) * v1 + abs(n) * v2
-    if not 2 * implied < required:
+    num = abs(m) * p1 * q2 + abs(n) * p2 * q1
+    den = q1 * q2
+    if not 2 * num < required * den:
         raise RuntimeError("contradiction inequality failed")  # unreachable given the hypothesis
     return ContradictionReport(
         n=n, m=m, v1=v1, v2=v2,
         required_norm=required,
-        implied_bound=implied,
-        margin=required - implied,
+        implied_bound=Fraction(num, den),
+        margin=Fraction(required * den - num, den),
         identity_verified=True,
     )
 
@@ -134,29 +138,29 @@ def counterexample_scan(limit: int, emit: Callable | None = None) -> ScanSummary
     The coefficient check proves the identity for every cell.  At v1 = v2 = v
     a cell's implied bound (n + m)*v and margin depend only on s = n + m, so
     each class s gets one certificate and one guard, 2*limit - 1 in all.  The
-    cells only print: in row order each goes to ``emit(n, m, report)``,
-    ``report`` being its class's certificate, right in every field but n and
-    m; none is kept.  Since the certificates cover every candidate pair of
-    powers up to the limit, no choice can satisfy both density demands: the
-    unbounded norm admits no dense-cyclic extension witnessed inside the grid.
+    cells only print: for each row n in turn the scan calls ``emit(n, row)``
+    once, ``row[m - 1]`` being the certificate of the class n + m, right in
+    every field but n and m, for m = 1..limit.  The row is a slice of the
+    class list, so the scan does no work per cell and keeps none.  Since the
+    certificates cover every candidate pair of powers up to the limit, no
+    choice can satisfy both density demands: the unbounded norm admits no
+    dense-cyclic extension witnessed inside the grid.
     """
     v = worst_case_value(limit)
-    classes = {}
+    classes = []
     for s in range(2, 2 * limit + 1):
         first = max(1, s - limit)  # the class's first cell in row order
-        classes[s] = _certificate(first, s - first, v, v)
+        classes.append(_certificate(first, s - first, v, v))
     if emit is not None:
-        cells = range(1, limit + 1)
-        for n in cells:
-            for m in cells:
-                emit(n, m, classes[n + m])
-    margins = [report.margin for report in classes.values()]
+        for n in range(1, limit + 1):
+            emit(n, classes[n - 1:n - 1 + limit])  # classes n + 1 .. n + limit
+    min_margin = min(report.margin for report in classes)
     return ScanSummary(
         limit=limit,
         worst_case_value=v,
         certificate_count=limit * limit,
-        min_margin=min(margins),
-        all_margins_positive=all(margin > 0 for margin in margins),
+        min_margin=min_margin,
+        all_margins_positive=min_margin > 0,
         conclusion=(
             "no pair of generator powers within the grid can approximate both "
             "basis elements within 1/2; a dense cyclic extension of the "

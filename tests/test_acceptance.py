@@ -187,7 +187,8 @@ def test_criterion_7_truncation_stabilization():
 def test_criterion_8_counterexample_and_contrast(lattice_table):
     start = time.perf_counter()
     cells = []
-    summary = counterexample_scan(50, lambda n, m, cert: cells.append((n, m, cert)))
+    summary = counterexample_scan(
+        50, lambda n, row: cells.extend((n, m, cert) for m, cert in enumerate(row, 1)))
     assert summary.worst_case_value == Fraction(1, 2) - Fraction(1, 2500)
     assert summary.certificate_count == len(cells) == 2500
     assert summary.all_margins_positive

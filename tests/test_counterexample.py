@@ -1,11 +1,14 @@
 """Infeasibility certificates for the unbounded sum norm on the rank-two lattice."""
 
+import contextlib
+import io
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from monothetic import (
     DomainError,
@@ -76,7 +79,7 @@ class TestCertificate:
             counterexample_certificate(2, 3, Fraction(1, 3), Fraction(2, 5))
         emitted = []
         with pytest.raises(RuntimeError, match="identity"):
-            counterexample_scan(4, lambda *cell: emitted.append(cell))
+            counterexample_scan(4, lambda *row: emitted.append(row))
         assert emitted == []
 
     def test_negative_powers_allowed(self):
@@ -109,9 +112,20 @@ def at(form, n, m):
 def streamed(limit):
     """The scan's summary and every cell's certificate, in the order it emits them."""
     cells = []
-    summary = counterexample_scan(
-        limit, lambda n, m, report: cells.append(replace(report, n=n, m=m)))
+    summary = counterexample_scan(limit, lambda n, row: cells.extend(
+        replace(report, n=n, m=m) for m, report in enumerate(row, 1)))
     return summary, cells
+
+
+@pytest.fixture(scope="module")
+def lines_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lines") / "certs.jsonl"
+
+
+def write_grid(limit, out):
+    """counterexample --grid limit --out out through cli.main; its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["counterexample", "--grid", str(limit), "--out", str(out)])
 
 
 class TestScan:
@@ -141,14 +155,19 @@ class TestScan:
         assert cells == [
             counterexample_certificate(n, m, v, v) for n in range(1, 13) for m in range(1, 13)]
 
-    def test_cells_match_single_certificates(self, tmp_path, capsys):
+    @given(limit=st.integers(1, 40))
+    @example(limit=1)
+    @example(limit=2)
+    @example(limit=12)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    def test_cells_match_single_certificates(self, lines_path, limit):
         # Every line the CLI writes against the single-cell path, in row order.
-        out = tmp_path / "certs.jsonl"
-        assert main(["counterexample", "--grid", "12", "--out", str(out)]) == 0
-        v = counterexample_scan(12).worst_case_value
-        assert out.read_text().splitlines() == [
+        assert write_grid(limit, lines_path) == 0
+        v = counterexample_scan(limit).worst_case_value
+        cells = range(1, limit + 1)
+        assert lines_path.read_text().splitlines() == [
             dumps_stable(contradiction_to_json(counterexample_certificate(n, m, v, v)))
-            for n in range(1, 13) for m in range(1, 13)]
+            for n in cells for m in cells]
 
     def test_identity_everywhere(self):
         _, cells = streamed(4)
@@ -172,7 +191,7 @@ class TestScan:
         assert peak < 2 ** 20
 
     @pytest.mark.parametrize("limit", [1, 2, 7, 50])
-    @pytest.mark.parametrize("emit", [None, lambda n, m, report: None], ids=["bare", "emit"])
+    @pytest.mark.parametrize("emit", [None, lambda n, row: None], ids=["bare", "emit"])
     def test_one_identity_check_per_class(self, monkeypatch, limit, emit):
         # The coefficient check covers every cell, so the scan runs it once
         # per certificate, one per class n + m, and never per cell.
@@ -186,3 +205,24 @@ class TestScan:
     def test_bad_limit(self, limit):
         with pytest.raises(DomainError):
             counterexample_scan(limit)
+
+
+class TestLines:
+    def test_largest_grid_is_not_held_in_memory(self, tmp_path):
+        # The 41 MB file goes out a row at a time.
+        tracemalloc.start()
+        try:
+            assert write_grid(MAX_GRID, tmp_path / "certs.jsonl") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("limit", [1, 50])
+    def test_full_device_exits_two(self, capsys, limit):
+        # Grid 1 fails when the file is closed, grid 50 on a row's write.
+        assert main(["counterexample", "--grid", str(limit), "--out", "/dev/full"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: cannot write /dev/full: No space left on device\n"
