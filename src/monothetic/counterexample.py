@@ -91,16 +91,17 @@ def counterexample_certificate(
     if n == 0 or m == 0:
         raise DomainError("powers n and m must be nonzero integers")
     _check_hypothesis(v1, v2)
+    _check_identity()
     return _certificate(n, m, v1, v2)
 
 
 def _certificate(n: int, m: int, v1: Fraction, v2: Fraction) -> ContradictionReport:
     """The certificate for nonzero n, m and values already checked to lie in (0, 1/2).
 
-    It checks the identity, then the guard |m|*v1 + |n|*v2 < (|m| + |n|)/2,
-    in integers over the common denominator q1*q2 of v1 = p1/q1 and v2 = p2/q2.
+    The caller has checked the identity.  This checks the guard
+    |m|*v1 + |n|*v2 < (|m| + |n|)/2, in integers over the common denominator
+    q1*q2 of v1 = p1/q1 and v2 = p2/q2.
     """
-    _check_identity()
     p1, q1 = v1.as_integer_ratio()
     p2, q2 = v2.as_integer_ratio()
     required = abs(m) + abs(n)
@@ -135,9 +136,10 @@ def worst_case_value(limit: int) -> Fraction:
 def counterexample_scan(limit: int, emit: Callable | None = None) -> ScanSummary:
     """Certificates for every (n, m) in [1, limit]^2 at ``worst_case_value(limit)``.
 
-    The coefficient check proves the identity for every cell.  At v1 = v2 = v
-    a cell's implied bound (n + m)*v and margin depend only on s = n + m, so
-    each class s gets one certificate and one guard, 2*limit - 1 in all.  The
+    The coefficient check proves the identity for every cell, so it runs
+    once, before the first certificate.  At v1 = v2 = v a cell's implied
+    bound (n + m)*v and margin depend only on s = n + m, so each class s gets
+    one certificate and one guard, 2*limit - 1 in all.  The
     cells only print: for each row n in turn the scan calls ``emit(n, row)``
     once, ``row[m - 1]`` being the certificate of the class n + m, right in
     every field but n and m, for m = 1..limit.  The row is a slice of the
@@ -147,6 +149,7 @@ def counterexample_scan(limit: int, emit: Callable | None = None) -> ScanSummary
     dense-cyclic extension witnessed inside the grid.
     """
     v = worst_case_value(limit)
+    _check_identity()
     classes = []
     for s in range(2, 2 * limit + 1):
         first = max(1, s - limit)  # the class's first cell in row order

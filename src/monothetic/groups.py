@@ -46,6 +46,11 @@ class GroupDescriptor:
             raise ShapeError("torsion moduli must be >= 2")
         if coordinates < 1:
             raise ShapeError("descriptor must have at least one coordinate")
+        # Hashed once: the enumeration's caches are keyed by descriptor.
+        object.__setattr__(self, "_hash", hash((self.free_rank, self.torsion_moduli)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> Optional[int]:
@@ -85,7 +90,7 @@ class HElement:
         )
 
     def _require_same(self, other: "HElement") -> None:
-        if self.descriptor != other.descriptor:
+        if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:
             raise ShapeError("elements belong to different groups")
 
     def __add__(self, other: "HElement") -> "HElement":

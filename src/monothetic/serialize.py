@@ -17,6 +17,7 @@ import decimal
 import hashlib
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -84,10 +85,17 @@ def descriptor_from_json(payload: dict) -> GroupDescriptor:
     moduli = payload.get("torsion_moduli", [])
     if not isinstance(moduli, list):
         raise TableFormatError("torsion_moduli must be a JSON array of integers")
-    return GroupDescriptor(
-        free_rank=_json_int("free_rank", payload.get("free_rank", 0)),
-        torsion_moduli=tuple(_json_int("torsion modulus", q) for q in moduli),
+    return _shared_descriptor(
+        _json_int("free_rank", payload.get("free_rank", 0)),
+        tuple(_json_int("torsion modulus", q) for q in moduli),
     )
+
+
+# One object per group shape, so that tables loaded apart share their
+# descriptor: evaluate's identity check and enumerate_h's cache then hit.
+@lru_cache(maxsize=64)
+def _shared_descriptor(free_rank: int, torsion_moduli: tuple[int, ...]) -> GroupDescriptor:
+    return GroupDescriptor(free_rank, torsion_moduli)
 
 
 def norm_spec_to_json(spec: NormSpec) -> dict:

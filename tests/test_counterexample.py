@@ -192,14 +192,14 @@ class TestScan:
 
     @pytest.mark.parametrize("limit", [1, 2, 7, 50])
     @pytest.mark.parametrize("emit", [None, lambda n, row: None], ids=["bare", "emit"])
-    def test_one_identity_check_per_class(self, monkeypatch, limit, emit):
-        # The coefficient check covers every cell, so the scan runs it once
-        # per certificate, one per class n + m, and never per cell.
+    def test_one_identity_check_per_scan(self, monkeypatch, limit, emit):
+        # The coefficient check covers every cell, so the scan runs it once,
+        # not per class n + m and never per cell.
         calls = []
         check = counterexample._check_identity
         monkeypatch.setattr(counterexample, "_check_identity", lambda: calls.append(check()))
         assert counterexample_scan(limit, emit).certificate_count == limit * limit
-        assert 1 <= len(calls) <= 2 * limit - 1
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("limit", [0, MAX_GRID + 1])
     def test_bad_limit(self, limit):

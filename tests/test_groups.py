@@ -1,6 +1,8 @@
 """Element arithmetic, the fixed enumeration, and the base norms."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,10 @@ from monothetic import (
     RationalRotation,
     ShapeError,
     base_norm,
+    build_anchor_table,
     enumerate_h,
+    load_table,
+    save_table,
 )
 from monothetic.groups import MAX_COORDINATES, _counts, zigzag_decode
 
@@ -51,6 +56,28 @@ class TestDescriptor:
         assert Z5.order == 5
         assert GroupDescriptor(0, (2, 3)).order == 6
 
+    def test_equal_descriptors_built_apart_hash_equal(self):
+        a, b = GroupDescriptor(1, (4,)), GroupDescriptor(1, (4,))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "a"}[b] == "a" and b in {a}
+
+    def test_shapes_hash_apart(self):
+        # The enumeration's caches are keyed by descriptor: shapes that differ
+        # only in their torsion must not share one hash.
+        shapes = [(0, (2,)), (0, (3,)), (0, (2, 3)), (0, (3, 2)), (1, ()), (1, (4,)),
+                  (1, (5,)), (2, ())]
+        assert len({hash(GroupDescriptor(r, q)) for r, q in shapes}) == len(shapes)
+
+    @pytest.mark.parametrize("copy_of", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_keep_equality_and_hash(self, copy_of):
+        for d in (Z, Z2, Z5, MIXED):
+            c = copy_of(d)
+            assert c == d and hash(c) == hash(d)
+            assert c.zero() + d.zero() == d.zero()
+        h = MIXED.element((-3, 1))
+        assert copy_of(h) == h and hash(copy_of(h)) == hash(h)
+
 
 class TestElements:
     def test_inverse(self):
@@ -70,6 +97,14 @@ class TestElements:
     def test_descriptor_mismatch(self):
         with pytest.raises(ShapeError):
             ExtElement(Z.zero(), 0) + ExtElement(Z2.zero(), 0)
+
+    def test_equal_but_distinct_descriptors_add(self):
+        a = GroupDescriptor(1, (4,)).element((2, 3))
+        b = GroupDescriptor(1, (4,)).element((5, 3))
+        assert a.descriptor is not b.descriptor
+        assert (a + b).coords() == (7, 2) and (a - b).coords() == (-3, 0)
+        with pytest.raises(ShapeError):
+            a + GroupDescriptor(1, (5,)).element((5, 3))
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
@@ -167,6 +202,22 @@ class TestEnumeration:
 
         first = [answers(d) for d in descriptors]
         assert answers(descriptors[0]) == first[0]
+
+    def test_loaded_tables_get_elements_on_their_descriptor(self, tmp_path):
+        # Tables loaded apart share one descriptor object, so the cache hands
+        # back elements on the later table's own descriptor.
+        enumerate_h.cache_clear()
+        spec = CappedWeightedL1((Fraction(1), Fraction(1, 2)))
+        for name, depth in (("a.json", 20), ("b.json", 30)):
+            save_table(build_anchor_table(GroupDescriptor(free_rank=2), spec, depth),
+                       tmp_path / name)
+        a = load_table(tmp_path / "a.json")
+        first = [enumerate_h(a.descriptor, n) for n in range(1, 40)]
+        b = load_table(tmp_path / "b.json")
+        assert b.descriptor is a.descriptor
+        for n in range(1, 60):
+            assert enumerate_h(b.descriptor, n).descriptor is b.descriptor
+        assert [enumerate_h(b.descriptor, n) for n in range(1, 40)] == first
 
     def test_injective_prefix(self):
         seen = {enumerate_h(Z2, n) for n in range(1, 10001)}

@@ -1,7 +1,8 @@
 """Generated table files through ``eval --table``: the exit-code contract.
 
 Every file, however hostile, must end in exit 0, 2 or 3 with no traceback,
-within the bound the ``*_rejected_quickly`` tests in ``test_cli`` use.
+within the bound the ``*_rejected_quickly`` tests in ``test_cli`` use.  Valid
+files of one group shape load onto one shared descriptor object.
 """
 
 import contextlib
@@ -14,9 +15,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from monothetic import (
+    CyclicScaled,
+    ExtElement,
+    GroupDescriptor,
+    build_anchor_table,
+    evaluate,
+    load_table,
+    save_table,
+)
 from monothetic.cli import main
 from monothetic.rat import format_fraction
-from monothetic.serialize import TABLE_VERSION, dumps_stable
+from monothetic.serialize import TABLE_VERSION, _shared_descriptor, dumps_stable
 
 BOUND_S = 1
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -128,3 +138,37 @@ def test_right_digest_loads(table_file, header):
     code, err = run_eval(table_file, signed(header), header)
     assert code in (0, 3)
     assert err == ""
+
+
+@FUZZ
+@given(header=valid_headers(), depth=st.integers(1, 64))
+def test_one_group_loads_one_descriptor(table_file, header, depth):
+    # The same file twice, and another file of the same group at any depth.
+    other = table_file.with_name("other.json")
+    table_file.write_text(json.dumps(signed(header)))
+    other.write_text(json.dumps(signed({**header, "N": depth})))
+    first, again, apart = load_table(table_file), load_table(table_file), load_table(other)
+    assert first.descriptor is again.descriptor is apart.descriptor
+    group = header["descriptor"]
+    assert first.descriptor == GroupDescriptor(group["free_rank"], tuple(group["torsion_moduli"]))
+
+
+def test_shared_descriptors_stay_bounded(tmp_path):
+    # More group shapes than the loader's cache holds, then the first again
+    # after its eviction: the cache stays at its bound, and every loaded table
+    # answers as the table built directly does.
+    bound = _shared_descriptor.cache_info().maxsize
+    moduli = list(range(2, bound + 18))
+    path = tmp_path / "table.json"
+    for q in moduli + moduli[:1]:
+        descriptor = GroupDescriptor(0, (q,))
+        built = build_anchor_table(descriptor, CyclicScaled(), 20)
+        save_table(built, path)
+        loaded = load_table(path)
+        assert loaded.descriptor == descriptor
+        assert _shared_descriptor.cache_info().currsize <= bound
+        for x in (ExtElement(descriptor.element((1,)), 0),
+                  built.anchor_element(9) - built.anchor_element(4),
+                  built.anchor_element(12) + built.anchor_element(3)):
+            assert evaluate(loaded, x) == evaluate(built, x)
+    assert _shared_descriptor.cache_info().currsize == bound == 64

@@ -21,7 +21,7 @@ failing id), killed by a suite (which checks), caught only by the pin, or
 survived.  The unmutated copy goes through the same steps first and must
 pass them all.  Only entries marked equivalent, with a reason, may
 survive; any other survivor, or a stale entry, makes the exit status 1.
-The last line counts the four outcomes.  The 20 entries take about 6.5
+The last line counts the four outcomes.  The 24 entries take about 6
 minutes on 2 noisy vCPUs with Python 3.11.
 """
 
@@ -39,6 +39,8 @@ PIN = "tests/test_differential.py::test_differential_output_is_unchanged"
 EVALUATOR = "src/monothetic/evaluator.py"
 VERIFICATION = "src/monothetic/verification.py"
 COUNTEREXAMPLE = "src/monothetic/counterexample.py"
+GROUPS = "src/monothetic/groups.py"
+SERIALIZE = "src/monothetic/serialize.py"
 
 
 class Mutant(NamedTuple):
@@ -131,6 +133,29 @@ CATALOGUE = (
     Mutant("row-slice-shifted", COUNTEREXAMPLE,
            "emit(n, classes[n - 1:n - 1 + limit])",
            "emit(n, classes[n:n + limit])"),
+    Mutant("scan-skips-identity-check", COUNTEREXAMPLE,
+           "    v = worst_case_value(limit)\n    _check_identity()\n",
+           "    v = worst_case_value(limit)\n"),
+    # One descriptor object per loaded group shape, hashed once.  The
+    # rank-only cache stays bounded, so only a wrong answer can kill it.
+    Mutant("interned-by-rank-only", SERIALIZE,
+           "@lru_cache(maxsize=64)\n"
+           "def _shared_descriptor(free_rank: int, torsion_moduli: tuple[int, ...]) -> GroupDescriptor:\n"
+           "    return GroupDescriptor(free_rank, torsion_moduli)\n",
+           "@lru_cache(maxsize=64)\n"
+           "def _rank_slot(free_rank: int) -> list:\n"
+           "    return []\n\n\n"
+           "def _shared_descriptor(free_rank: int, torsion_moduli: tuple[int, ...]) -> GroupDescriptor:\n"
+           "    slot = _rank_slot(free_rank)\n"
+           "    if not slot:\n"
+           "        slot.append(GroupDescriptor(free_rank, torsion_moduli))\n"
+           "    return slot[0]\n"),
+    Mutant("descriptor-hash-ignores-torsion", GROUPS,
+           'object.__setattr__(self, "_hash", hash((self.free_rank, self.torsion_moduli)))',
+           'object.__setattr__(self, "_hash", hash(self.free_rank))'),
+    Mutant("require-same-identity-only", GROUPS,
+           "if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:",
+           "if self.descriptor is not other.descriptor:"),
 )
 
 # The four suites through cli.main, on a table built by cli.main; prints
