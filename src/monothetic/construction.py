@@ -142,8 +142,8 @@ class AnchorTable:
 
     The header (descriptor, spec and depth N) fixes the table, and the
     constructor refuses a depth outside 1..``MAX_TABLE_DEPTH`` and a spec
-    that does not fit the descriptor.  Anchors are made from the recurrence
-    when a query first reaches them, never past N, and kept as a prefix:
+    that does not fit the descriptor.  Anchors are made by :meth:`prefix`
+    alone, from the recurrence, as far as a query asks and never past N;
     each carries its pair, power and target, and its value 1/j follows from
     the pair.  The prefix, its ``powers`` and ``search_frame`` (the
     evaluator's set-up, made on the first search) grow in place, so use one
@@ -160,25 +160,18 @@ class AnchorTable:
         self.descriptor = descriptor
         self.spec = spec
         self._source = _recurrence()
-        self._targets: dict[int, HElement] = {}   # by m: about 70 at depth 2500
         self._made: list[Anchor] = []
         self.powers: list[int] = []   # of the made anchors: they rise strictly
         self.search_frame = None   # the evaluator's, made on the first search
 
-    def grow(self) -> None:
-        """Make the next anchor; the caller checks that the table has one left."""
-        m, j, power = next(self._source)
-        target = self._targets.get(m)
-        if target is None:
-            target = self._targets[m] = _target_element(self.descriptor, m)
-        self._made.append(Anchor(len(self._made) + 1, m, j, power, target))
-        self.powers.append(power)
-
     def prefix(self, n: int) -> list[Anchor]:
         """The anchors made so far, at least 1..n of them (n <= depth); read only."""
-        while len(self._made) < n:
-            self.grow()
-        return self._made
+        made = self._made
+        while len(made) < n:
+            m, j, power = next(self._source)
+            made.append(Anchor(len(made) + 1, m, j, power, _target_element(self.descriptor, m)))
+            self.powers.append(power)
+        return made
 
     @property
     def anchors(self) -> tuple[Anchor, ...]:

@@ -159,20 +159,17 @@ def truncation_index(table: AnchorTable, k: int, epsilon: Fraction) -> int:
 
     The test runs on integers: with epsilon = num/den, an integer power K
     satisfies K < |k|*den/num exactly when K < ceil(|k|*den/num), and the
-    largest such index is found by bisecting ``table.powers``.  The
-    table first makes anchors until the last power made reaches that bound,
-    or until none is left: the recurrence puts every power not yet made
-    above the last one made, so none of them can change a comparison with
-    the bound.
+    largest such index is found by bisecting ``table.powers``.  When no
+    power made yet reaches that bound, the table first makes anchors 1..N
+    for the first N with K[N] >= bound, which :func:`first_index_reaching`
+    finds by jumping the recurrence one anti-diagonal at a time in closed
+    form (r steps at factor a take K to K*a^r + (a^r - 1)/(a - 1)); no power
+    past K[N] can change a comparison with the bound.
 
-    When the table cannot exhibit the level, i.e. when even its deepest power
-    is below |k|/epsilon, it raises through :func:`require_depth` for the
-    first depth N past the table's with K[N] >= |k|/epsilon: an
+    When N lies past the table's depth it raises through
+    :func:`require_depth` before it makes any anchor: an
     :class:`ExtendTableError` naming N, or a :class:`DomainError` when no
-    depth up to ``MAX_TABLE_DEPTH`` reaches that bound.  N comes from
-    :func:`first_index_reaching`, which jumps the recurrence one anti-diagonal
-    at a time in closed form (r steps at factor a take K to
-    K*a^r + (a^r - 1)/(a - 1)) and makes no power sequence.
+    depth up to ``MAX_TABLE_DEPTH`` reaches the bound.
     """
     num, den = epsilon.numerator, epsilon.denominator
     if not 0 < num < den:   # 0 < epsilon < 1, the denominator being positive
@@ -181,12 +178,10 @@ def truncation_index(table: AnchorTable, k: int, epsilon: Fraction) -> int:
         return 0
     bound = -(-abs(k) * den // num)   # ceil(|k| / epsilon)
     powers = table.powers
-    while (not powers or powers[-1] < bound) and len(powers) < table.depth:
-        table.grow()
-    if powers[-1] < bound:
-        # Raises: K_N is below the bound, so the first power reaching it lies
-        # past the depth.
-        require_depth(table, first_index_reaching(bound))
+    if not powers or powers[-1] < bound:
+        n = first_index_reaching(bound)
+        require_depth(table, n)
+        table.prefix(n)
     # powers[i] = K[i+1] < bound iff level i + 2 is admissible; the last
     # power made reaches the bound.
     return bisect_left(powers, bound) + 1

@@ -63,13 +63,23 @@ class GroupDescriptor:
         return HElement(self, (0,) * self.free_rank, (0,) * len(self.torsion_moduli))
 
     def element(self, coords: tuple[int, ...] | list[int]) -> "HElement":
-        """Build an element from flat coordinates (free part then torsion part)."""
-        coords = tuple(int(c) for c in coords)
+        """Build an element from flat integer coordinates (free part then torsion part)."""
+        coords = tuple(_coordinate(i, c) for i, c in enumerate(coords))
         if len(coords) != self.free_rank + len(self.torsion_moduli):
             raise ShapeError(
                 f"expected {self.free_rank + len(self.torsion_moduli)} coordinates, got {len(coords)}"
             )
         return HElement(self, coords[: self.free_rank], coords[self.free_rank:])
+
+
+def _coordinate(position: int, value) -> int:
+    """``value`` as an int; a float, string or bool raises rather than being converted."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise DomainError(f"coordinate {position} must be an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

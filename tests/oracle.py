@@ -100,11 +100,12 @@ def tampered(table: AnchorTable, **edits: dict) -> AnchorTable:
 
     Each keyword names an ``Anchor`` field and maps anchor numbers to new
     values: ``tampered(table, power={3: 3}, precision_index={5: 1})``.  The
-    copy's made prefix and ``powers`` are replaced in full, so it makes no
-    anchor of its own, and it is searched as any table is.  The search is
-    exact only on the recurrence's powers: on such a table it returns the
-    first leaf it meets, which need not be the cheapest.  So what such a
-    table must fail is ``check_table_consistency``.
+    copy's made prefix and ``powers`` are replaced in full, so ``prefix``,
+    the one place that makes anchors, makes none on it: ``truncation_index``
+    bisects the edited powers, and the copy is searched as any table is.
+    The search is exact only on the recurrence's powers: on such a table it
+    returns the first leaf it meets, which need not be the cheapest.  So
+    what such a table must fail is ``check_table_consistency``.
     """
     anchors = list(table.anchors)
     for field, values in edits.items():

@@ -1082,3 +1082,56 @@ class TestLazyTable:
                 == outcome(truncation_index, grown, x.k, epsilon)
             assert outcome(evaluate, build_anchor_table(Z2, spec, depth), x, epsilon) \
                 == outcome(evaluate, grown, x, epsilon)
+
+    def test_a_query_past_the_depth_makes_no_anchor(self):
+        spec = CappedWeightedL1((ONE, ONE))
+        for depth, k, epsilon, raised in (
+            (5000, construction.k_power(5000), Fraction(1, 1024), (ExtendTableError, 5002)),
+            (1, 2, Fraction(1, 2), (ExtendTableError, 3)),
+            (12, 10 ** 30000, Fraction(1, 1024), (DomainError, None)),
+        ):
+            for query, x in ((truncation_index, k), (evaluate, ExtElement(Z2.zero(), k))):
+                table = build_anchor_table(Z2, spec, depth)
+                assert outcome(query, table, x, epsilon) == raised
+                assert table.prefix(0) == [] and table.powers == []
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        depth=st.integers(1, 300),
+        k=st.one_of(st.integers(1, 10 ** 200), st.integers(1, 50)),
+        sign=st.sampled_from([1, -1]),
+        epsilon=st.sampled_from([Fraction(1, 2), Fraction(1, 1024), Fraction(1, 2 ** 30)]),
+    )
+    def test_growth_stops_at_the_level(self, depth, k, sign, epsilon):
+        # A fresh table makes anchors 1..T for the first T with K_T >= |k|/epsilon,
+        # or none when T lies past its depth.
+        table = build_anchor_table(Z2, CappedWeightedL1((Fraction(1, 3), ONE)), depth)
+        level = construction.first_index_reaching(math.ceil(k / epsilon))
+        if level > depth:
+            assert outcome(truncation_index, table, sign * k, epsilon)[0] in (
+                ExtendTableError, DomainError)
+            assert table.powers == []
+            return
+        assert truncation_index(table, sign * k, epsilon) == level
+        assert len(table.powers) == level
+        assert truncation_index(table, -sign * max(k // 3, 1), epsilon) <= level
+        assert len(table.powers) == level
+
+    def test_a_table_deep_enough_skips_the_closed_form(self, monkeypatch):
+        spec = CappedWeightedL1((Fraction(1, 4),))
+        cases = [(k, epsilon) for k in (1, -7, 10 ** 20, -(10 ** 25))
+                 for epsilon in (Fraction(1, 2), Fraction(1, 1024))]
+        expected = [truncation_index(build_anchor_table(Z, spec, 40), k, epsilon)
+                    for k, epsilon in cases]
+        values = [evaluate(build_anchor_table(Z, spec, 40), ExtElement(Z.zero(), k), epsilon)
+                  for k, epsilon in cases]
+        table = build_anchor_table(Z, spec, 40)
+        table.prefix(40)
+
+        def closed_form(bound):
+            raise AssertionError(f"first_index_reaching({bound}) was called")
+
+        monkeypatch.setattr(evaluator, "first_index_reaching", closed_form)
+        assert [truncation_index(table, k, epsilon) for k, epsilon in cases] == expected
+        assert [evaluate(table, ExtElement(Z.zero(), k), epsilon)
+                for k, epsilon in cases] == values

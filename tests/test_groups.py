@@ -106,6 +106,17 @@ class TestElements:
         with pytest.raises(ShapeError):
             a + GroupDescriptor(1, (5,)).element((5, 3))
 
+    @pytest.mark.parametrize("bad", [2.9, 2.0, -0.5, "3", True, False, None, Fraction(2)])
+    def test_element_refuses_non_integer_coordinates(self, bad):
+        with pytest.raises(DomainError, match=r"^coordinate 1 must be an integer, got "):
+            MIXED.element((1, bad))
+
+    def test_element_keeps_integer_coordinates(self):
+        big = -(10 ** 4999) - 7   # 5000 digits
+        assert Z.element([big]).free == (big,)
+        assert MIXED.element((-3, 6)).coords() == (-3, 2)
+        assert Z2.element((0, -1)).free == (0, -1)
+
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
     def test_group_laws(self, a, b, c, ka, kb, kc):

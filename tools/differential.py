@@ -36,7 +36,6 @@ powers break the recurrence, so its values there pin nothing.
 """
 
 import hashlib
-import inspect
 import random
 import sys
 from fractions import Fraction
@@ -92,9 +91,7 @@ def tampered(table, powers=(), precisions=()):
         anchors[n - 1] = anchors[n - 1]._replace(precision_index=j)
     copy = build_anchor_table(table.descriptor, table.spec, table.depth)
     copy._made = anchors
-    # The made powers are ``power_floors`` in older checkouts.
-    setattr(copy, "powers" if hasattr(copy, "powers") else "power_floors",
-            [a.power for a in anchors])
+    copy.powers = [a.power for a in anchors]
     return copy
 
 
@@ -142,22 +139,6 @@ def decomposition(found):
     return f"{found.coefficients} {found.residual.coords()} {found.cost}"
 
 
-def search(table, x, cap):
-    # Older checkouts' searches take a budget.  At their largest one below 1
-    # they return the same leaf whenever it costs below 1, and every budget
-    # applied here is below 1.
-    if "budget" in inspect.signature(best_decomposition).parameters:
-        return best_decomposition(table, x, table.truncated_budget, cap)
-    return best_decomposition(table, x, index_cap=cap)
-
-
-def budget_level(table, k, budget):
-    # Older checkouts' truncation_index takes the budget, 1 - epsilon.
-    if "budget" in inspect.signature(truncation_index).parameters:
-        return truncation_index(table, k, budget)
-    return truncation_index(table, k, 1 - budget)
-
-
 def case(table, x, rng):
     out = [f"{x.h.coords()} {x.k}"]
     for epsilon in EPSILONS:
@@ -168,9 +149,9 @@ def case(table, x, rng):
         if x.k == 0:
             cap = 0
         else:
-            cap = attempt(lambda: budget_level(table, x.k, budget))
+            cap = attempt(lambda: truncation_index(table, x.k, 1 - budget))
             cap = table.depth if isinstance(cap, str) else cap
-        found = search(table, x, cap)
+        found = best_decomposition(table, x, index_cap=cap)
         found = found if found is not None and found.cost <= budget else None
         out.append(f"{budget}@{cap} {decomposition(found)}")
     return " | ".join(out)

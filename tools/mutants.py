@@ -21,7 +21,7 @@ failing id), killed by a suite (which checks), caught only by the pin, or
 survived.  The unmutated copy goes through the same steps first and must
 pass them all.  Only entries marked equivalent, with a reason, may
 survive; any other survivor, or a stale entry, makes the exit status 1.
-The last line counts the four outcomes.  The 24 entries take about 6
+The last line counts the four outcomes.  The 28 entries take about 5.5
 minutes on 2 noisy vCPUs with Python 3.11.
 """
 
@@ -120,6 +120,16 @@ CATALOGUE = (
     Mutant("bound-floor-not-ceil", EVALUATOR,
            "bound = -(-abs(k) * den // num)",
            "bound = abs(k) * den // num"),
+    # truncation_index grows the table only to the level, after the depth check.
+    Mutant("level-grows-one-short", EVALUATOR,
+           "        table.prefix(n)\n",
+           "        table.prefix(n - 1)\n"),
+    Mutant("level-grows-before-depth-check", EVALUATOR,
+           "        require_depth(table, n)\n        table.prefix(n)\n",
+           "        table.prefix(n)\n        require_depth(table, n)\n"),
+    Mutant("level-fast-path-skipped", EVALUATOR,
+           "    if not powers or powers[-1] < bound:\n",
+           "    if True:\n"),
     Mutant("axioms-interval-triangle-dropped", VERIFICATION,
            "if min(ONE, vx + vy) <= rxy.lower:",
            "if False:"),
@@ -156,6 +166,9 @@ CATALOGUE = (
     Mutant("require-same-identity-only", GROUPS,
            "if self.descriptor is not other.descriptor and self.descriptor != other.descriptor:",
            "if self.descriptor is not other.descriptor:"),
+    Mutant("element-coerces", GROUPS,
+           "return operator.index(value)",
+           "return int(value)"),
 )
 
 # The four suites through cli.main, on a table built by cli.main; prints
