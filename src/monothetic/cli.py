@@ -49,10 +49,11 @@ EXIT_USAGE = 2
 EXIT_EXTEND = 3
 
 
-# The truncation suite takes about 0.6-1.1 s at this many samples on a
-# depth-50 Z^2 table, the extension suite 0.07-0.25 s and the axioms suite
-# 0.03-0.07 s (seeds 0, 42 and 1234, in-process, Python 3.11, 2 noisy vCPUs);
-# larger requests are refused before any work starts.
+# The truncation suite takes about 0.3-0.5 s at this many samples on a
+# depth-50 Z^2 table, the extension suite 0.05-0.12 s and the axioms suite
+# 0.02-0.04 s (seeds 0, 42 and 1234, three runs each on a fresh table,
+# in-process, Python 3.11, 2 noisy vCPUs); larger requests are refused
+# before any work starts.
 MAX_SAMPLES = 20_000
 
 

@@ -75,6 +75,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Union
 
 from .construction import (
@@ -149,6 +150,16 @@ EvalResult = Union[ExactResult, IntervalResult]
 DEFAULT_EPSILON = Fraction(1, 1024)
 
 
+# One (epsilon, level) pair per entry, keyed by epsilon's integers since
+# hashing a Fraction is slow.  A certify-stream run meets 90 pairs and one
+# verify call 2-3, so 256 entries hold them all.
+@lru_cache(maxsize=256)
+def _interval(num: int, den: int, level: int) -> IntervalResult:
+    """The certificate (1 - num/den, 1] at ``level``, one object for every caller."""
+    # 1 - epsilon, made from epsilon's integers: already in lowest terms.
+    return IntervalResult(Fraction(den - num, den), ONE, level)
+
+
 def truncation_index(table: AnchorTable, k: int, epsilon: Fraction) -> int:
     """Deepest anchor index a decomposition of cost at most 1 - epsilon can use.
 
@@ -171,7 +182,11 @@ def truncation_index(table: AnchorTable, k: int, epsilon: Fraction) -> int:
     :class:`ExtendTableError` naming N, or a :class:`DomainError` when no
     depth up to ``MAX_TABLE_DEPTH`` reaches the bound.
     """
-    num, den = epsilon.numerator, epsilon.denominator
+    try:
+        num, den = epsilon.numerator, epsilon.denominator
+    except AttributeError:
+        raise DomainError(
+            f"epsilon must be a rational, got {type(epsilon).__name__}") from None
     if not 0 < num < den:   # 0 < epsilon < 1, the denominator being positive
         raise DomainError("epsilon must lie strictly between 0 and 1")
     if k == 0:
@@ -353,7 +368,11 @@ def evaluate(
     leaf below the truncation level, so the leaf is the value when its total
     is within 1 - epsilon, and the interval holds otherwise.
     """
-    num, den = epsilon.numerator, epsilon.denominator
+    try:
+        num, den = epsilon.numerator, epsilon.denominator
+    except AttributeError:
+        raise DomainError(
+            f"epsilon must be a rational, got {type(epsilon).__name__}") from None
     if not 0 < num < den:
         raise DomainError("epsilon must lie strictly between 0 and 1")
     descriptor = x.h.descriptor
@@ -367,8 +386,7 @@ def evaluate(
     found = best_decomposition(table, x, index_cap=level)
     # found.cost > 1 - epsilon, cross-multiplied by the positive denominators.
     if found is None or found.cost.numerator * den > (den - num) * found.cost.denominator:
-        # 1 - epsilon, made from epsilon's integers: already in lowest terms.
-        return IntervalResult(Fraction(den - num, den), ONE, level)
+        return _interval(num, den, level)
     return ExactResult(found.cost, found, level)
 
 

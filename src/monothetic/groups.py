@@ -64,7 +64,7 @@ class GroupDescriptor:
 
     def element(self, coords: tuple[int, ...] | list[int]) -> "HElement":
         """Build an element from flat integer coordinates (free part then torsion part)."""
-        coords = tuple(_coordinate(i, c) for i, c in enumerate(coords))
+        coords = tuple(coords)
         if len(coords) != self.free_rank + len(self.torsion_moduli):
             raise ShapeError(
                 f"expected {self.free_rank + len(self.torsion_moduli)} coordinates, got {len(coords)}"
@@ -72,19 +72,23 @@ class GroupDescriptor:
         return HElement(self, coords[: self.free_rank], coords[self.free_rank:])
 
 
-def _coordinate(position: int, value) -> int:
+def _integer(name: str, value) -> int:
     """``value`` as an int; a float, string or bool raises rather than being converted."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
-    raise DomainError(f"coordinate {position} must be an integer, got {type(value).__name__}")
+    raise DomainError(f"{name} must be an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
 class HElement:
-    """Element of the base group; torsion coordinates are kept reduced."""
+    """Element of the base group; torsion coordinates are kept reduced.
+
+    Coordinates, like :class:`ExtElement`'s c-power, are ints: a value that
+    ``operator.index`` takes is converted, and a float, string or bool raises.
+    """
 
     descriptor: GroupDescriptor
     free: tuple[int, ...]
@@ -94,6 +98,13 @@ class HElement:
         d = self.descriptor
         if len(self.free) != d.free_rank or len(self.torsion) != len(d.torsion_moduli):
             raise ShapeError("coordinate count does not match descriptor")
+        for c in self.free + self.torsion:
+            if type(c) is not int:   # every internal caller passes plain ints
+                coords = tuple(_integer(f"coordinate {i}", c)
+                               for i, c in enumerate(self.free + self.torsion))
+                object.__setattr__(self, "free", coords[:d.free_rank])
+                object.__setattr__(self, "torsion", coords[d.free_rank:])
+                break
         object.__setattr__(
             self, "torsion",
             tuple(t % q for t, q in zip(self.torsion, d.torsion_moduli)),
@@ -138,6 +149,10 @@ class ExtElement:
 
     h: HElement
     k: int
+
+    def __post_init__(self):
+        if type(self.k) is not int:
+            object.__setattr__(self, "k", _integer("c-power", self.k))
 
     @property
     def descriptor(self) -> GroupDescriptor:

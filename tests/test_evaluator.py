@@ -19,6 +19,7 @@ from monothetic import (
     ExtElement,
     ExtendTableError,
     GroupDescriptor,
+    HElement,
     IntervalResult,
     RationalRotation,
     ShapeError,
@@ -624,6 +625,82 @@ class TestEvaluate:
     def test_deterministic(self, quarter_table):
         x = ExtElement(Z.element((2,)), 2)
         assert evaluate(quarter_table, x) == evaluate(quarter_table, x)
+
+
+class TestNonIntegerInput:
+    def test_a_non_integer_element_is_refused(self, lattice_table):
+        # Unchecked, each would be certified or escape as a raw TypeError
+        # from inside the search.
+        for build in (lambda: ExtElement(HElement(Z2, (0.5, 1), ()), 0),
+                      lambda: ExtElement(Z2.zero(), True),
+                      lambda: ExtElement(Z2.zero(), 2.5)):
+            with pytest.raises(DomainError, match="must be an integer"):
+                evaluate(lattice_table, build())
+
+    @pytest.mark.parametrize("epsilon", [0.001, "1/1024", None, 1e-300])
+    def test_an_epsilon_that_is_not_rational_is_refused(self, lattice_table, epsilon):
+        message = f"^epsilon must be a rational, got {type(epsilon).__name__}$"
+        for call in (lambda: evaluate(lattice_table, ExtElement(Z2.zero(), 3), epsilon),
+                     lambda: evaluate(lattice_table, ExtElement(Z2.zero(), 0), epsilon),
+                     lambda: truncation_index(lattice_table, 3, epsilon),
+                     lambda: density_witness(lattice_table, 1, 2, epsilon)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_integer_input_still_evaluates(self, lattice_table):
+        big = 10 ** 4999   # 5000 digits
+        x = ExtElement(HElement(Z2, (-3, big), ()), -7)
+        result = evaluate(lattice_table, x)
+        assert result == evaluate(lattice_table, ExtElement(Z2.element((-3, big)), -7))
+        assert isinstance(result, IntervalResult)
+
+
+class TestSharedInterval:
+    """evaluate's interval answers: one shared object per (epsilon, level)."""
+
+    def test_equal_epsilon_and_level_share_one_certificate(self, lattice_table):
+        epsilon = Fraction(1, 1024)
+        a = evaluate(lattice_table, ExtElement(Z2.zero(), 1), epsilon)
+        b = evaluate(lattice_table, ExtElement(Z2.element((3, -4)), 1), Fraction(2, 2048))
+        assert isinstance(a, IntervalResult)
+        assert a is b
+        assert a == IntervalResult(Fraction(1023, 1024), ONE, a.truncation_level)
+
+    def test_a_different_epsilon_or_level_gets_its_own(self, lattice_table):
+        x, far = ExtElement(Z2.zero(), 1), ExtElement(Z2.element((1, 1)), 10 ** 12)
+        seen = []
+        for y, epsilon in ((x, Fraction(1, 1024)), (x, Fraction(1, 512)),
+                           (x, Fraction(3, 4)), (far, Fraction(1, 1024))):
+            result = evaluate(lattice_table, y, epsilon)
+            assert isinstance(result, IntervalResult)
+            assert result.lower == ONE - epsilon and result.upper == ONE
+            assert result.truncation_level == truncation_index(lattice_table, y.k, epsilon)
+            assert all(result is not other for other in seen)
+            seen.append(result)
+        assert seen[0].truncation_level != seen[3].truncation_level
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(epsilon=st.integers(2, 2 ** 64).flatmap(
+        lambda q: st.builds(Fraction, st.integers(1, q - 1), st.just(q))),
+           level=st.integers(0, MAX_TABLE_DEPTH))
+    @example(epsilon=Fraction(2 ** 64 - 1, 2 ** 64), level=0)
+    def test_the_shared_certificate_is_one_minus_epsilon(self, lattice_table, epsilon, level):
+        num, den = epsilon.numerator, epsilon.denominator
+        shared = evaluator._interval(num, den, level)
+        assert shared == IntervalResult(Fraction(den - num, den), ONE, level)
+        assert type(shared.lower) is Fraction and shared.lower == ONE - epsilon
+        # c^1 has norm 1, so evaluate answers with the same object.
+        result = evaluate(lattice_table, ExtElement(Z2.zero(), 1), epsilon)
+        assert result is evaluator._interval(
+            num, den, truncation_index(lattice_table, 1, epsilon))
+
+    def test_the_cache_stays_bounded_and_rebuilds_an_evicted_key(self):
+        first = evaluator._interval(1, 7, 10 ** 6)
+        for level in range(300):
+            evaluator._interval(2, 9, level)
+        assert evaluator._interval.cache_info().currsize <= 256
+        again = evaluator._interval(1, 7, 10 ** 6)
+        assert again is not first and again == first
 
 
 def near_anchor_elements(table, top):

@@ -15,6 +15,7 @@ from monothetic import (
     DomainError,
     ExtElement,
     GroupDescriptor,
+    HElement,
     RationalRotation,
     ShapeError,
     base_norm,
@@ -116,6 +117,39 @@ class TestElements:
         assert Z.element([big]).free == (big,)
         assert MIXED.element((-3, 6)).coords() == (-3, 2)
         assert Z2.element((0, -1)).free == (0, -1)
+
+    @pytest.mark.parametrize("bad", [2.9, 2.0, -0.5, "3", True, False, None, Fraction(2)])
+    def test_constructors_refuse_what_element_refuses(self, bad):
+        # HElement and ExtElement check their integers as element() does, so
+        # no library caller can certify a value for a non-element.
+        name = type(bad).__name__
+        with pytest.raises(DomainError, match=rf"^coordinate 0 must be an integer, got {name}$"):
+            HElement(Z2, (bad, 1), ())
+        with pytest.raises(DomainError, match=rf"^coordinate 1 must be an integer, got {name}$"):
+            HElement(MIXED, (1,), (bad,))
+        with pytest.raises(DomainError, match=rf"^c-power must be an integer, got {name}$"):
+            ExtElement(Z2.zero(), bad)
+
+    def test_constructors_keep_integers(self):
+        big = -(10 ** 4999) - 7   # 5000 digits
+        h = HElement(MIXED, (big,), (-3,))
+        assert h.free == (big,) and h.torsion == (1,)
+        x = ExtElement(h, big)
+        assert x.k == big and x.k < 0
+        assert ExtElement(Z2.zero(), -4).k == -4
+
+    def test_constructors_convert_other_index_types(self):
+        class Index:
+            def __init__(self, value):
+                self.value = value
+
+            def __index__(self):
+                return self.value
+
+        h = HElement(MIXED, (Index(-2),), (Index(7),))
+        assert h.coords() == (-2, 3) and all(type(c) is int for c in h.coords())
+        x = ExtElement(h, Index(5))
+        assert type(x.k) is int and x == ExtElement(MIXED.element((-2, 3)), 5)
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50),
            st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5))
